@@ -11,9 +11,7 @@ dimension count together with exact linear independence.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from centrostoch.core import Matrix, ShapeError, rank_of_family, rotate_pi
+from centrostoch.core import Matrix, ShapeError, _center_row, rank_of_family, rotate_pi
 
 __all__ = [
     "renumber_position",
@@ -23,8 +21,6 @@ __all__ = [
     "basis_centro_odd",
     "verify_basis",
 ]
-
-_HALF = Fraction(1, 2)
 
 
 def renumber_position(i: int, j: int, side: int) -> int:
@@ -153,19 +149,6 @@ def basis_centro_even(m: int, n: int) -> list[Matrix]:
     ]
 
 
-def _mirror_pair_row(n: int, col: int) -> tuple[Fraction, ...]:
-    row = [Fraction(0)] * n
-    row[col - 1] = _HALF
-    row[n - col] = _HALF
-    return tuple(row)
-
-
-def _center_unit_row(n: int) -> tuple[Fraction, ...]:
-    row = [Fraction(0)] * n
-    row[(n - 1) // 2] = Fraction(1)
-    return tuple(row)
-
-
 def basis_centro_odd(m: int, n: int) -> list[Matrix]:
     """Basis for the centrosymmetric polytope's span, odd row count.
 
@@ -179,10 +162,7 @@ def basis_centro_odd(m: int, n: int) -> list[Matrix]:
     if n < 2:
         raise ShapeError("the odd centrosymmetric family needs n >= 2")
     half = (m - 1) // 2
-    if n % 2 == 0:
-        fixed_center = _mirror_pair_row(n, n // 2)
-    else:
-        fixed_center = _center_unit_row(n)
+    fixed_center = _center_row(n, (n + 1) // 2)
     family = [
         Matrix(top.entries + (fixed_center,) + rotate_pi(top).entries)
         for top in basis_rect(half, n)
@@ -190,7 +170,7 @@ def basis_centro_odd(m: int, n: int) -> list[Matrix]:
     for i in range(1, (n + 1) // 2):
         top = _ones_column(half, n, n + 1 - i)
         family.append(
-            Matrix(top.entries + (_mirror_pair_row(n, i),) + rotate_pi(top).entries)
+            Matrix(top.entries + (_center_row(n, i),) + rotate_pi(top).entries)
         )
     return family
 

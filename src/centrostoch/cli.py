@@ -70,6 +70,29 @@ def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2))
 
 
+def _print_blocks(blocks) -> None:
+    # blocks are (matrix, header suffix): "[k]<suffix>", the aligned matrix,
+    # and a blank line between consecutive blocks
+    for k, (mat, suffix) in enumerate(blocks, 1):
+        if k > 1:
+            print()
+        print(f"[{k}]{suffix}")
+        for line in _matrix_lines(mat):
+            print(line)
+
+
+def _print_listing(mats: list[Matrix], as_json: bool) -> int:
+    # numbered matrices followed by their count, or the JSON equivalent
+    if as_json:
+        _print_json({"count": len(mats), "matrices": [_matrix_json(m) for m in mats]})
+        return 0
+    _print_blocks((mat, "") for mat in mats)
+    if mats:
+        print()
+    print(f"count={len(mats)}")
+    return 0
+
+
 def _read_matrix(ns) -> Matrix:
     if ns.input:
         with open(ns.input, "r", encoding="utf-8") as handle:
@@ -113,12 +136,7 @@ def _cmd_decompose(ns) -> int:
             }
         )
         return 0
-    for k, (coeff, term) in enumerate(comb, 1):
-        if k > 1:
-            print()
-        print(f"[{k}] coefficient={coeff}")
-        for line in _matrix_lines(term):
-            print(line)
+    _print_blocks((term, f" coefficient={coeff}") for coeff, term in comb)
     return 0
 
 
@@ -127,19 +145,7 @@ def _cmd_enumerate(ns) -> int:
         mats = list(enumerate_extreme_centro(ns.m, ns.n, cap=ns.cap))
     else:
         mats = [r.to_matrix() for r in enumerate_extreme_stochastic(ns.m, ns.n, cap=ns.cap)]
-    if ns.json:
-        _print_json({"count": len(mats), "matrices": [_matrix_json(m) for m in mats]})
-        return 0
-    for k, mat in enumerate(mats, 1):
-        if k > 1:
-            print()
-        print(f"[{k}]")
-        for line in _matrix_lines(mat):
-            print(line)
-    if mats:
-        print()
-    print(f"count={len(mats)}")
-    return 0
+    return _print_listing(mats, ns.json)
 
 
 def _cmd_basis(ns) -> int:
@@ -170,12 +176,7 @@ def _cmd_basis(ns) -> int:
             payload["independent"] = independent
         _print_json(payload)
         return 0
-    for k, mat in enumerate(family, 1):
-        if k > 1:
-            print()
-        print(f"[{k}]")
-        for line in _matrix_lines(mat):
-            print(line)
+    _print_blocks((mat, "") for mat in family)
     if ns.verify:
         print()
         print(f"rank={rank} independent={_bool_word(independent)}")
@@ -245,19 +246,7 @@ def _cmd_face(ns) -> int:
             print(count)
         return 0
     mats = list(enumerate_face_vertices(pattern, centro=ns.centro, cap=ns.cap))
-    if ns.json:
-        _print_json({"count": len(mats), "matrices": [_matrix_json(m) for m in mats]})
-        return 0
-    for k, mat in enumerate(mats, 1):
-        if k > 1:
-            print()
-        print(f"[{k}]")
-        for line in _matrix_lines(mat):
-            print(line)
-    if mats:
-        print()
-    print(f"count={len(mats)}")
-    return 0
+    return _print_listing(mats, ns.json)
 
 
 def _cmd_normalize(ns) -> int:

@@ -43,6 +43,8 @@ Rational = Fraction
 
 DEFAULT_ENUMERATION_CAP = 10**6
 
+_HALF = Fraction(1, 2)
+
 
 class CentrostochError(Exception):
     """Base class for domain errors raised by this package."""
@@ -210,6 +212,21 @@ class Matrix:
 def rotate_pi(a: Matrix) -> Matrix:
     """Half-turn rotation: entry (i, j) moves to (m+1-i, n+1-j)."""
     return Matrix(tuple(row[::-1] for row in a.entries[::-1]))
+
+
+def _center_row(n: int, j: int) -> tuple[Fraction, ...]:
+    """Admissible centre row of an odd-row centrosymmetric extreme point.
+
+    1 on the middle column when column j (1-based) is it, otherwise 1/2 on
+    columns j and n+1-j: the centre row of (R + R^pi) / 2 when R puts its
+    centre 1 in column j.
+    """
+    row = [Fraction(0)] * n
+    if j == n + 1 - j:
+        row[j - 1] = Fraction(1)
+    else:
+        row[j - 1] = row[n - j] = _HALF
+    return tuple(row)
 
 
 def is_stochastic(a: Matrix) -> bool:

@@ -1,11 +1,16 @@
 """Greedy decomposition of stochastic matrices into extreme points.
 
-The common engine marks each row's smallest positive entry (leftmost on
-ties), peels off the marked rectangular permutation matrix with the largest
-exactly feasible coefficient, renormalizes, and repeats. Everything else in
-the module is bookkeeping around that loop: pairing terms with their
-half-turn rotations for the centrosymmetric polytope, and splitting the
-pairs that are not yet extreme.
+The common engine is a sweep over sorted breakpoints. Each row's positive
+entries, taken in ascending (value, column) order, cut [0, 1] into
+consecutive intervals; every cell of the common refinement of the m rows'
+partitions is one term, whose rectangular permutation matrix picks in each
+row the entry whose interval covers the cell. This is the north-west-corner
+rule on sorted rows, and it yields exactly the terms of the classic greedy
+peel (mark each row's smallest positive entry, leftmost on ties, peel, and
+renormalise), because a marked entry stays the smallest of its row until it
+is used up. Everything else in the module is bookkeeping on the column
+tuples: pairing terms with their half-turn rotations for the
+centrosymmetric polytope, and splitting the pairs that are not yet extreme.
 """
 
 from __future__ import annotations
@@ -13,16 +18,20 @@ from __future__ import annotations
 from fractions import Fraction
 
 from centrostoch.core import (
+    _HALF,
     ConvexCombination,
     Matrix,
     NotCentrosymmetricError,
     NotStochasticError,
     RectPermMatrix,
     SplitError,
+    _center_row,
     is_centrosymmetric,
     is_stochastic,
 )
-from centrostoch.extremes import is_extreme_centro
+
+# unused here; perfbench --trace wraps the predicate under this module's name
+from centrostoch.extremes import is_extreme_centro  # noqa: F401
 
 __all__ = [
     "decompose_stochastic",
@@ -31,52 +40,39 @@ __all__ = [
     "decompose_centrosymmetric",
 ]
 
-_HALF = Fraction(1, 2)
-
-
-def _mark(a: Matrix) -> tuple[RectPermMatrix, Fraction]:
-    # smallest positive entry of each row, leftmost winning ties; the peel
-    # coefficient is the smallest marked value
-    cols = []
-    smallest = None
-    for row in a.entries:
-        best_col = None
-        best = None
-        for j, x in enumerate(row, 1):
-            if x > 0 and (best is None or x < best):
-                best = x
-                best_col = j
-        cols.append(best_col)
-        if smallest is None or best < smallest:
-            smallest = best
-    return RectPermMatrix(cols, a.ncols), smallest
-
 
 def _greedy_terms(a: Matrix) -> list[tuple[Fraction, RectPermMatrix]]:
     if not is_stochastic(a):
         raise NotStochasticError("decomposition input must be row-stochastic")
+    rows = [sorted((x, j) for j, x in enumerate(row, 1) if x > 0) for row in a.entries]
+    at = [0] * len(rows)
+    # what each row has left of its current entry
+    left = [row[0][0] for row in rows]
     terms: list[tuple[Fraction, RectPermMatrix]] = []
-    weight = Fraction(1)
-    current = a
     while True:
-        picked, coeff = _mark(current)
-        if coeff == 1:
-            # every row is a single 1: the remainder is itself extreme
-            terms.append((weight, picked))
+        coeff = min(left)
+        cols = [row[k][1] for row, k in zip(rows, at)]
+        terms.append((coeff, RectPermMatrix(cols, a.ncols)))
+        # rows all sum to 1, so they reach their last entries together
+        if all(k == len(row) - 1 for row, k in zip(rows, at)):
             return terms
-        terms.append((weight * coeff, picked))
-        # peel and renormalize; the marked positions that attain coeff
-        # become exact zeros, so the loop strictly shrinks the support
-        current = (current - picked.to_matrix() * coeff) * (1 / (1 - coeff))
-        weight *= 1 - coeff
+        for i, row in enumerate(rows):
+            left[i] -= coeff
+            if left[i] == 0:
+                at[i] += 1
+                left[i] = row[at[i]][0]
 
 
 def decompose_stochastic(a: Matrix) -> ConvexCombination:
     """Write a stochastic matrix as a convex combination of rectangular
     permutation matrices.
 
-    The result recombines to `a` exactly and has at most nnz(a) - m + 1
-    terms. Raises NotStochasticError otherwise.
+    Each row's positive entries, sorted by (value, column), partition
+    [0, 1]; the terms are the cells of the rows' common refinement, in
+    order, each weighted by its length. A cell ends at a breakpoint of some
+    row, and row i contributes nnz_i - 1 inner breakpoints while the end
+    point 1 is shared, so there are at most nnz(a) - m + 1 terms. The
+    result recombines to `a` exactly. Raises NotStochasticError otherwise.
     """
     return ConvexCombination((c, r.to_matrix()) for c, r in _greedy_terms(a))
 
@@ -128,47 +124,39 @@ def split_noncentrosymmetric(
     return RectPermMatrix(q1, n), RectPermMatrix(q2, n)
 
 
-def _reinsert_center(
-    q: RectPermMatrix, center: tuple[Fraction, ...]
-) -> Matrix:
-    rows = q.to_matrix().entries
+def _centro_term(cols: tuple[int, ...], n: int, center: list) -> Matrix:
+    # unit rows for the column tuple, with the centre row (if any) spliced
+    # into the middle
+    rows = [tuple(1 if j == c else 0 for j in range(1, n + 1)) for c in cols]
     half = len(rows) // 2
-    return Matrix(rows[:half] + (center,) + rows[half:])
+    return Matrix(rows[:half] + center + rows[half:])
 
 
 def decompose_centrosymmetric(a: Matrix) -> ConvexCombination:
     """Write a centrosymmetric stochastic matrix as a convex combination of
     extreme points of the centrosymmetric polytope.
 
-    Runs the greedy loop, pairs each term with its rotation, and splits any
-    pair that is not yet extreme; for an odd number of rows the center row
-    is deleted before splitting and the averaged center row is reinserted
-    into both halves. Every output term passes is_extreme_centro.
+    Runs the greedy sweep and pairs each term R with its rotation. Outside
+    the centre row, (R + R^pi) / 2 is extreme exactly when R's column tuple
+    without its centre entry is centrosymmetric; pairs that are not get
+    split. For an odd number of rows the centre entry is deleted before
+    splitting, and both halves get the averaged centre row, the admissible
+    row for R's centre column. Every output term passes is_extreme_centro.
     """
     if not is_stochastic(a):
         raise NotStochasticError("input must be row-stochastic")
     if not is_centrosymmetric(a):
         raise NotCentrosymmetricError("input must be centrosymmetric")
     m, n = a.shape
+    half = m // 2
     terms: list[tuple[Fraction, Matrix]] = []
     for coeff, r in _greedy_terms(a):
-        paired = (r.to_matrix() + r.rotate_pi().to_matrix()) * _HALF
-        if is_extreme_centro(paired):
-            terms.append((coeff, paired))
+        cols = r.row_to_col
+        center = [_center_row(n, cols[half])] if m % 2 else []
+        trimmed = cols[:half] + cols[m - half :]
+        if all(c + d == n + 1 for c, d in zip(trimmed, reversed(trimmed))):
+            terms.append((coeff, _centro_term(trimmed, n, center)))
             continue
-        if m % 2 == 0:
-            q1, q2 = split_noncentrosymmetric(r)
-            terms.append((coeff * _HALF, q1.to_matrix()))
-            terms.append((coeff * _HALF, q2.to_matrix()))
-        else:
-            # delete the center row, split the even remainder, then give
-            # both halves the averaged center row
-            half = m // 2
-            trimmed = RectPermMatrix(
-                r.row_to_col[:half] + r.row_to_col[half + 1 :], n
-            )
-            q1, q2 = split_noncentrosymmetric(trimmed)
-            center = paired.row(half + 1)
-            terms.append((coeff * _HALF, _reinsert_center(q1, center)))
-            terms.append((coeff * _HALF, _reinsert_center(q2, center)))
+        for q in split_noncentrosymmetric(RectPermMatrix(trimmed, n)):
+            terms.append((coeff * _HALF, _centro_term(q.row_to_col, n, center)))
     return ConvexCombination(terms)

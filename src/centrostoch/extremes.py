@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from centrostoch.core import (
     DEFAULT_ENUMERATION_CAP,
@@ -23,6 +23,7 @@ from centrostoch.core import (
     NotStochasticError,
     RectPermMatrix,
     ShapeError,
+    _center_row,
     _rank,
     is_centrosymmetric,
     is_stochastic,
@@ -35,8 +36,6 @@ __all__ = [
     "enumerate_extreme_centro",
     "is_extreme_oracle",
 ]
-
-_HALF = Fraction(1, 2)
 
 
 def _one_per_row(a: Matrix, skip_row: int = 0) -> bool:
@@ -81,19 +80,26 @@ def is_extreme_centro(a: Matrix) -> bool:
     center = m // 2 + 1
     if not _one_per_row(a, skip_row=center):
         return False
-    nonzero = [(j, x) for j, x in enumerate(a.row(center), 1) if x != 0]
-    if len(nonzero) == 1:
-        j, x = nonzero[0]
-        return x == 1 and j == n + 1 - j
-    if len(nonzero) == 2:
-        (j1, x1), (j2, x2) = nonzero
-        return x1 == _HALF and x2 == _HALF and j2 == n + 1 - j1
-    return False
+    row = a.row(center)
+    first = next(j for j, x in enumerate(row, 1) if x != 0)
+    return row == _center_row(n, first)
 
 
 def _check_sizes(m: int, n: int) -> None:
     if m < 1 or n < 1:
         raise ShapeError(f"matrix sizes must be positive, got {m} x {n}")
+
+
+def _check_count(factors: Iterable[int], cap: int) -> None:
+    # multiply step by step and stop as soon as the cap is passed, so a huge
+    # count is never built in full nor formatted as a decimal
+    total = 1
+    for factor in factors:
+        total *= factor
+        if total > cap:
+            raise EnumerationCapError(
+                f"the number of extreme points exceeds the cap of {cap}"
+            )
 
 
 def enumerate_extreme_stochastic(
@@ -105,30 +111,13 @@ def enumerate_extreme_stochastic(
     EnumerationCapError up front when n^m exceeds `cap`.
     """
     _check_sizes(m, n)
-    total = n**m
-    if total > cap:
-        raise EnumerationCapError(f"{total} extreme points exceed the cap of {cap}")
+    _check_count(itertools.repeat(n, m), cap)
 
     def generate() -> Iterator[RectPermMatrix]:
         for cols in itertools.product(range(1, n + 1), repeat=m):
             yield RectPermMatrix(cols, n)
 
     return generate()
-
-
-def _center_rows(n: int) -> list[tuple[Fraction, ...]]:
-    # the admissible center rows for odd row count, in column order
-    rows = []
-    for j in range(1, (n + 1) // 2 + 1):
-        mirror = n + 1 - j
-        row = [Fraction(0)] * n
-        if j == mirror:
-            row[j - 1] = Fraction(1)
-        else:
-            row[j - 1] = _HALF
-            row[mirror - 1] = _HALF
-        rows.append(tuple(row))
-    return rows
 
 
 def enumerate_extreme_centro(
@@ -143,26 +132,21 @@ def enumerate_extreme_centro(
     """
     _check_sizes(m, n)
     half_rows = m // 2
-    if m % 2 == 0:
-        total = n**half_rows
-    else:
-        total = ((n + 1) // 2) * n**half_rows
-    if total > cap:
-        raise EnumerationCapError(f"{total} extreme points exceed the cap of {cap}")
+    center_count = (n + 1) // 2 if m % 2 else 1
+    _check_count(itertools.chain((center_count,), itertools.repeat(n, half_rows)), cap)
 
     def unit_row(col: int) -> tuple[Fraction, ...]:
         return tuple(Fraction(1) if j == col else Fraction(0) for j in range(1, n + 1))
 
     def generate() -> Iterator[Matrix]:
-        centers = None if m % 2 == 0 else _center_rows(n)
+        centers = [[]]
+        if m % 2:
+            centers = [[_center_row(n, j)] for j in range(1, center_count + 1)]
         for cols in itertools.product(range(1, n + 1), repeat=half_rows):
             top = [unit_row(c) for c in cols]
             bottom = [unit_row(n + 1 - c) for c in reversed(cols)]
-            if centers is None:
-                yield Matrix(top + bottom)
-            else:
-                for center in centers:
-                    yield Matrix(top + [center] + bottom)
+            for center in centers:
+                yield Matrix(top + center + bottom)
 
     return generate()
 

@@ -1,0 +1,110 @@
+"""Reference route for the greedy decompositions, kept as a differential oracle.
+
+This is the original peel-and-renormalise loop: mark each row's smallest
+positive entry (leftmost on ties), peel off the marked rectangular
+permutation matrix with the largest exactly feasible coefficient,
+renormalise, and repeat. The centrosymmetric route pairs each term densely
+with its half-turn rotation, tests the pair with `is_extreme_centro`, and
+splices the averaged centre row back into both halves of a split. The
+library computes the same terms by a sorted-breakpoint sweep over column
+tuples; tests require the two to agree term for term, in order.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from centrostoch import (
+    ConvexCombination,
+    Matrix,
+    NotCentrosymmetricError,
+    NotStochasticError,
+    RectPermMatrix,
+    is_centrosymmetric,
+    is_extreme_centro,
+    is_stochastic,
+    split_noncentrosymmetric,
+)
+
+_HALF = Fraction(1, 2)
+
+
+def _mark(a: Matrix) -> tuple[RectPermMatrix, Fraction]:
+    # smallest positive entry of each row, leftmost winning ties; the peel
+    # coefficient is the smallest marked value
+    cols = []
+    smallest = None
+    for row in a.entries:
+        best_col = None
+        best = None
+        for j, x in enumerate(row, 1):
+            if x > 0 and (best is None or x < best):
+                best = x
+                best_col = j
+        cols.append(best_col)
+        if smallest is None or best < smallest:
+            smallest = best
+    return RectPermMatrix(cols, a.ncols), smallest
+
+
+def reference_greedy_terms(a: Matrix) -> list[tuple[Fraction, RectPermMatrix]]:
+    if not is_stochastic(a):
+        raise NotStochasticError("decomposition input must be row-stochastic")
+    terms: list[tuple[Fraction, RectPermMatrix]] = []
+    weight = Fraction(1)
+    current = a
+    while True:
+        picked, coeff = _mark(current)
+        if coeff == 1:
+            # every row is a single 1: the remainder is itself extreme
+            terms.append((weight, picked))
+            return terms
+        terms.append((weight * coeff, picked))
+        # peel and renormalize; the marked positions that attain coeff
+        # become exact zeros, so the loop strictly shrinks the support
+        current = (current - picked.to_matrix() * coeff) * (1 / (1 - coeff))
+        weight *= 1 - coeff
+
+
+def reference_decompose_stochastic(a: Matrix) -> ConvexCombination:
+    return ConvexCombination(
+        (c, r.to_matrix()) for c, r in reference_greedy_terms(a)
+    )
+
+
+def _reinsert_center(
+    q: RectPermMatrix, center: tuple[Fraction, ...]
+) -> Matrix:
+    rows = q.to_matrix().entries
+    half = len(rows) // 2
+    return Matrix(rows[:half] + (center,) + rows[half:])
+
+
+def reference_decompose_centrosymmetric(a: Matrix) -> ConvexCombination:
+    if not is_stochastic(a):
+        raise NotStochasticError("input must be row-stochastic")
+    if not is_centrosymmetric(a):
+        raise NotCentrosymmetricError("input must be centrosymmetric")
+    m, n = a.shape
+    terms: list[tuple[Fraction, Matrix]] = []
+    for coeff, r in reference_greedy_terms(a):
+        paired = (r.to_matrix() + r.rotate_pi().to_matrix()) * _HALF
+        if is_extreme_centro(paired):
+            terms.append((coeff, paired))
+            continue
+        if m % 2 == 0:
+            q1, q2 = split_noncentrosymmetric(r)
+            terms.append((coeff * _HALF, q1.to_matrix()))
+            terms.append((coeff * _HALF, q2.to_matrix()))
+        else:
+            # delete the center row, split the even remainder, then give
+            # both halves the averaged center row
+            half = m // 2
+            trimmed = RectPermMatrix(
+                r.row_to_col[:half] + r.row_to_col[half + 1 :], n
+            )
+            q1, q2 = split_noncentrosymmetric(trimmed)
+            center = paired.row(half + 1)
+            terms.append((coeff * _HALF, _reinsert_center(q1, center)))
+            terms.append((coeff * _HALF, _reinsert_center(q2, center)))
+    return ConvexCombination(terms)

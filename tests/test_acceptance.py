@@ -43,6 +43,10 @@ from centrostoch import (
     split_noncentrosymmetric,
     verify_basis,
 )
+from greedy_reference import (
+    reference_decompose_centrosymmetric,
+    reference_decompose_stochastic,
+)
 from matrixgen import (
     pattern_or_rotation,
     random_centro_stochastic,
@@ -108,6 +112,7 @@ def test_random_decomposition_sweep():
             n = rng.randint(1, 8)
             a = random_stochastic(rng, m, n)
             comb = decompose_stochastic(a)
+            assert list(comb) == list(reference_decompose_stochastic(a))
             assert comb.combine() == a
             assert sum(c for c, _ in comb) == 1
             assert all(is_extreme_stochastic(term) for _, term in comb)
@@ -122,6 +127,7 @@ def test_random_centro_decomposition_sweep():
             n = rng.randint(1, 6)
             a = random_centro_stochastic(rng, m, n)
             comb = decompose_centrosymmetric(a)
+            assert list(comb) == list(reference_decompose_centrosymmetric(a))
             assert comb.combine() == a
             for _, term in comb:
                 assert is_extreme_centro(term)

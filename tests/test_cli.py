@@ -198,6 +198,17 @@ class TestEnumerate:
         assert code == 1
         assert "cap" in err
 
+    @pytest.mark.parametrize("centro", [[], ["--centro"]], ids=["plain", "centro"])
+    def test_cap_exceeded_by_a_count_too_long_to_print(self, run_cli, centro):
+        # 3^20000 and 2 * 3^10000 both have more decimal digits than Python
+        # will convert to a string
+        code, out, err = run_cli(
+            ["enumerate", "--extremes", *centro, "--m", "20000", "--n", "3", "--cap", "10"]
+        )
+        assert code == 1
+        assert "cap" in err
+        assert out == ""
+
     def test_extremes_flag_required(self, run_cli, capsys):
         code, out, err = run_cli(["enumerate", "--m", "1", "--n", "2"])
         assert code == 2

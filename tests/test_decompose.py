@@ -21,6 +21,10 @@ from centrostoch import (
     rotate_pi,
     split_noncentrosymmetric,
 )
+from greedy_reference import (
+    reference_decompose_centrosymmetric,
+    reference_decompose_stochastic,
+)
 from matrixgen import random_centro_stochastic, random_stochastic
 
 # 3 x 4 worked example: rows (1/2, 0, 1/2, 0), (3/10, 0, 0, 7/10),
@@ -83,14 +87,20 @@ class TestDecomposeStochastic:
 
     def test_random_recombination(self):
         rng = random.Random(401)
+        inputs = []
         for _ in range(60):
             m, n = rng.randint(1, 5), rng.randint(1, 5)
-            a = random_stochastic(rng, m, n)
+            inputs.append(random_stochastic(rng, m, n))
+        # large weights on large shapes: long breakpoint lists, big denominators
+        for m, n in [(20, 20), (13, 17), (1, 20), (20, 1)]:
+            inputs.append(random_stochastic(rng, m, n, max_weight=10**6))
+        for a in inputs:
             comb = decompose_stochastic(a)
+            assert list(comb) == list(reference_decompose_stochastic(a))
             assert comb.combine() == a
             assert sum(c for c, _ in comb) == 1
             assert all(is_extreme_stochastic(t) for _, t in comb)
-            assert len(comb) <= a.nnz() - m + 1
+            assert len(comb) <= a.nnz() - a.nrows + 1
 
 
 class TestDecomposeCentroHalves:
@@ -168,10 +178,16 @@ class TestDecomposeCentrosymmetric:
 
     def test_every_term_extreme(self):
         rng = random.Random(404)
+        inputs = []
         for _ in range(40):
             m, n = rng.randint(1, 6), rng.randint(1, 5)
-            a = random_centro_stochastic(rng, m, n)
+            inputs.append(random_centro_stochastic(rng, m, n))
+        # large weights on large shapes, even and odd m, even and odd n
+        for m, n in [(20, 20), (21, 20), (21, 21), (1, 20)]:
+            inputs.append(random_centro_stochastic(rng, m, n, max_weight=10**6))
+        for a in inputs:
             comb = decompose_centrosymmetric(a)
+            assert list(comb) == list(reference_decompose_centrosymmetric(a))
             assert comb.combine() == a
             for _, term in comb:
                 assert is_extreme_centro(term)
