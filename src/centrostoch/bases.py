@@ -11,7 +11,7 @@ dimension count together with exact linear independence.
 
 from __future__ import annotations
 
-from centrostoch.core import Matrix, ShapeError, _center_row, rank_of_family, rotate_pi
+from centrostoch.core import Matrix, ShapeError, _mirrored, _unit_matrix, rank_of_family
 
 __all__ = [
     "renumber_position",
@@ -61,32 +61,16 @@ def _near_permutation(start: int, side: int) -> Matrix:
 
 def _complete_to_permutation(block: Matrix) -> Matrix:
     # embed the near-permutation in the lower right of an (l+1) x (l+1)
-    # square and fill the free row and column through position (1, c+1)
-    # and (r+1, 1), giving a full permutation matrix
+    # square; the new first row takes the block's free column and the
+    # block's empty row takes the new first column, giving a full
+    # permutation matrix
     side = block.nrows
-    empty_rows = [i for i in range(1, side + 1) if all(x == 0 for x in block.row(i))]
-    col_sums = [
-        sum(block.at(i, j) for i in range(1, side + 1)) for j in range(1, side + 1)
-    ]
-    empty_cols = [j for j, s in enumerate(col_sums, 1) if s == 0]
-    if len(empty_rows) != 1 or len(empty_cols) != 1:
+    # each block row's column in the square: [] for the empty row
+    picks = [[j for j, x in enumerate(row, 2) if x] for row in block.entries]
+    free_cols = set(range(2, side + 2)).difference(*picks)
+    if sum(not p for p in picks) != 1 or len(free_cols) != 1:
         raise ShapeError("block must leave exactly one row and one column empty")
-    r = empty_rows[0]
-    c = empty_cols[0]
-    size = side + 1
-    rows = [[0] * size for _ in range(size)]
-    rows[0][c] = 1
-    rows[r][0] = 1
-    for i in range(1, side + 1):
-        for j in range(1, side + 1):
-            rows[i][j] = block.at(i, j)
-    return Matrix(rows)
-
-
-def _ones_column(nrows: int, ncols: int, col: int) -> Matrix:
-    return Matrix(
-        [[1 if j == col else 0 for j in range(1, ncols + 1)] for _ in range(nrows)]
-    )
+    return _unit_matrix([*free_cols, *(p[0] if p else 1 for p in picks)], side + 1)
 
 
 def basis_square(n: int) -> list[Matrix]:
@@ -103,17 +87,21 @@ def basis_square(n: int) -> list[Matrix]:
         _complete_to_permutation(_near_permutation(start, side))
         for start in range(1, side * side + 1)
     ]
-    family.extend(_ones_column(n, n, j) for j in range(1, n + 1))
+    family.extend(_unit_matrix((j,) * n, n) for j in range(1, n + 1))
     return family
 
 
-def _pivot_column_matrix(m: int, n: int, i: int, j: int) -> Matrix:
-    # single 1 at (i, j); every other row carries its 1 in column j + 1
-    rows = []
-    for r in range(1, m + 1):
-        col = j if r == i else j + 1
-        rows.append([1 if cc == col else 0 for cc in range(1, n + 1)])
-    return Matrix(rows)
+def _rect_columns(m: int, n: int):
+    # column tuples of the rectangular family: each B_{i,j} (j outermost),
+    # then the all-ones column C_n
+    if m < 1:
+        raise ShapeError("the rectangular family needs m >= 1")
+    if n < 2:
+        raise ShapeError("the rectangular family needs n >= 2")
+    for j in range(1, n):
+        for i in range(m):
+            yield (j + 1,) * i + (j,) + (j + 1,) * (m - 1 - i)
+    yield (n,) * m
 
 
 def basis_rect(m: int, n: int) -> list[Matrix]:
@@ -123,17 +111,7 @@ def basis_rect(m: int, n: int) -> list[Matrix]:
     in column j+1) ordered with j outermost, then the all-ones column matrix
     C_n: m(n-1) + 1 matrices. Requires m >= 1 and n >= 2.
     """
-    if m < 1:
-        raise ShapeError("the rectangular family needs m >= 1")
-    if n < 2:
-        raise ShapeError("the rectangular family needs n >= 2")
-    family = [
-        _pivot_column_matrix(m, n, i, j)
-        for j in range(1, n)
-        for i in range(1, m + 1)
-    ]
-    family.append(_ones_column(m, n, n))
-    return family
+    return [_unit_matrix(cols, n) for cols in _rect_columns(m, n)]
 
 
 def basis_centro_even(m: int, n: int) -> list[Matrix]:
@@ -144,9 +122,7 @@ def basis_centro_even(m: int, n: int) -> list[Matrix]:
     """
     if m < 2 or m % 2 != 0:
         raise ShapeError("the even centrosymmetric family needs even m >= 2")
-    return [
-        Matrix(top.entries + rotate_pi(top).entries) for top in basis_rect(m // 2, n)
-    ]
+    return [_unit_matrix(_mirrored(top, n), n) for top in _rect_columns(m // 2, n)]
 
 
 def basis_centro_odd(m: int, n: int) -> list[Matrix]:
@@ -162,16 +138,15 @@ def basis_centro_odd(m: int, n: int) -> list[Matrix]:
     if n < 2:
         raise ShapeError("the odd centrosymmetric family needs n >= 2")
     half = (m - 1) // 2
-    fixed_center = _center_row(n, (n + 1) // 2)
+    fixed_center = (n + 1) // 2
     family = [
-        Matrix(top.entries + (fixed_center,) + rotate_pi(top).entries)
-        for top in basis_rect(half, n)
+        _unit_matrix(_mirrored(top, n), n, fixed_center)
+        for top in _rect_columns(half, n)
     ]
-    for i in range(1, (n + 1) // 2):
-        top = _ones_column(half, n, n + 1 - i)
-        family.append(
-            Matrix(top.entries + (_center_row(n, i),) + rotate_pi(top).entries)
-        )
+    family.extend(
+        _unit_matrix(_mirrored((n + 1 - i,) * half, n), n, i)
+        for i in range(1, (n + 1) // 2)
+    )
     return family
 
 

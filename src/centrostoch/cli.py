@@ -240,10 +240,14 @@ def _cmd_face(ns) -> int:
             count = count_face_vertices_centro(pattern)
         else:
             count = count_face_vertices_stochastic(pattern)
+        try:
+            text = str(count)
+        except ValueError:  # past the interpreter's int-to-str digit limit
+            raise CentrostochError("the vertex count is too long to print") from None
         if ns.json:
             _print_json({"count": count})
         else:
-            print(count)
+            print(text)
         return 0
     mats = list(enumerate_face_vertices(pattern, centro=ns.centro, cap=ns.cap))
     return _print_listing(mats, ns.json)

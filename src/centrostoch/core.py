@@ -83,6 +83,9 @@ class EnumerationCapError(CentrostochError):
 
 
 def _to_rational(value) -> Fraction:
+    # a Fraction is already in normal form and immutable: pass it through
+    if type(value) is Fraction:
+        return value
     # floats are rejected rather than converted: Fraction(0.1) is not 1/10,
     # and silently accepting it would poison every exactness guarantee.
     if isinstance(value, float):
@@ -229,6 +232,26 @@ def _center_row(n: int, j: int) -> tuple[Fraction, ...]:
     return tuple(row)
 
 
+def _unit_matrix(cols: Sequence[int], n: int, center: int | None = None) -> Matrix:
+    """The (0,1) matrix with n columns whose row i has its 1 in column cols[i].
+
+    Columns are 1-based. With `center` given, the admissible centre row
+    `_center_row(n, center)` is inserted as the middle row, so an even-length
+    tuple becomes an odd-row extreme point of the centrosymmetric polytope.
+    This is the one place where column tuples become dense rows.
+    """
+    zero, one = Fraction(0), Fraction(1)
+    rows = [(zero,) * (c - 1) + (one,) + (zero,) * (n - c) for c in cols]
+    if center is not None:
+        rows.insert(len(rows) // 2, _center_row(n, center))
+    return Matrix(rows)
+
+
+def _mirrored(top: Sequence[int], n: int) -> tuple[int, ...]:
+    """Column tuple `top` followed by its half-turn rotation's columns."""
+    return tuple(top) + tuple(n + 1 - c for c in reversed(top))
+
+
 def is_stochastic(a: Matrix) -> bool:
     """True iff every entry is nonnegative and every row sums to exactly 1."""
     for row in a.entries:
@@ -296,11 +319,7 @@ class RectPermMatrix:
         return (self.nrows, self.ncols)
 
     def to_matrix(self) -> Matrix:
-        n = self.ncols
-        return Matrix(
-            tuple(1 if j == c else 0 for j in range(1, n + 1))
-            for c in self.row_to_col
-        )
+        return _unit_matrix(self.row_to_col, self.ncols)
 
     def rotate_pi(self) -> "RectPermMatrix":
         n = self.ncols

@@ -25,7 +25,8 @@ from centrostoch.core import (
     NotStochasticError,
     RectPermMatrix,
     SplitError,
-    _center_row,
+    _mirrored,
+    _unit_matrix,
     is_centrosymmetric,
     is_stochastic,
 )
@@ -119,17 +120,7 @@ def split_noncentrosymmetric(
         c2 = rotated.row_to_col[i]
         first.append(min(c1, c2))
         second.append(max(c1, c2))
-    q1 = first + [n + 1 - c for c in reversed(first)]
-    q2 = second + [n + 1 - c for c in reversed(second)]
-    return RectPermMatrix(q1, n), RectPermMatrix(q2, n)
-
-
-def _centro_term(cols: tuple[int, ...], n: int, center: list) -> Matrix:
-    # unit rows for the column tuple, with the centre row (if any) spliced
-    # into the middle
-    rows = [tuple(1 if j == c else 0 for j in range(1, n + 1)) for c in cols]
-    half = len(rows) // 2
-    return Matrix(rows[:half] + center + rows[half:])
+    return RectPermMatrix(_mirrored(first, n), n), RectPermMatrix(_mirrored(second, n), n)
 
 
 def decompose_centrosymmetric(a: Matrix) -> ConvexCombination:
@@ -152,11 +143,11 @@ def decompose_centrosymmetric(a: Matrix) -> ConvexCombination:
     terms: list[tuple[Fraction, Matrix]] = []
     for coeff, r in _greedy_terms(a):
         cols = r.row_to_col
-        center = [_center_row(n, cols[half])] if m % 2 else []
+        center = cols[half] if m % 2 else None
         trimmed = cols[:half] + cols[m - half :]
         if all(c + d == n + 1 for c, d in zip(trimmed, reversed(trimmed))):
-            terms.append((coeff, _centro_term(trimmed, n, center)))
+            terms.append((coeff, _unit_matrix(trimmed, n, center)))
             continue
         for q in split_noncentrosymmetric(RectPermMatrix(trimmed, n)):
-            terms.append((coeff * _HALF, _centro_term(q.row_to_col, n, center)))
+            terms.append((coeff * _HALF, _unit_matrix(q.row_to_col, n, center)))
     return ConvexCombination(terms)

@@ -24,7 +24,9 @@ from centrostoch.core import (
     RectPermMatrix,
     ShapeError,
     _center_row,
+    _mirrored,
     _rank,
+    _unit_matrix,
     is_centrosymmetric,
     is_stochastic,
 )
@@ -135,18 +137,13 @@ def enumerate_extreme_centro(
     center_count = (n + 1) // 2 if m % 2 else 1
     _check_count(itertools.chain((center_count,), itertools.repeat(n, half_rows)), cap)
 
-    def unit_row(col: int) -> tuple[Fraction, ...]:
-        return tuple(Fraction(1) if j == col else Fraction(0) for j in range(1, n + 1))
+    centers = range(1, center_count + 1) if m % 2 else [None]
 
     def generate() -> Iterator[Matrix]:
-        centers = [[]]
-        if m % 2:
-            centers = [[_center_row(n, j)] for j in range(1, center_count + 1)]
-        for cols in itertools.product(range(1, n + 1), repeat=half_rows):
-            top = [unit_row(c) for c in cols]
-            bottom = [unit_row(n + 1 - c) for c in reversed(cols)]
+        for top in itertools.product(range(1, n + 1), repeat=half_rows):
+            cols = _mirrored(top, n)
             for center in centers:
-                yield Matrix(top + center + bottom)
+                yield _unit_matrix(cols, n, center)
 
     return generate()
 

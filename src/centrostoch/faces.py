@@ -4,13 +4,14 @@ A pattern B selects the face of matrices supported inside B. Vertex counts
 come in closed form from the row sums; the enumerator deliberately takes the
 slow road instead, filtering the global extreme-point enumeration through
 the support condition, so counting and enumerating stay two independent
-routes to the same answer.
+routes to the same answer. The filter tests each candidate's column tuple
+(plain) or entries (centro) against B's entries.
 """
 
 from __future__ import annotations
 
 from math import prod
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from centrostoch.core import (
     DEFAULT_ENUMERATION_CAP,
@@ -153,32 +154,36 @@ def enumerate_face_vertices(
     """Lazily yield the extreme points supported inside the pattern.
 
     Runs the global extreme-point enumeration for the pattern's shape and
-    keeps the matrices whose support the pattern dominates; the closed-form
-    counters take no part in it. With `check` (the default) the same
-    preconditions as the counters are enforced up front; `check=False`
+    keeps the candidates the pattern covers, testing each one's column tuple
+    (plain) or entries (centro) against the pattern's entries; the
+    closed-form counters take no part in it. With `check` (the default) the
+    same preconditions as the counters are enforced up front; `check=False`
     allows unsupported patterns, for which the enumeration is simply empty.
     Raises EnumerationCapError when the global enumeration exceeds `cap`.
     """
     b = _coerce(pattern)
     m, n = b.shape
-    if centro:
-        if not b.is_centrosymmetric():
-            raise NotCentrosymmetricError(
-                "enumeration needs a centrosymmetric pattern"
-            )
-        if check and not has_row_support_centro(b):
-            raise NoRowSupportError("pattern has an all-zero row")
-        candidates: Iterable[Matrix] = enumerate_extreme_centro(m, n, cap=cap)
-    else:
+    allowed = b.matrix.entries
+    if not centro:
         if check and not has_row_support_stochastic(b):
             raise NoRowSupportError("pattern has an all-zero row")
-        candidates = (
-            r.to_matrix() for r in enumerate_extreme_stochastic(m, n, cap=cap)
+        return (
+            r.to_matrix()
+            for r in enumerate_extreme_stochastic(m, n, cap=cap)
+            if all(row[c - 1] == 1 for row, c in zip(allowed, r.row_to_col))
         )
-
-    def generate() -> Iterator[Matrix]:
-        for mat in candidates:
-            if all(b.at(i, j) == 1 for i, j in mat.support()):
-                yield mat
-
-    return generate()
+    if not b.is_centrosymmetric():
+        raise NotCentrosymmetricError(
+            "enumeration needs a centrosymmetric pattern"
+        )
+    if check and not has_row_support_centro(b):
+        raise NoRowSupportError("pattern has an all-zero row")
+    return (
+        mat
+        for mat in enumerate_extreme_centro(m, n, cap=cap)
+        if all(
+            p == 1 or x == 0
+            for prow, row in zip(allowed, mat.entries)
+            for p, x in zip(prow, row)
+        )
+    )

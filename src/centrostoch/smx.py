@@ -5,10 +5,16 @@ whitespace-separated entries each. An entry is a rational in any form the
 `fractions` module parses exactly: ``7/10``, ``3``, ``0.25``. Lines whose
 first non-blank character is ``#`` are comments; blank lines are skipped.
 Writing then reading a matrix reproduces it bit-for-bit.
+
+A decimal exponent (``1e-3``) may not exceed 4300 in absolute value, the
+interpreter's default limit on the digits of an int read from a string;
+larger ones would make huge numerators or denominators and are refused with
+SmxError before any arithmetic is done.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from centrostoch.core import Matrix
@@ -18,6 +24,10 @@ __all__ = ["SmxError", "parse_matrix", "format_matrix"]
 
 class SmxError(ValueError):
     """Malformed SMX text."""
+
+
+_MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\Z")
 
 
 def _data_lines(text: str):
@@ -60,6 +70,16 @@ def parse_matrix(text: str) -> Matrix:
             )
         row = []
         for token in tokens:
+            exponent = _EXPONENT.search(token)
+            if exponent:
+                try:
+                    too_large = abs(int(exponent[1])) > _MAX_EXPONENT
+                except ValueError:  # too many digits for int() to read
+                    too_large = True
+                if too_large:
+                    raise SmxError(
+                        f"line {number}: exponent outside -{_MAX_EXPONENT}..{_MAX_EXPONENT}"
+                    )
             try:
                 row.append(Fraction(token))
             except (ValueError, ZeroDivisionError):

@@ -1,0 +1,27 @@
+"""Reference route for the face-vertex enumerator, kept as a differential oracle.
+
+This is the original dense filter: materialise every global extreme point
+of the pattern's shape as a Matrix and keep it when the pattern has a 1 at
+every position of its support. The library filters the same candidates on
+column tuples (plain) or entries (centro) and only materialises the kept
+ones; tests require the two to agree matrix for matrix, in order.
+"""
+
+from __future__ import annotations
+
+from centrostoch import (
+    FacePattern,
+    Matrix,
+    enumerate_extreme_centro,
+    enumerate_extreme_stochastic,
+)
+
+
+def reference_face_vertices(pattern, centro: bool = False) -> list[Matrix]:
+    b = pattern if isinstance(pattern, FacePattern) else FacePattern(pattern)
+    m, n = b.shape
+    if centro:
+        candidates = enumerate_extreme_centro(m, n)
+    else:
+        candidates = (r.to_matrix() for r in enumerate_extreme_stochastic(m, n))
+    return [mat for mat in candidates if all(b.at(i, j) == 1 for i, j in mat.support())]

@@ -43,6 +43,7 @@ from centrostoch import (
     split_noncentrosymmetric,
     verify_basis,
 )
+from face_reference import reference_face_vertices
 from greedy_reference import (
     reference_decompose_centrosymmetric,
     reference_decompose_stochastic,
@@ -297,12 +298,14 @@ def test_face_counts_against_enumeration():
                 pattern = FacePattern(rows)
                 if has_row_support_stochastic(pattern):
                     count = count_face_vertices_stochastic(pattern)
-                    assert count == len(list(enumerate_face_vertices(pattern)))
+                    vertices = list(enumerate_face_vertices(pattern))
+                    assert count == len(vertices)
+                    assert vertices == reference_face_vertices(pattern)
                 if pattern.is_centrosymmetric() and has_row_support_centro(pattern):
                     count = count_face_vertices_centro(pattern)
-                    assert count == len(
-                        list(enumerate_face_vertices(pattern, centro=True))
-                    )
+                    vertices = list(enumerate_face_vertices(pattern, centro=True))
+                    assert count == len(vertices)
+                    assert vertices == reference_face_vertices(pattern, centro=True)
         # 200 random larger patterns
         rng = random.Random(20260822)
         sizes = [(4, 3), (4, 4), (5, 3), (3, 5), (5, 4)]
@@ -310,11 +313,15 @@ def test_face_counts_against_enumeration():
             m, n = sizes[k % len(sizes)]
             raw = random_supported_pattern(rng, m, n)
             count = count_face_vertices_stochastic(raw)
-            assert count == len(list(enumerate_face_vertices(raw)))
+            vertices = list(enumerate_face_vertices(raw))
+            assert count == len(vertices)
+            assert vertices == reference_face_vertices(raw)
             covered = FacePattern(pattern_or_rotation(raw))
             assert has_row_support_centro(covered)
             count = count_face_vertices_centro(covered)
-            assert count == len(list(enumerate_face_vertices(covered, centro=True)))
+            vertices = list(enumerate_face_vertices(covered, centro=True))
+            assert count == len(vertices)
+            assert vertices == reference_face_vertices(covered, centro=True)
         # published worked faces
         three_by_two = FacePattern([[1, 1], [1, 1], [0, 1]])
         assert count_face_vertices_stochastic(three_by_two) == 4

@@ -1,6 +1,10 @@
 """Command-line interface: golden outputs, exit codes, JSON shapes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -214,6 +218,23 @@ class TestEnumerate:
         assert code == 2
 
 
+class TestModuleEntryPoint:
+    def test_python_dash_m(self, run_cli):
+        argv = ["enumerate", "--extremes", "--m", "2", "--n", "2"]
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "centrostoch", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        code, out, err = run_cli(argv)
+        assert proc.returncode == code == 0
+        assert proc.stdout == out
+
+
 class TestBasis:
     def test_json_verify(self, run_cli):
         code, out, err = run_cli(
@@ -313,6 +334,16 @@ class TestFace:
         code, out, err = run_cli(["face", "count", "--centro"], "2 2\n1 1\n1 0\n")
         assert code == 1
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["plain", "json"])
+    def test_count_too_long_to_print(self, run_cli, tmp_path, json_flag):
+        # 2^15000 has more decimal digits than Python will convert to a string
+        path = tmp_path / "ones.smx"
+        path.write_text("15000 2\n" + "1 1\n" * 15000)
+        code, out, err = run_cli(["face", "count", "--input", str(path), *json_flag])
+        assert code == 1
+        assert "too long to print" in err
+        assert out == ""
+
 
 class TestNormalize:
     def test_emits_smx(self, run_cli):
@@ -330,6 +361,12 @@ class TestErrors:
         code, out, err = run_cli(["check"], "garbage\n")
         assert code == 2
         assert "error" in err
+
+    def test_exponent_out_of_range_is_usage_error(self, run_cli):
+        code, out, err = run_cli(["check"], "1 1\n1e-5000\n")
+        assert code == 2
+        assert "exponent" in err
+        assert out == ""
 
     def test_unknown_command(self, run_cli):
         code, out, err = run_cli(["frobnicate"])

@@ -76,6 +76,14 @@ class TestParse:
     def test_float_syntax_is_exact(self):
         assert parse_matrix("1 1\n0.1\n").at(1, 1) == Fraction(1, 10)
 
+    @pytest.mark.parametrize("token", ["1e-5000", "1E+5000", "1e" + "9" * 5000])
+    def test_exponent_out_of_range(self, token):
+        with pytest.raises(SmxError, match="line 2"):
+            parse_matrix(f"1 1\n{token}\n")
+
+    def test_exponent_at_the_limit(self):
+        assert parse_matrix("1 1\n1e-4300\n").at(1, 1) == Fraction(1, 10**4300)
+
 
 class TestFormat:
     def test_layout(self):
