@@ -3,117 +3,25 @@ stochastic matrices: decompositions into extreme points, extreme-point
 predicates and enumerators, explicit bases with exact rank verification,
 bipartite zero-pattern graphs, and face vertex counting."""
 
-from centrostoch.bases import (
-    basis_centro_even,
-    basis_centro_odd,
-    basis_rect,
-    basis_square,
-    renumber_position,
-    verify_basis,
-)
-from centrostoch.core import (
-    DEFAULT_ENUMERATION_CAP,
-    CentrostochError,
-    ConvexCombination,
-    EnumerationCapError,
-    Matrix,
-    NoRowSupportError,
-    NotCentrosymmetricError,
-    NotForestError,
-    NotStochasticError,
-    PatternError,
-    Rational,
-    RectPermMatrix,
-    ShapeError,
-    SplitError,
-    is_centrosymmetric,
-    is_stochastic,
-    rank_of_family,
-    rotate_pi,
-)
-from centrostoch.decompose import (
-    decompose_centro_halves,
-    decompose_centrosymmetric,
-    decompose_stochastic,
-    split_noncentrosymmetric,
-)
-from centrostoch.extremes import (
-    enumerate_extreme_centro,
-    enumerate_extreme_stochastic,
-    is_extreme_centro,
-    is_extreme_oracle,
-    is_extreme_stochastic,
-)
-from centrostoch.faces import (
-    FacePattern,
-    count_face_vertices_centro,
-    count_face_vertices_stochastic,
-    enumerate_face_vertices,
-    has_row_support_centro,
-    has_row_support_stochastic,
-)
-from centrostoch.graphs import (
-    BipartiteGraph,
-    bipartite_of,
-    fill,
-    is_extreme_centro_via_graph,
-    is_extreme_stochastic_via_graph,
-    is_forest,
-    longest_path,
-)
-from centrostoch.smx import SmxError, format_matrix, parse_matrix
+from centrostoch import bases, core, decompose, extremes, faces, graphs, smx
+from centrostoch.bases import *  # noqa: F401,F403
+from centrostoch.core import *  # noqa: F401,F403
+from centrostoch.decompose import *  # noqa: F401,F403
+from centrostoch.extremes import *  # noqa: F401,F403
+from centrostoch.faces import *  # noqa: F401,F403
+from centrostoch.graphs import *  # noqa: F401,F403
+from centrostoch.smx import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
+# each module's __all__ is its public surface; the package re-exports them all
 __all__ = [
     "__version__",
-    "Rational",
-    "DEFAULT_ENUMERATION_CAP",
-    "CentrostochError",
-    "ShapeError",
-    "NotStochasticError",
-    "NotCentrosymmetricError",
-    "SplitError",
-    "NoRowSupportError",
-    "PatternError",
-    "NotForestError",
-    "EnumerationCapError",
-    "Matrix",
-    "RectPermMatrix",
-    "ConvexCombination",
-    "rotate_pi",
-    "is_stochastic",
-    "is_centrosymmetric",
-    "rank_of_family",
-    "decompose_stochastic",
-    "decompose_centro_halves",
-    "split_noncentrosymmetric",
-    "decompose_centrosymmetric",
-    "is_extreme_stochastic",
-    "is_extreme_centro",
-    "enumerate_extreme_stochastic",
-    "enumerate_extreme_centro",
-    "is_extreme_oracle",
-    "renumber_position",
-    "basis_square",
-    "basis_rect",
-    "basis_centro_even",
-    "basis_centro_odd",
-    "verify_basis",
-    "BipartiteGraph",
-    "bipartite_of",
-    "is_forest",
-    "longest_path",
-    "fill",
-    "is_extreme_stochastic_via_graph",
-    "is_extreme_centro_via_graph",
-    "FacePattern",
-    "has_row_support_stochastic",
-    "has_row_support_centro",
-    "count_face_vertices_stochastic",
-    "count_face_vertices_centro",
-    "enumerate_face_vertices",
-    "SmxError",
-    "parse_matrix",
-    "format_matrix",
+    *core.__all__,
+    *decompose.__all__,
+    *extremes.__all__,
+    *bases.__all__,
+    *graphs.__all__,
+    *faces.__all__,
+    *smx.__all__,
 ]

@@ -52,9 +52,23 @@ def _bool_word(value: bool) -> str:
     return "true" if value else "false"
 
 
+def _text(value, render=str):
+    """render(value): the printed text of a number or of a matrix's entries.
+
+    Every number the CLI prints goes through here. str() refuses an int with
+    more digits than the interpreter's int-to-str limit with ValueError;
+    that becomes CentrostochError, so the command exits 1 with one error
+    line instead of a traceback.
+    """
+    try:
+        return render(value)
+    except ValueError:
+        raise CentrostochError("the result has a number too long to print") from None
+
+
 def _matrix_lines(mat: Matrix) -> list[str]:
-    # column-aligned entries; lines carry no trailing blanks
-    cells = [[str(x) for x in row] for row in mat.entries]
+    # the JSON layout's cells, column-aligned; lines carry no trailing blanks
+    cells = _matrix_json(mat)
     widths = [max(len(row[c]) for row in cells) for c in range(mat.ncols)]
     return [
         " ".join(cell.rjust(w) for cell, w in zip(row, widths)).rstrip()
@@ -63,7 +77,7 @@ def _matrix_lines(mat: Matrix) -> list[str]:
 
 
 def _matrix_json(mat: Matrix) -> list[list[str]]:
-    return [[str(x) for x in row] for row in mat.entries]
+    return _text(mat.entries, lambda rows: [[str(x) for x in row] for row in rows])
 
 
 def _print_json(obj) -> None:
@@ -130,13 +144,13 @@ def _cmd_decompose(ns) -> int:
         _print_json(
             {
                 "terms": [
-                    {"coefficient": str(c), "matrix": _matrix_json(term)}
+                    {"coefficient": _text(c), "matrix": _matrix_json(term)}
                     for c, term in comb
                 ]
             }
         )
         return 0
-    _print_blocks((term, f" coefficient={coeff}") for coeff, term in comb)
+    _print_blocks((term, f" coefficient={_text(coeff)}") for coeff, term in comb)
     return 0
 
 
@@ -240,10 +254,7 @@ def _cmd_face(ns) -> int:
             count = count_face_vertices_centro(pattern)
         else:
             count = count_face_vertices_stochastic(pattern)
-        try:
-            text = str(count)
-        except ValueError:  # past the interpreter's int-to-str digit limit
-            raise CentrostochError("the vertex count is too long to print") from None
+        text = _text(count)
         if ns.json:
             _print_json({"count": count})
         else:
@@ -259,7 +270,7 @@ def _cmd_normalize(ns) -> int:
     if ns.json:
         _print_json({"matrix": _matrix_json(result)})
     else:
-        print(format_matrix(result), end="")
+        print(_text(result, format_matrix), end="")
     return 0
 
 

@@ -13,6 +13,7 @@ storage is ordinary 0-based tuples.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -88,9 +89,10 @@ def _to_rational(value) -> Fraction:
         return value
     # floats are rejected rather than converted: Fraction(0.1) is not 1/10,
     # and silently accepting it would poison every exactness guarantee.
-    if isinstance(value, float):
+    # bools are rejected too: True is an int, but never a meant entry.
+    if isinstance(value, (float, bool)):
         raise TypeError(
-            "float entries are not allowed in exact matrices; pass a "
+            "float and bool entries are not allowed in exact matrices; pass a "
             "Fraction, an int, or a string such as '1/2' or '0.3'"
         )
     return Fraction(value)
@@ -165,33 +167,30 @@ class Matrix:
     def rotate_pi(self) -> "Matrix":
         return rotate_pi(self)
 
-    def entrywise_min(self, other: "Matrix") -> "Matrix":
+    def _entrywise(self, other: "Matrix", op) -> "Matrix":
+        """The Matrix whose (i, j) entry is op(self's, other's (i, j) entry).
+
+        Raises ShapeError when the two shapes differ.
+        """
         if self.shape != other.shape:
             raise ShapeError(f"shape mismatch: {self.shape} vs {other.shape}")
         return Matrix(
-            tuple(min(a, b) for a, b in zip(ra, rb))
+            tuple(op(a, b) for a, b in zip(ra, rb))
             for ra, rb in zip(self.entries, other.entries)
         )
+
+    def entrywise_min(self, other: "Matrix") -> "Matrix":
+        return self._entrywise(other, min)
 
     def __add__(self, other) -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
-        if self.shape != other.shape:
-            raise ShapeError(f"shape mismatch: {self.shape} vs {other.shape}")
-        return Matrix(
-            tuple(a + b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.entries, other.entries)
-        )
+        return self._entrywise(other, operator.add)
 
     def __sub__(self, other) -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
-        if self.shape != other.shape:
-            raise ShapeError(f"shape mismatch: {self.shape} vs {other.shape}")
-        return Matrix(
-            tuple(a - b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.entries, other.entries)
-        )
+        return self._entrywise(other, operator.sub)
 
     def __mul__(self, scalar) -> "Matrix":
         c = _to_rational(scalar)
@@ -209,7 +208,7 @@ class Matrix:
 
     def __repr__(self) -> str:
         rows = ", ".join("[" + ", ".join(str(x) for x in row) + "]" for row in self.entries)
-        return f"Matrix([{rows}])"
+        return f"{type(self).__name__}([{rows}])"
 
 
 def rotate_pi(a: Matrix) -> Matrix:

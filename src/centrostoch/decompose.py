@@ -43,8 +43,7 @@ __all__ = [
 
 
 def _greedy_terms(a: Matrix) -> list[tuple[Fraction, RectPermMatrix]]:
-    if not is_stochastic(a):
-        raise NotStochasticError("decomposition input must be row-stochastic")
+    # callers have checked that `a` is stochastic
     rows = [sorted((x, j) for j, x in enumerate(row, 1) if x > 0) for row in a.entries]
     at = [0] * len(rows)
     # what each row has left of its current entry
@@ -75,7 +74,16 @@ def decompose_stochastic(a: Matrix) -> ConvexCombination:
     point 1 is shared, so there are at most nnz(a) - m + 1 terms. The
     result recombines to `a` exactly. Raises NotStochasticError otherwise.
     """
+    if not is_stochastic(a):
+        raise NotStochasticError("decomposition input must be row-stochastic")
     return ConvexCombination((c, r.to_matrix()) for c, r in _greedy_terms(a))
+
+
+def _check_centro_stochastic(a: Matrix) -> None:
+    if not is_stochastic(a):
+        raise NotStochasticError("input must be row-stochastic")
+    if not is_centrosymmetric(a):
+        raise NotCentrosymmetricError("input must be centrosymmetric")
 
 
 def decompose_centro_halves(a: Matrix) -> ConvexCombination:
@@ -85,10 +93,7 @@ def decompose_centro_halves(a: Matrix) -> ConvexCombination:
     centrosymmetric and stochastic but not necessarily extreme. Raises
     NotStochasticError / NotCentrosymmetricError on bad input.
     """
-    if not is_stochastic(a):
-        raise NotStochasticError("input must be row-stochastic")
-    if not is_centrosymmetric(a):
-        raise NotCentrosymmetricError("input must be centrosymmetric")
+    _check_centro_stochastic(a)
     return ConvexCombination(
         (c, (r.to_matrix() + r.rotate_pi().to_matrix()) * _HALF)
         for c, r in _greedy_terms(a)
@@ -134,10 +139,7 @@ def decompose_centrosymmetric(a: Matrix) -> ConvexCombination:
     splitting, and both halves get the averaged centre row, the admissible
     row for R's centre column. Every output term passes is_extreme_centro.
     """
-    if not is_stochastic(a):
-        raise NotStochasticError("input must be row-stochastic")
-    if not is_centrosymmetric(a):
-        raise NotCentrosymmetricError("input must be centrosymmetric")
+    _check_centro_stochastic(a)
     m, n = a.shape
     half = m // 2
     terms: list[tuple[Fraction, Matrix]] = []

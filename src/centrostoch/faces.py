@@ -36,58 +36,36 @@ __all__ = [
 ]
 
 
-class FacePattern:
-    """Immutable (0,1) matrix used as a support pattern."""
+class FacePattern(Matrix):
+    """A (0,1) Matrix used as a support pattern.
 
-    __slots__ = ("matrix",)
+    A pattern is a Matrix in every respect, so it equals and hashes like the
+    plain Matrix with the same entries. Construction refuses any entry other
+    than 0 and 1 with PatternError, and rotation and meet return patterns
+    again.
+    """
+
+    __slots__ = ()
 
     def __init__(self, rows) -> None:
-        mat = rows if isinstance(rows, Matrix) else Matrix(rows)
-        if not mat.is_zero_one():
+        super().__init__(rows.entries if isinstance(rows, Matrix) else rows)
+        if not self.is_zero_one():
             raise PatternError("a face pattern must have entries 0 and 1 only")
-        object.__setattr__(self, "matrix", mat)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError("FacePattern is immutable")
 
     @property
-    def nrows(self) -> int:
-        return self.matrix.nrows
-
-    @property
-    def ncols(self) -> int:
-        return self.matrix.ncols
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
-
-    def at(self, i: int, j: int):
-        return self.matrix.at(i, j)
-
-    def row_sum(self, i: int):
-        return self.matrix.row_sum(i)
+    def matrix(self) -> Matrix:
+        """The pattern as a plain Matrix."""
+        return Matrix(self.entries)
 
     def rotate_pi(self) -> "FacePattern":
-        return FacePattern(self.matrix.rotate_pi())
+        return FacePattern(super().rotate_pi())
 
     def is_centrosymmetric(self) -> bool:
-        return is_centrosymmetric(self.matrix)
+        return is_centrosymmetric(self)
 
     def meet(self, other: "FacePattern") -> "FacePattern":
         """Entrywise minimum with another pattern."""
-        return FacePattern(self.matrix.entrywise_min(other.matrix))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FacePattern):
-            return NotImplemented
-        return self.matrix == other.matrix
-
-    def __hash__(self) -> int:
-        return hash((FacePattern, self.matrix))
-
-    def __repr__(self) -> str:
-        return f"FacePattern({self.matrix!r})"
+        return FacePattern(self.entrywise_min(other))
 
 
 def _coerce(pattern) -> FacePattern:
@@ -96,8 +74,7 @@ def _coerce(pattern) -> FacePattern:
 
 def has_row_support_stochastic(pattern) -> bool:
     """True iff every row of the pattern contains a 1."""
-    b = _coerce(pattern)
-    return all(b.row_sum(i) > 0 for i in range(1, b.nrows + 1))
+    return all(1 in row for row in _coerce(pattern).entries)
 
 
 def has_row_support_centro(pattern) -> bool:
@@ -107,8 +84,7 @@ def has_row_support_centro(pattern) -> bool:
     actually use, since its support is closed under the half turn.
     """
     b = _coerce(pattern)
-    core = b.meet(b.rotate_pi())
-    return all(core.row_sum(i) > 0 for i in range(1, core.nrows + 1))
+    return all(1 in row for row in b.meet(b.rotate_pi()).entries)
 
 
 def count_face_vertices_stochastic(pattern) -> int:
@@ -117,7 +93,7 @@ def count_face_vertices_stochastic(pattern) -> int:
     b = _coerce(pattern)
     if not has_row_support_stochastic(b):
         raise NoRowSupportError("pattern has an all-zero row")
-    return prod(int(b.row_sum(i)) for i in range(1, b.nrows + 1))
+    return prod(row.count(1) for row in b.entries)
 
 
 def count_face_vertices_centro(pattern) -> int:
@@ -138,10 +114,10 @@ def count_face_vertices_centro(pattern) -> int:
         raise NoRowSupportError("pattern has an all-zero row")
     m = b.nrows
     half = m // 2
-    top = prod(int(b.row_sum(i)) for i in range(1, half + 1))
+    top = prod(row.count(1) for row in b.entries[:half])
     if m % 2 == 0:
         return top
-    center = int(b.row_sum(half + 1))
+    center = b.entries[half].count(1)
     return top * ((center + 1) // 2)
 
 
@@ -163,7 +139,7 @@ def enumerate_face_vertices(
     """
     b = _coerce(pattern)
     m, n = b.shape
-    allowed = b.matrix.entries
+    allowed = b.entries
     if not centro:
         if check and not has_row_support_stochastic(b):
             raise NoRowSupportError("pattern has an all-zero row")

@@ -177,6 +177,15 @@ class TestDecompose:
         assert code == 1
         assert "stochastic" in err
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["plain", "json"])
+    def test_coefficient_too_long_to_print(self, run_cli, json_flag):
+        # the first coefficient, 10^-4300, has a 4301-digit denominator
+        text = "1 2\n1e-4300 0." + "9" * 4300 + "\n"
+        code, out, err = run_cli(["decompose", *json_flag], text)
+        assert code == 1
+        assert err == "error: the result has a number too long to print\n"
+        assert out == ""
+
 
 class TestEnumerate:
     def test_human_count(self, run_cli):
@@ -354,6 +363,13 @@ class TestNormalize:
     def test_output_feeds_back_in(self, run_cli):
         code, out, err = run_cli(["normalize", "--centro-and"], ALL_ONES_3)
         assert parse_matrix(out) == Matrix([[1, 1, 1]] * 3)
+
+    def test_entry_too_long_to_print(self, run_cli):
+        # the smallest accepted exponent gives a 4301-digit denominator
+        code, out, err = run_cli(["normalize", "--centro-and"], "1 1\n1e-4300\n")
+        assert code == 1
+        assert err == "error: the result has a number too long to print\n"
+        assert out == ""
 
 
 class TestErrors:

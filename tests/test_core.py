@@ -44,6 +44,10 @@ class TestMatrixConstruction:
     def test_float_entries_rejected(self):
         with pytest.raises(TypeError):
             Matrix([[0.5, 0.5]])
+        with pytest.raises(TypeError, match="bool"):
+            Matrix([[True]])
+        with pytest.raises(TypeError):
+            Matrix([[1, False]])
 
     def test_ragged_rows_rejected(self):
         with pytest.raises(ShapeError):
@@ -118,6 +122,8 @@ class TestMatrixValueSemantics:
     def test_float_scalar_rejected(self):
         with pytest.raises(TypeError):
             Matrix([[1]]) * 0.5
+        with pytest.raises(TypeError):
+            Matrix([[1]]) * True
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):

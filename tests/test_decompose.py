@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from centrostoch import (
     ConvexCombination,
@@ -38,6 +40,29 @@ WORKED = Matrix(
 )
 
 S = Matrix([[1, 0, 0, 0], [0, "1/2", "1/2", 0], [0, 0, 0, 1]])
+
+SHAPES = [(m, n) for m in range(1, 9) for n in range(1, 9)]
+
+
+def stochastic_rows(count, n):
+    # few small weights: zeros and equal entries (the tie-break) are common;
+    # an all-zero draw becomes the uniform row
+    weight = st.sampled_from((0, 0, 1, 2, 3))
+    row = st.lists(weight, min_size=n, max_size=n).map(lambda r: r if any(r) else [1] * n)
+    return st.lists(row, min_size=count, max_size=count).map(
+        lambda rows: [[Fraction(w, sum(r)) for w in r] for r in rows]
+    )
+
+
+def centro_stochastic(m, n):
+    def build(parts):
+        top, center = parts
+        rows = list(top)
+        rows.extend([(r[j] + r[n - 1 - j]) / 2 for j in range(n)] for r in center)
+        rows.extend(row[::-1] for row in reversed(top))
+        return Matrix(rows)
+
+    return st.tuples(stochastic_rows(m // 2, n), stochastic_rows(m % 2, n)).map(build)
 
 
 class TestDecomposeStochastic:
@@ -215,3 +240,28 @@ class TestDecomposeCentrosymmetric:
             decompose_centrosymmetric(Matrix([[1, 1]]))
         with pytest.raises(NotCentrosymmetricError):
             decompose_centrosymmetric(Matrix([[1, 0], [1, 0]]))
+
+
+class TestPropertiesOnEveryShape:
+    # every example draws one matrix of each shape 1..8 x 1..8, so each run
+    # covers m = 1, n = 1, and odd and even m
+    @settings(max_examples=2, deadline=None)
+    @given(st.data())
+    def test_stochastic(self, data):
+        for m, n in SHAPES:
+            a = data.draw(stochastic_rows(m, n).map(Matrix), label=f"{m}x{n}")
+            comb = decompose_stochastic(a)
+            assert comb.combine() == a
+            assert all(is_extreme_stochastic(t) for _, t in comb)
+            assert len(comb) <= a.nnz() - m + 1
+            assert list(comb) == list(reference_decompose_stochastic(a))
+
+    @settings(max_examples=2, deadline=None)
+    @given(st.data())
+    def test_centrosymmetric(self, data):
+        for m, n in SHAPES:
+            a = data.draw(centro_stochastic(m, n), label=f"{m}x{n}")
+            comb = decompose_centrosymmetric(a)
+            assert comb.combine() == a
+            assert all(is_extreme_centro(t) for _, t in comb)
+            assert list(comb) == list(reference_decompose_centrosymmetric(a))

@@ -48,11 +48,21 @@ class TestFacePattern:
         assert p.meet(p.rotate_pi()) == FacePattern([[1, 0], [0, 1]])
         assert not p.is_centrosymmetric()
         assert p.meet(p.rotate_pi()).is_centrosymmetric()
+        assert type(p.rotate_pi()) is FacePattern
+        assert type(p.meet(p)) is FacePattern
 
     def test_value_semantics(self):
         assert FacePattern([[1, 0]]) == FacePattern(Matrix([[1, 0]]))
         with pytest.raises(AttributeError):
             FacePattern([[1]]).matrix = None
+        # a pattern is the Matrix with the same entries
+        p = FacePattern([[1, 0], [1, 1]])
+        assert p == Matrix([[1, 0], [1, 1]])
+        assert hash(p) == hash(Matrix([[1, 0], [1, 1]]))
+        assert type(p.matrix) is Matrix and p.matrix == p
+        assert repr(p) == "FacePattern([[1, 0], [1, 1]])"
+        with pytest.raises(AttributeError):
+            p.nrows = 3
 
 
 class TestRowSupport:

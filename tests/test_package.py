@@ -1,0 +1,35 @@
+"""The package surface is the union of the modules' __all__ lists."""
+
+from collections import Counter
+
+import pytest
+
+import centrostoch
+from centrostoch import bases, core, decompose, extremes, faces, graphs, smx
+
+MODULES = [core, decompose, extremes, bases, graphs, faces, smx]
+
+
+def test_no_name_in_two_modules():
+    # a star re-export would let the later module silently shadow the earlier
+    counts = Counter(name for mod in MODULES for name in mod.__all__)
+    assert [name for name, count in counts.items() if count > 1] == []
+
+
+@pytest.mark.parametrize("mod", MODULES, ids=lambda mod: mod.__name__)
+def test_names_defined_in_own_module(mod):
+    for name in mod.__all__:
+        assert name in vars(mod), name
+        # an alias of an outside type (Rational) is fine; a re-export of
+        # another centrostoch module's name is not
+        origin = getattr(vars(mod)[name], "__module__", mod.__name__)
+        assert origin == mod.__name__ or not origin.startswith("centrostoch"), name
+
+
+def test_star_import_yields_all():
+    namespace = {}
+    exec("from centrostoch import *", namespace)
+    del namespace["__builtins__"]
+    assert len(set(centrostoch.__all__)) == len(centrostoch.__all__)
+    assert sorted(namespace) == sorted(centrostoch.__all__)
+    assert all(namespace[name] is getattr(centrostoch, name) for name in namespace)
