@@ -84,26 +84,24 @@ def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2))
 
 
-def _print_blocks(blocks) -> None:
-    # blocks are (matrix, header suffix): "[k]<suffix>", the aligned matrix,
-    # and a blank line between consecutive blocks
-    for k, (mat, suffix) in enumerate(blocks, 1):
-        if k > 1:
-            print()
-        print(f"[{k}]{suffix}")
-        for line in _matrix_lines(mat):
-            print(line)
+def _print_blocks(blocks, tail: str | None = None) -> None:
+    # blocks are (matrix, header suffix): "[k]<suffix>" and the aligned
+    # matrix, with a blank line between consecutive blocks and before the
+    # tail line; all of it is rendered before any is written, so a failure
+    # leaves stdout empty
+    chunks = ["\n".join([f"[{k}]{suffix}", *_matrix_lines(mat)])
+              for k, (mat, suffix) in enumerate(blocks, 1)]
+    if tail is not None:
+        chunks.append(tail)
+    print("\n\n".join(chunks))
 
 
 def _print_listing(mats: list[Matrix], as_json: bool) -> int:
     # numbered matrices followed by their count, or the JSON equivalent
     if as_json:
         _print_json({"count": len(mats), "matrices": [_matrix_json(m) for m in mats]})
-        return 0
-    _print_blocks((mat, "") for mat in mats)
-    if mats:
-        print()
-    print(f"count={len(mats)}")
+    else:
+        _print_blocks(((mat, "") for mat in mats), f"count={len(mats)}")
     return 0
 
 
@@ -190,10 +188,8 @@ def _cmd_basis(ns) -> int:
             payload["independent"] = independent
         _print_json(payload)
         return 0
-    _print_blocks((mat, "") for mat in family)
-    if ns.verify:
-        print()
-        print(f"rank={rank} independent={_bool_word(independent)}")
+    tail = f"rank={rank} independent={_bool_word(independent)}" if ns.verify else None
+    _print_blocks(((mat, "") for mat in family), tail)
     return 0
 
 

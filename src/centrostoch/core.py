@@ -18,7 +18,6 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
-    "Rational",
     "DEFAULT_ENUMERATION_CAP",
     "CentrostochError",
     "ShapeError",
@@ -37,10 +36,6 @@ __all__ = [
     "is_centrosymmetric",
     "rank_of_family",
 ]
-
-# The scalar type used everywhere. Fraction keeps values reduced with a
-# positive denominator, which is exactly the normal form the package needs.
-Rational = Fraction
 
 DEFAULT_ENUMERATION_CAP = 10**6
 

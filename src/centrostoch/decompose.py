@@ -36,7 +36,6 @@ from centrostoch.extremes import is_extreme_centro  # noqa: F401
 
 __all__ = [
     "decompose_stochastic",
-    "decompose_centro_halves",
     "split_noncentrosymmetric",
     "decompose_centrosymmetric",
 ]
@@ -84,20 +83,6 @@ def _check_centro_stochastic(a: Matrix) -> None:
         raise NotStochasticError("input must be row-stochastic")
     if not is_centrosymmetric(a):
         raise NotCentrosymmetricError("input must be centrosymmetric")
-
-
-def decompose_centro_halves(a: Matrix) -> ConvexCombination:
-    """Decompose a centrosymmetric stochastic matrix into half-turn pairs.
-
-    Each greedy term R is replaced by (R + R^pi) / 2, which is again
-    centrosymmetric and stochastic but not necessarily extreme. Raises
-    NotStochasticError / NotCentrosymmetricError on bad input.
-    """
-    _check_centro_stochastic(a)
-    return ConvexCombination(
-        (c, (r.to_matrix() + r.rotate_pi().to_matrix()) * _HALF)
-        for c, r in _greedy_terms(a)
-    )
 
 
 def split_noncentrosymmetric(

@@ -7,20 +7,28 @@ that shape: it applies the general vertex criterion, testing by exact rank
 whether the only support-preserving perturbation with zero row sums (and, on
 request, half-turn symmetry) is zero. Tests play the two routes against each
 other; library code never mixes them.
+
+The enumerators walk one product: an extreme point picks a column in each
+free row (every row, or the top half under the half turn) and, for odd row
+count, one admissible centre row. Restricting each row to a (0,1) pattern's
+support yields the vertices of that pattern's face; `faces` counts them as
+the size of the same product.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from centrostoch.core import (
     DEFAULT_ENUMERATION_CAP,
     EnumerationCapError,
     Matrix,
+    NoRowSupportError,
     NotCentrosymmetricError,
     NotStochasticError,
+    PatternError,
     RectPermMatrix,
     ShapeError,
     _center_row,
@@ -92,60 +100,86 @@ def _check_sizes(m: int, n: int) -> None:
         raise ShapeError(f"matrix sizes must be positive, got {m} x {n}")
 
 
-def _check_count(factors: Iterable[int], cap: int) -> None:
-    # multiply step by step and stop as soon as the cap is passed, so a huge
-    # count is never built in full nor formatted as a decimal
-    total = 1
-    for factor in factors:
-        total *= factor
+def _column_choices(
+    m: int, n: int, pattern: Matrix | None, centro: bool
+) -> Iterable[Sequence[int]]:
+    """The allowed columns of each free row, in row order.
+
+    The free rows are all m rows, or the top m // 2 for centro; for odd-m
+    centro the admissible centre columns j <= ceil(n / 2) follow. The
+    extreme points supported inside `pattern` (the whole polytope when
+    None) are exactly the ways to pick one choice from each, so their count
+    is the product of the choices' sizes. Without a pattern the rows come
+    lazily, so a cap check can stop early. Raises ShapeError, PatternError,
+    NotCentrosymmetricError (centro) and NoRowSupportError.
+    """
+    _check_sizes(m, n)
+    free = m // 2 if centro else m
+    centres: Sequence[int] = range(1, (n + 1) // 2 + 1)
+    if pattern is None:
+        rows: Iterable[Sequence[int]] = itertools.repeat(range(1, n + 1), free)
+    else:
+        if pattern.shape != (m, n):
+            raise ShapeError(f"the pattern is {pattern.nrows} x {pattern.ncols}, not {m} x {n}")
+        if not pattern.is_zero_one():
+            raise PatternError("a face pattern must have entries 0 and 1 only")
+        if centro and not is_centrosymmetric(pattern):
+            raise NotCentrosymmetricError(
+                "the face needs a centrosymmetric pattern; meet it with its rotation first"
+            )
+        supports = [[j for j, x in enumerate(row, 1) if x == 1] for row in pattern.entries]
+        if not all(supports):
+            raise NoRowSupportError("pattern has an all-zero row")
+        rows = supports[:free]
+        centres = [j for j in centres if pattern.entries[m // 2][j - 1] == 1]
+    return itertools.chain(rows, [centres]) if centro and m % 2 else rows
+
+
+def _product(choices: Iterable[Sequence[int]], cap: int) -> Iterator[tuple[int, ...]]:
+    # multiply the sizes step by step and stop as soon as the cap is passed,
+    # so a huge count is never built in full nor formatted as a decimal
+    kept, total = [], 1
+    for choice in choices:
+        total *= len(choice)
         if total > cap:
             raise EnumerationCapError(
                 f"the number of extreme points exceeds the cap of {cap}"
             )
+        kept.append(choice)
+    return itertools.product(*kept)
 
 
 def enumerate_extreme_stochastic(
-    m: int, n: int, cap: int = DEFAULT_ENUMERATION_CAP
+    m: int, n: int, cap: int = DEFAULT_ENUMERATION_CAP, pattern: Matrix | None = None
 ) -> Iterator[RectPermMatrix]:
     """All n^m rectangular permutation matrices of shape m x n, lazily.
 
-    Output is in lexicographic order of the column assignments. Raises
-    EnumerationCapError up front when n^m exceeds `cap`.
+    With a (0,1) `pattern` only those supported inside it: the vertices of
+    its face, one column from each row's support. Output is in
+    lexicographic order of the column assignments. Raises
+    EnumerationCapError up front when the count exceeds `cap`.
     """
-    _check_sizes(m, n)
-    _check_count(itertools.repeat(n, m), cap)
-
-    def generate() -> Iterator[RectPermMatrix]:
-        for cols in itertools.product(range(1, n + 1), repeat=m):
-            yield RectPermMatrix(cols, n)
-
-    return generate()
+    choices = _column_choices(m, n, pattern, centro=False)
+    return (RectPermMatrix(cols, n) for cols in _product(choices, cap))
 
 
 def enumerate_extreme_centro(
-    m: int, n: int, cap: int = DEFAULT_ENUMERATION_CAP
+    m: int, n: int, cap: int = DEFAULT_ENUMERATION_CAP, pattern: Matrix | None = None
 ) -> Iterator[Matrix]:
     """All extreme points of the centrosymmetric polytope, lazily.
 
-    There are n^(m/2) for even m and ceil(n/2) * n^((m-1)/2) for odd m; the
-    top half runs lexicographically, and for odd m the center row cycles
-    fastest. Raises EnumerationCapError up front when the count exceeds
-    `cap`.
+    There are n^(m/2) for even m and ceil(n/2) * n^((m-1)/2) for odd m; with
+    a centrosymmetric (0,1) `pattern` only those supported inside it, the
+    vertices of its face. The top half runs lexicographically, and for odd
+    m the center row cycles fastest. Raises EnumerationCapError up front
+    when the count exceeds `cap`.
     """
-    _check_sizes(m, n)
-    half_rows = m // 2
-    center_count = (n + 1) // 2 if m % 2 else 1
-    _check_count(itertools.chain((center_count,), itertools.repeat(n, half_rows)), cap)
-
-    centers = range(1, center_count + 1) if m % 2 else [None]
-
-    def generate() -> Iterator[Matrix]:
-        for top in itertools.product(range(1, n + 1), repeat=half_rows):
-            cols = _mirrored(top, n)
-            for center in centers:
-                yield _unit_matrix(cols, n, center)
-
-    return generate()
+    half = m // 2
+    choices = _column_choices(m, n, pattern, centro=True)
+    return (
+        _unit_matrix(_mirrored(cols[:half], n), n, cols[half] if m % 2 else None)
+        for cols in _product(choices, cap)
+    )
 
 
 def is_extreme_oracle(a: Matrix, centro: bool = False) -> bool:

@@ -1,11 +1,10 @@
 """Faces of the polytopes cut out by (0,1) support patterns.
 
-A pattern B selects the face of matrices supported inside B. Vertex counts
-come in closed form from the row sums; the enumerator deliberately takes the
-slow road instead, filtering the global extreme-point enumeration through
-the support condition, so counting and enumerating stay two independent
-routes to the same answer. The filter tests each candidate's column tuple
-(plain) or entries (centro) against B's entries.
+A pattern B selects the face of matrices supported inside B. Its vertices
+pick one column from each free row's support (and, for odd row count, one
+admissible centre column), so a count is the product of the choice sizes
+and the enumerator is the global one restricted to B; both read the per-row
+choices from `extremes`.
 """
 
 from __future__ import annotations
@@ -16,12 +15,11 @@ from typing import Iterator
 from centrostoch.core import (
     DEFAULT_ENUMERATION_CAP,
     Matrix,
-    NoRowSupportError,
-    NotCentrosymmetricError,
     PatternError,
     is_centrosymmetric,
 )
 from centrostoch.extremes import (
+    _column_choices,
     enumerate_extreme_centro,
     enumerate_extreme_stochastic,
 )
@@ -91,9 +89,7 @@ def count_face_vertices_stochastic(pattern) -> int:
     """Number of extreme points supported inside the pattern: the product
     of its row sums. Raises NoRowSupportError when some row is all zero."""
     b = _coerce(pattern)
-    if not has_row_support_stochastic(b):
-        raise NoRowSupportError("pattern has an all-zero row")
-    return prod(row.count(1) for row in b.entries)
+    return prod(map(len, _column_choices(*b.shape, b, centro=False)))
 
 
 def count_face_vertices_centro(pattern) -> int:
@@ -106,60 +102,20 @@ def count_face_vertices_centro(pattern) -> int:
     is odd. Raises NotCentrosymmetricError / NoRowSupportError.
     """
     b = _coerce(pattern)
-    if not b.is_centrosymmetric():
-        raise NotCentrosymmetricError(
-            "count needs a centrosymmetric pattern; meet it with its rotation first"
-        )
-    if not has_row_support_centro(b):
-        raise NoRowSupportError("pattern has an all-zero row")
-    m = b.nrows
-    half = m // 2
-    top = prod(row.count(1) for row in b.entries[:half])
-    if m % 2 == 0:
-        return top
-    center = b.entries[half].count(1)
-    return top * ((center + 1) // 2)
+    return prod(map(len, _column_choices(*b.shape, b, centro=True)))
 
 
 def enumerate_face_vertices(
-    pattern,
-    centro: bool = False,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-    check: bool = True,
+    pattern, centro: bool = False, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> Iterator[Matrix]:
     """Lazily yield the extreme points supported inside the pattern.
 
-    Runs the global extreme-point enumeration for the pattern's shape and
-    keeps the candidates the pattern covers, testing each one's column tuple
-    (plain) or entries (centro) against the pattern's entries; the
-    closed-form counters take no part in it. With `check` (the default) the
-    same preconditions as the counters are enforced up front; `check=False`
-    allows unsupported patterns, for which the enumeration is simply empty.
-    Raises EnumerationCapError when the global enumeration exceeds `cap`.
+    They come in the order of the global enumeration for the pattern's
+    shape. Raises the counters' errors up front, and EnumerationCapError
+    when the face's own vertex count exceeds `cap`.
     """
     b = _coerce(pattern)
-    m, n = b.shape
-    allowed = b.entries
-    if not centro:
-        if check and not has_row_support_stochastic(b):
-            raise NoRowSupportError("pattern has an all-zero row")
-        return (
-            r.to_matrix()
-            for r in enumerate_extreme_stochastic(m, n, cap=cap)
-            if all(row[c - 1] == 1 for row, c in zip(allowed, r.row_to_col))
-        )
-    if not b.is_centrosymmetric():
-        raise NotCentrosymmetricError(
-            "enumeration needs a centrosymmetric pattern"
-        )
-    if check and not has_row_support_centro(b):
-        raise NoRowSupportError("pattern has an all-zero row")
-    return (
-        mat
-        for mat in enumerate_extreme_centro(m, n, cap=cap)
-        if all(
-            p == 1 or x == 0
-            for prow, row in zip(allowed, mat.entries)
-            for p, x in zip(prow, row)
-        )
-    )
+    if centro:
+        return enumerate_extreme_centro(*b.shape, cap=cap, pattern=b)
+    plain = enumerate_extreme_stochastic(*b.shape, cap=cap, pattern=b)
+    return (r.to_matrix() for r in plain)

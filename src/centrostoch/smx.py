@@ -10,6 +10,10 @@ A decimal exponent (``1e-3``) may not exceed 4300 in absolute value, the
 interpreter's default limit on the digits of an int read from a string;
 larger ones would make huge numerators or denominators and are refused with
 SmxError before any arithmetic is done.
+
+An error message quotes at most the first 40 characters of a bad token or
+dimension line, followed by its length, so its size does not grow with the
+input.
 """
 
 from __future__ import annotations
@@ -28,6 +32,13 @@ class SmxError(ValueError):
 
 _MAX_EXPONENT = 4300
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\Z")
+_QUOTED = 40
+
+
+def _quote(text: str) -> str:
+    if len(text) <= _QUOTED:
+        return repr(text)
+    return f"{text[:_QUOTED]!r}... ({len(text)} characters)"
 
 
 def _data_lines(text: str):
@@ -47,7 +58,7 @@ def parse_matrix(text: str) -> Matrix:
         raise SmxError("empty input: expected a dimension line 'm n'") from None
     parts = header.split()
     if len(parts) != 2:
-        raise SmxError(f"line {header_no}: expected 'm n', got {header!r}")
+        raise SmxError(f"line {header_no}: expected 'm n', got {_quote(header)}")
     try:
         nrows, ncols = int(parts[0]), int(parts[1])
     except ValueError:
@@ -83,7 +94,7 @@ def parse_matrix(text: str) -> Matrix:
             try:
                 row.append(Fraction(token))
             except (ValueError, ZeroDivisionError):
-                raise SmxError(f"line {number}: bad rational {token!r}") from None
+                raise SmxError(f"line {number}: bad rational {_quote(token)}") from None
         rows.append(row)
     for number, _ in lines:
         raise SmxError(f"line {number}: data after the final row")

@@ -2,9 +2,9 @@
 
 This is the original dense filter: materialise every global extreme point
 of the pattern's shape as a Matrix and keep it when the pattern has a 1 at
-every position of its support. The library filters the same candidates on
-column tuples (plain) or entries (centro) and only materialises the kept
-ones; tests require the two to agree matrix for matrix, in order.
+every position of its support. The library instead walks the product of
+each row's allowed columns and never builds a vertex outside the face;
+tests require the two to agree matrix for matrix, in order.
 """
 
 from __future__ import annotations

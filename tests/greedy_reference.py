@@ -8,6 +8,10 @@ with its half-turn rotation, tests the pair with `is_extreme_centro`, and
 splices the averaged centre row back into both halves of a split. The
 library computes the same terms by a sorted-breakpoint sweep over column
 tuples; tests require the two to agree term for term, in order.
+
+`decompose_centro_halves` averages each library term with its rotation.
+Its terms are centrosymmetric but not always extreme, so no library route
+produces them; tests keep it as a check on the halves construction.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from centrostoch import (
     is_stochastic,
     split_noncentrosymmetric,
 )
+from centrostoch.decompose import _check_centro_stochastic, _greedy_terms
 
 _HALF = Fraction(1, 2)
 
@@ -108,3 +113,17 @@ def reference_decompose_centrosymmetric(a: Matrix) -> ConvexCombination:
             terms.append((coeff * _HALF, _reinsert_center(q1, center)))
             terms.append((coeff * _HALF, _reinsert_center(q2, center)))
     return ConvexCombination(terms)
+
+
+def decompose_centro_halves(a: Matrix) -> ConvexCombination:
+    """Decompose a centrosymmetric stochastic matrix into half-turn pairs.
+
+    Each greedy term R is replaced by (R + R^pi) / 2, which is again
+    centrosymmetric and stochastic but not necessarily extreme. Raises
+    NotStochasticError / NotCentrosymmetricError on bad input.
+    """
+    _check_centro_stochastic(a)
+    return ConvexCombination(
+        (c, (r.to_matrix() + r.rotate_pi().to_matrix()) * _HALF)
+        for c, r in _greedy_terms(a)
+    )

@@ -186,6 +186,15 @@ class TestDecompose:
         assert err == "error: the result has a number too long to print\n"
         assert out == ""
 
+    def test_failure_in_a_later_block_leaves_stdout_empty(self, run_cli):
+        # the first term, coefficient 1/4, prints; the second's coefficient
+        # has a 4301-digit denominator
+        text = "1 3\n0.25 0.25" + "0" * 4297 + "1 0.4" + "9" * 4299 + "\n"
+        code, out, err = run_cli(["decompose"], text)
+        assert code == 1
+        assert err == "error: the result has a number too long to print\n"
+        assert out == ""
+
 
 class TestEnumerate:
     def test_human_count(self, run_cli):
@@ -330,6 +339,33 @@ class TestFace:
         )
         payload = json.loads(out)
         assert payload["count"] == 4
+
+    def test_vertices_of_a_small_face_in_a_large_polytope(self, run_cli):
+        # the identity face has one vertex; the 9 x 9 polytope has 9^9
+        identity = "9 9\n" + "".join(
+            " ".join("1" if j == i else "0" for j in range(9)) + "\n" for i in range(9)
+        )
+        code, out, err = run_cli(["face", "vertices"], identity)
+        assert code == 0
+        assert out.count("[") == 1
+        assert out.startswith("[1]\n1 0 0 0 0 0 0 0 0\n")
+        assert out.endswith("\n\ncount=1\n")
+
+    @pytest.mark.parametrize(
+        "centro, count", [([], 12), (["--centro"], 4)], ids=["plain", "centro"]
+    )
+    def test_vertices_cap_bounds_the_face(self, run_cli, centro, count):
+        # this face has 12 vertices, 4 of them centrosymmetric; the whole
+        # 3 x 3 polytope has 27, 6 of them centrosymmetric
+        pattern = "3 3\n1 1 0\n1 1 1\n0 1 1\n"
+        argv = ["face", "vertices", *centro, "--cap"]
+        code, out, err = run_cli([*argv, str(count - 1)], pattern)
+        assert code == 1
+        assert "cap" in err
+        assert out == ""
+        code, out, err = run_cli([*argv, str(count)], pattern)
+        assert code == 0
+        assert out.endswith(f"\n\ncount={count}\n")
 
     def test_count_needs_support(self, run_cli):
         code, out, err = run_cli(["face", "count"], "2 2\n1 0\n0 0\n")

@@ -14,7 +14,6 @@ from centrostoch import (
     NotStochasticError,
     RectPermMatrix,
     SplitError,
-    decompose_centro_halves,
     decompose_centrosymmetric,
     decompose_stochastic,
     is_centrosymmetric,
@@ -24,6 +23,7 @@ from centrostoch import (
     split_noncentrosymmetric,
 )
 from greedy_reference import (
+    decompose_centro_halves,
     reference_decompose_centrosymmetric,
     reference_decompose_stochastic,
 )

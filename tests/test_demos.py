@@ -1,12 +1,14 @@
 """The demonstration scripts stay runnable."""
 
+import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
 
-DEMO_DIR = pathlib.Path(__file__).resolve().parent.parent / "demos"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DEMO_DIR = ROOT / "demos"
 SCRIPTS = sorted(DEMO_DIR.glob("*.py"))
 
 
@@ -16,6 +18,7 @@ def test_demo_runs_cleanly(script):
         [sys.executable, str(script)],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         timeout=60,
     )
     assert result.returncode == 0, result.stderr

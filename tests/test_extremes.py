@@ -8,8 +8,10 @@ import pytest
 from centrostoch import (
     EnumerationCapError,
     Matrix,
+    NoRowSupportError,
     NotCentrosymmetricError,
     NotStochasticError,
+    PatternError,
     RectPermMatrix,
     ShapeError,
     enumerate_extreme_centro,
@@ -22,7 +24,7 @@ from centrostoch import (
 )
 from matrixgen import random_centro_stochastic, random_stochastic
 
-HALF = Fraction(1, 2)
+HALF = H = Fraction(1, 2)
 
 S = Matrix([[1, 0, 0, 0], [0, "1/2", "1/2", 0], [0, 0, 0, 1]])
 
@@ -148,6 +150,49 @@ class TestEnumerateCentro:
     def test_bad_sizes(self):
         with pytest.raises(ShapeError):
             enumerate_extreme_centro(2, 0)
+
+
+class TestFacePattern:
+    def test_restricts_to_the_pattern(self):
+        pattern = Matrix([[1, 0], [1, 1]])
+        assert list(enumerate_extreme_stochastic(2, 2, pattern=pattern)) == [
+            RectPermMatrix([1, 1], 2),
+            RectPermMatrix([1, 2], 2),
+        ]
+        pattern = Matrix([[1, 1, 0], [1, 1, 1], [0, 1, 1]])
+        assert list(enumerate_extreme_centro(3, 3, pattern=pattern)) == [
+            Matrix([[1, 0, 0], [H, 0, H], [0, 0, 1]]),
+            Matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+            Matrix([[0, 1, 0], [H, 0, H], [0, 1, 0]]),
+            Matrix([[0, 1, 0], [0, 1, 0], [0, 1, 0]]),
+        ]
+
+    def test_cap_bounds_the_face(self):
+        identity = Matrix.identity(9)
+        assert len(list(enumerate_extreme_stochastic(9, 9, cap=1, pattern=identity))) == 1
+        with pytest.raises(EnumerationCapError):
+            enumerate_extreme_centro(3, 3, cap=3, pattern=Matrix([[1] * 3] * 3))
+
+    @pytest.mark.parametrize(
+        "enumerate_extremes", [enumerate_extreme_stochastic, enumerate_extreme_centro]
+    )
+    def test_shape_mismatch(self, enumerate_extremes):
+        with pytest.raises(ShapeError):
+            enumerate_extremes(2, 3, pattern=Matrix([[1, 1], [1, 1]]))
+
+    def test_centro_needs_centrosymmetric_pattern(self):
+        pattern = Matrix([[1, 1], [1, 0]])
+        assert len(list(enumerate_extreme_stochastic(2, 2, pattern=pattern))) == 2
+        with pytest.raises(NotCentrosymmetricError):
+            enumerate_extreme_centro(2, 2, pattern=pattern)
+
+    def test_row_without_support(self):
+        with pytest.raises(NoRowSupportError):
+            enumerate_extreme_stochastic(2, 2, pattern=Matrix([[1, 1], [0, 0]]))
+
+    def test_pattern_entries_are_zero_one(self):
+        with pytest.raises(PatternError):
+            enumerate_extreme_stochastic(1, 2, pattern=Matrix([[2, 1]]))
 
 
 class TestOracle:

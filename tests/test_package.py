@@ -20,8 +20,8 @@ def test_no_name_in_two_modules():
 def test_names_defined_in_own_module(mod):
     for name in mod.__all__:
         assert name in vars(mod), name
-        # an alias of an outside type (Rational) is fine; a re-export of
-        # another centrostoch module's name is not
+        # a name taken from outside the package would be fine; a re-export
+        # of another centrostoch module's name is not
         origin = getattr(vars(mod)[name], "__module__", mod.__name__)
         assert origin == mod.__name__ or not origin.startswith("centrostoch"), name
 

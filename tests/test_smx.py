@@ -73,6 +73,20 @@ class TestParse:
         with pytest.raises(SmxError):
             parse_matrix("1 1\n1/0\n")
 
+    @pytest.mark.parametrize(
+        "text",
+        ["1 1\n" + "7" * 400_000 + "x\n", "1 2 " + "7" * 399_997 + "\n1\n"],
+        ids=["token", "header"],
+    )
+    def test_error_quotes_a_bounded_prefix(self, text):
+        # both the bad token and the bad header line are 400001 characters
+        with pytest.raises(SmxError) as info:
+            parse_matrix(text)
+        message = str(info.value)
+        assert len(message) < 200
+        assert "7" * 30 in message
+        assert "(400001 characters)" in message
+
     def test_float_syntax_is_exact(self):
         assert parse_matrix("1 1\n0.1\n").at(1, 1) == Fraction(1, 10)
 
