@@ -47,30 +47,25 @@ def _cells_by_number(side: int) -> dict[int, tuple[int, int]]:
     }
 
 
-def _near_permutation(start: int, side: int) -> Matrix:
-    # ones on the side-1 consecutively numbered cells start, start+1, ...
-    # (wrapping past side^2 back to 1); one row and one column stay empty
+def _near_permutation(start: int, side: int) -> list[tuple[int, int]]:
+    # the side-1 consecutively numbered cells start, start+1, ... (wrapping
+    # past side^2 back to 1); one row and one column stay empty
     cells = _cells_by_number(side)
-    rows = [[0] * side for _ in range(side)]
-    for offset in range(side - 1):
-        number = (start + offset - 1) % (side * side) + 1
-        i, j = cells[number]
-        rows[i - 1][j - 1] = 1
-    return Matrix(rows)
+    return [cells[(start + k - 1) % (side * side) + 1] for k in range(side - 1)]
 
 
-def _complete_to_permutation(block: Matrix) -> Matrix:
-    # embed the near-permutation in the lower right of an (l+1) x (l+1)
+def _complete_to_permutation(block: list[tuple[int, int]], side: int) -> tuple[int, ...]:
+    # embed the near-permutation in the lower right of a (side+1) x (side+1)
     # square; the new first row takes the block's free column and the
-    # block's empty row takes the new first column, giving a full
-    # permutation matrix
-    side = block.nrows
-    # each block row's column in the square: [] for the empty row
-    picks = [[j for j, x in enumerate(row, 2) if x] for row in block.entries]
-    free_cols = set(range(2, side + 2)).difference(*picks)
-    if sum(not p for p in picks) != 1 or len(free_cols) != 1:
+    # block's empty row takes the new first column, giving the column tuple
+    # of a full permutation matrix
+    cols = [1] * side
+    for i, j in block:
+        cols[i - 1] = j + 1
+    free_cols = set(range(2, side + 2)).difference(cols)
+    if cols.count(1) != 1 or len(free_cols) != 1:
         raise ShapeError("block must leave exactly one row and one column empty")
-    return _unit_matrix([*free_cols, *(p[0] if p else 1 for p in picks)], side + 1)
+    return (*free_cols, *cols)
 
 
 def basis_square(n: int) -> list[Matrix]:
@@ -84,7 +79,7 @@ def basis_square(n: int) -> list[Matrix]:
         raise ShapeError("the square family needs n >= 2")
     side = n - 1
     family = [
-        _complete_to_permutation(_near_permutation(start, side))
+        _unit_matrix(_complete_to_permutation(_near_permutation(start, side), side), n)
         for start in range(1, side * side + 1)
     ]
     family.extend(_unit_matrix((j,) * n, n) for j in range(1, n + 1))

@@ -108,7 +108,10 @@ def _print_listing(mats: list[Matrix], as_json: bool) -> int:
 def _read_matrix(ns) -> Matrix:
     if ns.input:
         with open(ns.input, "r", encoding="utf-8") as handle:
-            text = handle.read()
+            try:
+                text = handle.read()
+            except UnicodeDecodeError as exc:
+                raise SmxError(f"the input file is not UTF-8 text: {exc.reason}") from None
     else:
         text = sys.stdin.read()
     return parse_matrix(text)

@@ -241,9 +241,22 @@ def _unit_matrix(cols: Sequence[int], n: int, center: int | None = None) -> Matr
     return Matrix(rows)
 
 
+def _unit_column(row: Sequence[Fraction]) -> int | None:
+    """The inverse of `_unit_matrix` on one row: the 1-based column of the
+    row's one 1 when its other entries are all 0, else None."""
+    if row.count(1) == 1 and row.count(0) == len(row) - 1:
+        return row.index(1) + 1
+    return None
+
+
+def _rotated(cols: Sequence[int], n: int) -> tuple[int, ...]:
+    """Column tuple of the half-turn rotation of `_unit_matrix(cols, n)`."""
+    return tuple(n + 1 - c for c in reversed(cols))
+
+
 def _mirrored(top: Sequence[int], n: int) -> tuple[int, ...]:
     """Column tuple `top` followed by its half-turn rotation's columns."""
-    return tuple(top) + tuple(n + 1 - c for c in reversed(top))
+    return tuple(top) + _rotated(top, n)
 
 
 def is_stochastic(a: Matrix) -> bool:
@@ -278,7 +291,11 @@ class RectPermMatrix:
     __slots__ = ("nrows", "ncols", "row_to_col")
 
     def __init__(self, row_to_col: Sequence[int], ncols: int) -> None:
-        cols = tuple(int(c) for c in row_to_col)
+        cols = tuple(row_to_col)
+        # like Matrix entries, float and bool columns are refused, not rounded
+        if any(isinstance(c, bool) for c in cols):
+            raise TypeError("bool columns are not allowed; pass ints")
+        cols = tuple(map(operator.index, cols))
         if not cols:
             raise ShapeError("a matrix needs at least one row")
         if ncols < 1:
@@ -300,12 +317,9 @@ class RectPermMatrix:
         Raises PatternError when some entry is not 0/1 or some row does not
         have exactly one 1.
         """
-        cols = []
-        for i, row in enumerate(a.entries, 1):
-            ones = [j for j, x in enumerate(row, 1) if x == 1]
-            if len(ones) != 1 or any(x != 0 and x != 1 for x in row):
-                raise PatternError(f"row {i} does not carry exactly one 1")
-            cols.append(ones[0])
+        cols = [_unit_column(row) for row in a.entries]
+        if None in cols:
+            raise PatternError(f"row {cols.index(None) + 1} does not carry exactly one 1")
         return cls(cols, a.ncols)
 
     @property
@@ -316,13 +330,10 @@ class RectPermMatrix:
         return _unit_matrix(self.row_to_col, self.ncols)
 
     def rotate_pi(self) -> "RectPermMatrix":
-        n = self.ncols
-        return RectPermMatrix([n + 1 - c for c in reversed(self.row_to_col)], n)
+        return RectPermMatrix(_rotated(self.row_to_col, self.ncols), self.ncols)
 
     def is_centrosymmetric(self) -> bool:
-        n = self.ncols
-        cols = self.row_to_col
-        return all(cols[i] + cols[-1 - i] == n + 1 for i in range(len(cols)))
+        return self.row_to_col == _rotated(self.row_to_col, self.ncols)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RectPermMatrix):

@@ -2,9 +2,12 @@
 
 The common engine is a sweep over sorted breakpoints. Each row's positive
 entries, taken in ascending (value, column) order, cut [0, 1] into
-consecutive intervals; every cell of the common refinement of the m rows'
-partitions is one term, whose rectangular permutation matrix picks in each
-row the entry whose interval covers the cell. This is the north-west-corner
+consecutive intervals; the cumulative sums that end them are the row's
+breakpoints. Walking the sorted union of all rows' breakpoints, each one
+ends a cell of the rows' common refinement and gives one term: its
+coefficient is the gap to the previous breakpoint, and its column tuple
+picks in each row the entry whose interval covers the cell. So there are
+exactly as many terms as distinct breakpoints. This is the north-west-corner
 rule on sorted rows, and it yields exactly the terms of the classic greedy
 peel (mark each row's smallest positive entry, leftmost on ties, peel, and
 renormalise), because a marked entry stays the smallest of its row until it
@@ -15,10 +18,11 @@ centrosymmetric polytope, and splitting the pairs that are not yet extreme.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
+from itertools import accumulate
 
 from centrostoch.core import (
-    _HALF,
     ConvexCombination,
     Matrix,
     NotCentrosymmetricError,
@@ -26,6 +30,7 @@ from centrostoch.core import (
     RectPermMatrix,
     SplitError,
     _mirrored,
+    _rotated,
     _unit_matrix,
     is_centrosymmetric,
     is_stochastic,
@@ -41,25 +46,24 @@ __all__ = [
 ]
 
 
-def _greedy_terms(a: Matrix) -> list[tuple[Fraction, RectPermMatrix]]:
-    # callers have checked that `a` is stochastic
+def _greedy_terms(a: Matrix) -> list[tuple[Fraction, tuple[int, ...]]]:
+    # callers have checked that `a` is stochastic, so every row's sums end
+    # at exactly 1; the entry covering the cell that ends at the k-th
+    # breakpoint is the first whose cumulative sum reaches it. The bisects
+    # run on the sums' ranks among the breakpoints: comparing two ints is
+    # far cheaper than comparing two Fractions.
     rows = [sorted((x, j) for j, x in enumerate(row, 1) if x > 0) for row in a.entries]
-    at = [0] * len(rows)
-    # what each row has left of its current entry
-    left = [row[0][0] for row in rows]
-    terms: list[tuple[Fraction, RectPermMatrix]] = []
-    while True:
-        coeff = min(left)
-        cols = [row[k][1] for row, k in zip(rows, at)]
-        terms.append((coeff, RectPermMatrix(cols, a.ncols)))
-        # rows all sum to 1, so they reach their last entries together
-        if all(k == len(row) - 1 for row, k in zip(rows, at)):
-            return terms
-        for i, row in enumerate(rows):
-            left[i] -= coeff
-            if left[i] == 0:
-                at[i] += 1
-                left[i] = row[at[i]][0]
+    sums = [list(accumulate(x for x, _ in row)) for row in rows]
+    points = sorted(set().union(*sums))
+    rank = {point: k for k, point in enumerate(points)}
+    ranks = [[rank[s] for s in row_sums] for row_sums in sums]
+    terms: list[tuple[Fraction, tuple[int, ...]]] = []
+    previous = Fraction(0)
+    for k, point in enumerate(points):
+        cols = tuple(row[bisect_left(r, k)][1] for row, r in zip(rows, ranks))
+        terms.append((point - previous, cols))
+        previous = point
+    return terms
 
 
 def decompose_stochastic(a: Matrix) -> ConvexCombination:
@@ -67,15 +71,17 @@ def decompose_stochastic(a: Matrix) -> ConvexCombination:
     permutation matrices.
 
     Each row's positive entries, sorted by (value, column), partition
-    [0, 1]; the terms are the cells of the rows' common refinement, in
-    order, each weighted by its length. A cell ends at a breakpoint of some
-    row, and row i contributes nnz_i - 1 inner breakpoints while the end
-    point 1 is shared, so there are at most nnz(a) - m + 1 terms. The
-    result recombines to `a` exactly. Raises NotStochasticError otherwise.
+    [0, 1] at their cumulative sums, the row's breakpoints; the terms are
+    the cells of the rows' common refinement, in order, each weighted by its
+    length. A cell ends at a breakpoint of some row, so there is exactly one
+    term per distinct breakpoint among all rows. Row i has nnz_i - 1 inner
+    breakpoints while the end point 1 is shared, so there are at most
+    nnz(a) - m + 1 terms. The result recombines to `a` exactly. Raises
+    NotStochasticError otherwise.
     """
     if not is_stochastic(a):
         raise NotStochasticError("decomposition input must be row-stochastic")
-    return ConvexCombination((c, r.to_matrix()) for c, r in _greedy_terms(a))
+    return ConvexCombination((c, _unit_matrix(cols, a.ncols)) for c, cols in _greedy_terms(a))
 
 
 def _check_centro_stochastic(a: Matrix) -> None:
@@ -100,17 +106,11 @@ def split_noncentrosymmetric(
         raise SplitError("splitting needs an even number of rows")
     if r.is_centrosymmetric():
         raise SplitError("input is already centrosymmetric")
-    n = r.ncols
-    half = r.nrows // 2
-    rotated = r.rotate_pi()
-    first = []
-    second = []
-    for i in range(half):
-        c1 = r.row_to_col[i]
-        c2 = rotated.row_to_col[i]
-        first.append(min(c1, c2))
-        second.append(max(c1, c2))
-    return RectPermMatrix(_mirrored(first, n), n), RectPermMatrix(_mirrored(second, n), n)
+    cols, n = r.row_to_col, r.ncols
+    # each top row's two unit entries, the leftmost first
+    tops = [sorted(pair) for pair in zip(cols[: r.nrows // 2], _rotated(cols, n))]
+    first, second = (RectPermMatrix(_mirrored(top, n), n) for top in zip(*tops))
+    return first, second
 
 
 def decompose_centrosymmetric(a: Matrix) -> ConvexCombination:
@@ -128,13 +128,13 @@ def decompose_centrosymmetric(a: Matrix) -> ConvexCombination:
     m, n = a.shape
     half = m // 2
     terms: list[tuple[Fraction, Matrix]] = []
-    for coeff, r in _greedy_terms(a):
-        cols = r.row_to_col
+    for coeff, cols in _greedy_terms(a):
         center = cols[half] if m % 2 else None
         trimmed = cols[:half] + cols[m - half :]
-        if all(c + d == n + 1 for c, d in zip(trimmed, reversed(trimmed))):
-            terms.append((coeff, _unit_matrix(trimmed, n, center)))
-            continue
-        for q in split_noncentrosymmetric(RectPermMatrix(trimmed, n)):
-            terms.append((coeff * _HALF, _unit_matrix(q.row_to_col, n, center)))
+        pair = (
+            [trimmed]
+            if trimmed == _rotated(trimmed, n)
+            else [q.row_to_col for q in split_noncentrosymmetric(RectPermMatrix(trimmed, n))]
+        )
+        terms.extend((coeff / len(pair), _unit_matrix(q, n, center)) for q in pair)
     return ConvexCombination(terms)

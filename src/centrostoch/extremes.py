@@ -34,6 +34,7 @@ from centrostoch.core import (
     _center_row,
     _mirrored,
     _rank,
+    _unit_column,
     _unit_matrix,
     is_centrosymmetric,
     is_stochastic,
@@ -49,19 +50,8 @@ __all__ = [
 
 
 def _one_per_row(a: Matrix, skip_row: int = 0) -> bool:
-    # (0,1) rows with exactly one 1 each; skip_row (1-based) is exempted.
-    for i, row in enumerate(a.entries, 1):
-        if i == skip_row:
-            continue
-        ones = 0
-        for x in row:
-            if x == 1:
-                ones += 1
-            elif x != 0:
-                return False
-        if ones != 1:
-            return False
-    return True
+    # every row a unit row; skip_row (1-based) is exempted
+    return all(_unit_column(row) for i, row in enumerate(a.entries, 1) if i != skip_row)
 
 
 def is_extreme_stochastic(a: Matrix) -> bool:

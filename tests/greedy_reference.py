@@ -125,5 +125,5 @@ def decompose_centro_halves(a: Matrix) -> ConvexCombination:
     _check_centro_stochastic(a)
     return ConvexCombination(
         (c, (r.to_matrix() + r.rotate_pi().to_matrix()) * _HALF)
-        for c, r in _greedy_terms(a)
+        for c, r in ((c, RectPermMatrix(cols, a.ncols)) for c, cols in _greedy_terms(a))
     )

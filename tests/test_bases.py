@@ -17,7 +17,7 @@ from centrostoch import (
     renumber_position,
     verify_basis,
 )
-from centrostoch.bases import _near_permutation
+from centrostoch.bases import _complete_to_permutation, _near_permutation
 
 H = Fraction(1, 2)
 
@@ -68,16 +68,22 @@ class TestNearPermutationBlocks:
     def test_one_empty_row_and_column(self):
         for side in range(2, 5):
             for start in range(1, side * side + 1):
-                block = _near_permutation(start, side)
-                row_sums = [block.row_sum(i) for i in range(1, side + 1)]
-                col_sums = [
-                    sum(block.at(i, j) for i in range(1, side + 1))
-                    for j in range(1, side + 1)
-                ]
+                cells = _near_permutation(start, side)
+                rows = [i for i, _ in cells]
+                cols = [j for _, j in cells]
+                row_sums = [rows.count(i) for i in range(1, side + 1)]
+                col_sums = [cols.count(j) for j in range(1, side + 1)]
                 assert row_sums.count(0) == 1
                 assert col_sums.count(0) == 1
                 assert all(s in (0, 1) for s in row_sums)
                 assert all(s in (0, 1) for s in col_sums)
+
+    @pytest.mark.parametrize(
+        "block", [[(1, 1), (2, 1)], [(1, 1), (1, 2)]], ids=["column-twice", "row-twice"]
+    )
+    def test_completion_refuses_a_block_with_two_free_lines(self, block):
+        with pytest.raises(ShapeError):
+            _complete_to_permutation(block, 3)
 
 
 class TestSquareFamily:

@@ -428,6 +428,14 @@ class TestErrors:
         code, out, err = run_cli(["check", "--input", "/nonexistent/matrix.smx"])
         assert code == 2
 
+    def test_input_file_not_utf8(self, run_cli, tmp_path):
+        path = tmp_path / "bad.smx"
+        path.write_bytes(b"1 1\n\xff\n")
+        code, out, err = run_cli(["check", "--input", str(path)])
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert out == ""
+
     def test_input_file(self, run_cli, tmp_path):
         path = tmp_path / "s.smx"
         path.write_text(S_TEXT)

@@ -197,6 +197,11 @@ class TestRectPermMatrix:
         with pytest.raises(ShapeError):
             RectPermMatrix([], 2)
 
+    @pytest.mark.parametrize("cols", [[2.7, 1], [True, 2], [2.0]], ids=repr)
+    def test_float_and_bool_columns_refused(self, cols):
+        with pytest.raises(TypeError):
+            RectPermMatrix(cols, 3)
+
     def test_rotate(self):
         r = RectPermMatrix([1, 1, 2, 4], 4)
         assert r.rotate_pi().row_to_col == (1, 3, 4, 4)

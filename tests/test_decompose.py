@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -254,6 +255,12 @@ class TestPropertiesOnEveryShape:
             assert comb.combine() == a
             assert all(is_extreme_stochastic(t) for _, t in comb)
             assert len(comb) <= a.nnz() - m + 1
+            # one term per distinct breakpoint: a cumulative sum of some row's
+            # positive entries, sorted by (value, column)
+            breakpoints = {
+                s for row in a.entries for s in accumulate(sorted(x for x in row if x > 0))
+            }
+            assert len(comb) == len(breakpoints)
             assert list(comb) == list(reference_decompose_stochastic(a))
 
     @settings(max_examples=2, deadline=None)

@@ -1,6 +1,10 @@
-"""The package surface is the union of the modules' __all__ lists."""
+"""The package surface is the union of the modules' __all__ lists, and the
+package imports nothing outside the standard library."""
 
+import ast
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -33,3 +37,20 @@ def test_star_import_yields_all():
     assert len(set(centrostoch.__all__)) == len(centrostoch.__all__)
     assert sorted(namespace) == sorted(centrostoch.__all__)
     assert all(namespace[name] is getattr(centrostoch, name) for name in namespace)
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(Path(centrostoch.__file__).parent.glob("*.py")),
+    ids=lambda path: path.name,
+)
+def test_imports_only_the_standard_library(path):
+    # the package has no dependencies outside the standard library
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module)
+    tops = {name.partition(".")[0] for name in imported}
+    assert tops <= sys.stdlib_module_names | {"centrostoch"}
