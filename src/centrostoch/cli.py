@@ -96,6 +96,16 @@ def _print_blocks(blocks, tail: str | None = None) -> None:
     print("\n\n".join(chunks))
 
 
+def _print_report(report: dict, as_json: bool) -> int:
+    # one key=true|false line per predicate, or the JSON object
+    if as_json:
+        _print_json(report)
+    else:
+        for key, value in report.items():
+            print(f"{key}={_bool_word(value)}")
+    return 0
+
+
 def _print_listing(mats: list[Matrix], as_json: bool) -> int:
     # numbered matrices followed by their count, or the JSON equivalent
     if as_json:
@@ -130,12 +140,7 @@ def _cmd_check(ns) -> int:
         "extreme_stochastic": is_extreme_stochastic(mat),
         "extreme_centrosymmetric": is_extreme_centro(mat),
     }
-    if ns.json:
-        _print_json(report)
-    else:
-        for key, value in report.items():
-            print(f"{key}={_bool_word(value)}")
-    return 0
+    return _print_report(report, ns.json)
 
 
 def _cmd_decompose(ns) -> int:
@@ -224,35 +229,26 @@ def _cmd_graph(ns) -> int:
         _print_json(payload)
         return 0
     if ns.dot:
-        print(_dot_document(graph))
-        if ns.fill:
-            print(f"fill={fill(graph)}")
-        return 0
-    print(f"rows={graph.row_count} cols={graph.col_count} edges={len(graph.edges)}")
-    for i, j in graph.sorted_edges():
-        print(f"r{i} -- s{j}")
+        lines = [_dot_document(graph)]
+    else:
+        lines = [f"rows={graph.row_count} cols={graph.col_count} edges={len(graph.edges)}"]
+        lines += [f"r{i} -- s{j}" for i, j in graph.sorted_edges()]
     if ns.fill:
-        print(f"fill={fill(graph)}")
+        lines.append(f"fill={fill(graph)}")
+    print("\n".join(lines))
     return 0
 
 
 def _cmd_face(ns) -> int:
     pattern = FacePattern(_read_matrix(ns))
+    if ns.centro:
+        counter, supported = count_face_vertices_centro, has_row_support_centro
+    else:
+        counter, supported = count_face_vertices_stochastic, has_row_support_stochastic
     if ns.action == "support":
-        if ns.centro:
-            supported = has_row_support_centro(pattern)
-        else:
-            supported = has_row_support_stochastic(pattern)
-        if ns.json:
-            _print_json({"row_support": supported})
-        else:
-            print(f"row_support={_bool_word(supported)}")
-        return 0
+        return _print_report({"row_support": supported(pattern)}, ns.json)
     if ns.action == "count":
-        if ns.centro:
-            count = count_face_vertices_centro(pattern)
-        else:
-            count = count_face_vertices_stochastic(pattern)
+        count = counter(pattern)
         text = _text(count)
         if ns.json:
             _print_json({"count": count})
@@ -364,10 +360,7 @@ def run_command(argv) -> int:
         return code if isinstance(code, int) else 2
     try:
         return ns.handler(ns)
-    except SmxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (SmxError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CentrostochError as exc:

@@ -93,6 +93,13 @@ def _to_rational(value) -> Fraction:
     return Fraction(value)
 
 
+def _as_int(value) -> int:
+    # an index or a count: like entries, floats and bools are refused, not rounded
+    if isinstance(value, bool):
+        raise TypeError("bool is not allowed as an index or a count; pass an int")
+    return operator.index(value)
+
+
 class Matrix:
     """Immutable dense m x n matrix over the rationals.
 
@@ -291,11 +298,8 @@ class RectPermMatrix:
     __slots__ = ("nrows", "ncols", "row_to_col")
 
     def __init__(self, row_to_col: Sequence[int], ncols: int) -> None:
-        cols = tuple(row_to_col)
-        # like Matrix entries, float and bool columns are refused, not rounded
-        if any(isinstance(c, bool) for c in cols):
-            raise TypeError("bool columns are not allowed; pass ints")
-        cols = tuple(map(operator.index, cols))
+        cols = tuple(map(_as_int, row_to_col))
+        ncols = _as_int(ncols)
         if not cols:
             raise ShapeError("a matrix needs at least one row")
         if ncols < 1:

@@ -188,25 +188,15 @@ def is_extreme_oracle(a: Matrix, centro: bool = False) -> bool:
         raise NotCentrosymmetricError("oracle input must be centrosymmetric")
     m, n = a.shape
     support = sorted(a.support())
-    index = {pos: k for k, pos in enumerate(support)}
-    nvars = len(support)
-    rows: list[list[Fraction]] = []
-    for i in range(1, m + 1):
-        row = [Fraction(0)] * nvars
-        hit = False
-        for j in range(1, n + 1):
-            k = index.get((i, j))
-            if k is not None:
-                row[k] = Fraction(1)
-                hit = True
-        if hit:
-            rows.append(row)
+    one, zero = Fraction(1), Fraction(0)
+    # one zero-row-sum constraint per row (is_stochastic leaves none empty)
+    rows = [[one if r == i else zero for r, _ in support] for i in range(1, m + 1)]
     if centro:
-        for (i, j), k in index.items():
-            mirror = (m + 1 - i, n + 1 - j)
-            if (i, j) < mirror:
-                row = [Fraction(0)] * nvars
-                row[k] = Fraction(1)
-                row[index[mirror]] = Fraction(-1)
+        index = {pos: k for k, pos in enumerate(support)}
+        for k, (i, j) in enumerate(support):
+            mirror = index[(m + 1 - i, n + 1 - j)]
+            if k < mirror:
+                row = [zero] * len(support)
+                row[k], row[mirror] = one, -one
                 rows.append(row)
-    return _rank(rows) == nvars
+    return _rank(rows) == len(support)

@@ -5,11 +5,15 @@ s1..sn, and an edge (i, j) per nonzero entry. Extremality of stochastic and
 centrosymmetric stochastic matrices can be read off this graph alone; the
 predicates here do exactly that and never consult the matrix-shape tests in
 `extremes`, so the two routes stay independently checkable.
+
+Internally the vertices are numbered 0..m+n-1: row i is i - 1 and column j
+is m + j - 1. One sweep walks each component once. A graph is a forest iff
+its edge count equals its vertex count less its component count.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter
 from fractions import Fraction
 from typing import Iterable
 
@@ -19,6 +23,7 @@ from centrostoch.core import (
     NotForestError,
     NotStochasticError,
     ShapeError,
+    _as_int,
     is_centrosymmetric,
     is_stochastic,
 )
@@ -42,12 +47,12 @@ class BipartiteGraph:
 
     __slots__ = ("row_count", "col_count", "edges")
 
-    def __init__(
-        self, row_count: int, col_count: int, edges: Iterable[tuple[int, int]]
-    ) -> None:
+    def __init__(self, row_count: int, col_count: int, edges: Iterable[tuple[int, int]]) -> None:
+        # like RectPermMatrix, float and bool counts and ends are refused
+        row_count, col_count = _as_int(row_count), _as_int(col_count)
         if row_count < 1 or col_count < 1:
             raise ShapeError("a bipartite graph needs both vertex classes nonempty")
-        edge_set = frozenset((int(i), int(j)) for i, j in edges)
+        edge_set = frozenset((_as_int(i), _as_int(j)) for i, j in edges)
         for i, j in edge_set:
             if not (1 <= i <= row_count and 1 <= j <= col_count):
                 raise ShapeError(f"edge ({i}, {j}) outside {row_count} x {col_count}")
@@ -74,20 +79,14 @@ class BipartiteGraph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, BipartiteGraph):
             return NotImplemented
-        return (
-            self.row_count == other.row_count
-            and self.col_count == other.col_count
-            and self.edges == other.edges
-        )
+        return (self.row_count, self.col_count, self.edges) == (
+            other.row_count, other.col_count, other.edges)
 
     def __hash__(self) -> int:
         return hash((self.row_count, self.col_count, self.edges))
 
     def __repr__(self) -> str:
-        return (
-            f"BipartiteGraph({self.row_count}, {self.col_count}, "
-            f"{list(self.sorted_edges())})"
-        )
+        return f"BipartiteGraph({self.row_count}, {self.col_count}, {list(self.sorted_edges())})"
 
 
 def bipartite_of(a: Matrix) -> BipartiteGraph:
@@ -95,52 +94,47 @@ def bipartite_of(a: Matrix) -> BipartiteGraph:
     return BipartiteGraph(a.nrows, a.ncols, a.support())
 
 
-def _adjacency(g: BipartiteGraph) -> dict[tuple[str, int], list[tuple[str, int]]]:
-    adj: dict[tuple[str, int], list[tuple[str, int]]] = {}
-    for i in range(1, g.row_count + 1):
-        adj[("r", i)] = []
-    for j in range(1, g.col_count + 1):
-        adj[("s", j)] = []
-    for i, j in g.sorted_edges():
-        adj[("r", i)].append(("s", j))
-        adj[("s", j)].append(("r", i))
+def _adjacency(g: BipartiteGraph) -> list[list[int]]:
+    # neighbour lists in the integer numbering of the module docstring
+    m = g.row_count
+    adj: list[list[int]] = [[] for _ in range(m + g.col_count)]
+    for i, j in g.edges:
+        adj[i - 1].append(m + j - 1)
+        adj[m + j - 1].append(i - 1)
     return adj
+
+
+def _farthest(adj, start):
+    # BFS from start: a farthest vertex of its component, that distance, and
+    # every reached vertex's distance (BFS reaches them in distance order)
+    seen = {start: 0}
+    queue = [start]
+    for v in queue:
+        for w in adj[v]:
+            if w not in seen:
+                seen[w] = seen[v] + 1
+                queue.append(w)
+    return queue[-1], seen[queue[-1]], seen
+
+
+def _sweep(g: BipartiteGraph) -> tuple[bool, int]:
+    # (whether g is a forest, the largest second-sweep distance): each
+    # component is swept from any vertex, then from the farthest vertex
+    # found; on a tree the second distance is the diameter exactly
+    adj = _adjacency(g)
+    unseen = set(range(len(adj)))
+    components = longest = 0
+    while unseen:
+        end, _, reached = _farthest(adj, unseen.pop())
+        unseen -= reached.keys()
+        components += 1
+        longest = max(longest, _farthest(adj, end)[1])
+    return len(g.edges) == len(adj) - components, longest
 
 
 def is_forest(g: BipartiteGraph) -> bool:
     """True iff the graph has no cycle."""
-    parent: dict[tuple[str, int], tuple[str, int]] = {}
-
-    def find(v):
-        root = v
-        while parent.get(root, root) != root:
-            root = parent[root]
-        while parent.get(v, v) != v:
-            parent[v], v = root, parent[v]
-        return root
-
-    for i, j in g.edges:
-        a, b = find(("r", i)), find(("s", j))
-        if a == b:
-            return False
-        parent[a] = b
-    return True
-
-
-def _farthest(adj, start):
-    # BFS distance to the farthest vertex of start's component
-    seen = {start: 0}
-    queue = deque([start])
-    far_vertex, far_dist = start, 0
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if w not in seen:
-                seen[w] = seen[v] + 1
-                if seen[w] > far_dist:
-                    far_vertex, far_dist = w, seen[w]
-                queue.append(w)
-    return far_vertex, far_dist, seen
+    return _sweep(g)[0]
 
 
 def longest_path(g: BipartiteGraph) -> int:
@@ -149,18 +143,10 @@ def longest_path(g: BipartiteGraph) -> int:
     Within each tree component two sweeps find the diameter exactly. Raises
     NotForestError on cyclic input, where the sweep argument breaks down.
     """
-    if not is_forest(g):
+    forest, longest = _sweep(g)
+    if not forest:
         raise NotForestError("longest_path needs a forest")
-    adj = _adjacency(g)
-    remaining = set(adj)
-    best = 0
-    while remaining:
-        start = remaining.pop()
-        end, _, seen = _farthest(adj, start)
-        _, diameter, _ = _farthest(adj, end)
-        best = max(best, diameter)
-        remaining -= seen.keys()
-    return best
+    return longest
 
 
 def fill(g: BipartiteGraph) -> Fraction:
@@ -168,11 +154,16 @@ def fill(g: BipartiteGraph) -> Fraction:
     return Fraction(len(g.edges), g.row_count * g.col_count)
 
 
-def _degrees(g: BipartiteGraph) -> list[int]:
-    counts = [0] * g.row_count
-    for i, _ in g.edges:
-        counts[i - 1] += 1
-    return counts
+def _extreme_via_graph(a: Matrix, center: int | None = None) -> bool:
+    # every row vertex has degree 1, except that row `center` may have
+    # degree 2, and the graph is a forest (the paper's statement; the degree
+    # rule already excludes cycles, which pass two rows of degree >= 2)
+    g = bipartite_of(a)
+    degrees = Counter(i for i, _ in g.edges)
+    return all(
+        degrees[i] == 1 or (i == center and degrees[i] == 2)
+        for i in range(1, g.row_count + 1)
+    ) and is_forest(g)
 
 
 def is_extreme_stochastic_via_graph(a: Matrix) -> bool:
@@ -184,8 +175,7 @@ def is_extreme_stochastic_via_graph(a: Matrix) -> bool:
     """
     if not is_stochastic(a):
         raise NotStochasticError("graph test input must be row-stochastic")
-    g = bipartite_of(a)
-    return all(d == 1 for d in _degrees(g)) and is_forest(g)
+    return _extreme_via_graph(a)
 
 
 def is_extreme_centro_via_graph(a: Matrix) -> bool:
@@ -201,16 +191,5 @@ def is_extreme_centro_via_graph(a: Matrix) -> bool:
         raise NotStochasticError("graph test input must be row-stochastic")
     if not is_centrosymmetric(a):
         raise NotCentrosymmetricError("graph test input must be centrosymmetric")
-    g = bipartite_of(a)
-    degrees = _degrees(g)
     m = a.nrows
-    if m % 2 == 0:
-        return all(d == 1 for d in degrees) and is_forest(g)
-    center = m // 2
-    for i, d in enumerate(degrees):
-        if i == center:
-            if d not in (1, 2):
-                return False
-        elif d != 1:
-            return False
-    return is_forest(g)
+    return _extreme_via_graph(a, m // 2 + 1 if m % 2 else None)

@@ -61,3 +61,12 @@ def pattern_or_rotation(pattern):
             for row, rot_row in zip(pattern.entries, rotated.entries)
         ]
     )
+
+
+def uniform_on_pattern(rows):
+    # each row spread evenly over its nonzero positions
+    out = []
+    for row in rows:
+        count = sum(row)
+        out.append([Fraction(1, count) if x else Fraction(0) for x in row])
+    return Matrix(out)

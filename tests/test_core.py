@@ -202,6 +202,12 @@ class TestRectPermMatrix:
         with pytest.raises(TypeError):
             RectPermMatrix(cols, 3)
 
+    @pytest.mark.parametrize("ncols", [2.5, 2.0, True], ids=repr)
+    def test_float_and_bool_ncols_refused(self, ncols):
+        # 2.5 used to construct and fail only in to_matrix; True meant 1
+        with pytest.raises(TypeError):
+            RectPermMatrix([1], ncols)
+
     def test_rotate(self):
         r = RectPermMatrix([1, 1, 2, 4], 4)
         assert r.rotate_pi().row_to_col == (1, 3, 4, 4)

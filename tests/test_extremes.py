@@ -1,5 +1,6 @@
 """Extreme-point predicates, enumerators, and the rank oracle."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ from centrostoch import (
     is_extreme_stochastic,
     is_stochastic,
 )
-from matrixgen import random_centro_stochastic, random_stochastic
+from matrixgen import random_centro_stochastic, random_stochastic, uniform_on_pattern
 
 HALF = H = Fraction(1, 2)
 
@@ -236,3 +237,24 @@ class TestOracle:
             m, n = rng.randint(1, 5), rng.randint(1, 4)
             a = random_stochastic(rng, m, n)
             assert is_extreme_oracle(a) == is_extreme_stochastic(a)
+
+    @pytest.mark.parametrize("m, n", [(2, 3), (3, 2)])
+    def test_agreement_on_every_row_supported_pattern(self, m, n):
+        # uniform on every pattern without an empty row, extreme or not
+        rows = [p for p in itertools.product((0, 1), repeat=n) if any(p)]
+        for pattern in itertools.product(rows, repeat=m):
+            a = uniform_on_pattern(pattern)
+            assert is_extreme_oracle(a) == is_extreme_stochastic(a), pattern
+
+    @pytest.mark.parametrize("m, n", [(3, 3), (4, 3)])
+    def test_agreement_on_every_centro_row_supported_pattern(self, m, n):
+        # the top half is free, the odd-m centre row is its own reversal
+        rows = [p for p in itertools.product((0, 1), repeat=n) if any(p)]
+        middles = [[p] for p in rows if p == p[::-1]] if m % 2 else [[]]
+        for top in itertools.product(rows, repeat=m // 2):
+            for middle in middles:
+                pattern = [*top, *middle, *(row[::-1] for row in reversed(top))]
+                a = uniform_on_pattern(pattern)
+                assert is_centrosymmetric(a)
+                assert is_extreme_oracle(a, centro=True) == is_extreme_centro(a), pattern
+                assert is_extreme_oracle(a) == is_extreme_stochastic(a), pattern

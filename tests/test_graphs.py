@@ -25,7 +25,8 @@ from centrostoch import (
     is_forest,
     longest_path,
 )
-from matrixgen import random_centro_stochastic, random_stochastic
+from graph_reference import reference_is_forest, reference_longest_path
+from matrixgen import random_centro_stochastic, random_stochastic, uniform_on_pattern
 
 HALF = Fraction(1, 2)
 
@@ -57,6 +58,17 @@ class TestBipartiteGraph:
         s = Matrix([[1, 0, 0, 0], [0, "1/2", "1/2", 0], [0, 0, 0, 1]])
         g = bipartite_of(s)
         assert g.sorted_edges() == ((1, 1), (2, 2), (2, 3), (3, 4))
+
+    @pytest.mark.parametrize(
+        "counts, edges",
+        [((2, 2), [(1.9, 1)]), ((2, 2), [(1, 2.0)]), ((2, 2), [(True, 1)]),
+         ((2.5, 2), [(1, 1)]), ((2, 2.0), []), ((True, 2), [(1, 1)])],
+        ids=repr,
+    )
+    def test_float_and_bool_refused(self, counts, edges):
+        # refused, not rounded: (1.9, 1) used to become the edge (1, 1)
+        with pytest.raises(TypeError):
+            BipartiteGraph(*counts, edges)
 
     def test_worked_column_pair_matrix(self):
         mat = basis_centro_odd(5, 4)[-1]
@@ -102,6 +114,25 @@ class TestLongestPath:
             longest_path(g)
 
 
+class TestAgainstReference:
+    @pytest.mark.parametrize(
+        "m, n", list(itertools.product(range(1, 4), repeat=2)), ids=str
+    )
+    def test_every_edge_set(self, m, n):
+        # every graph of the shape: the component count against the
+        # union-find, and the two sweeps against every simple path
+        cells = list(itertools.product(range(1, m + 1), range(1, n + 1)))
+        for mask in range(1 << len(cells)):
+            g = BipartiteGraph(m, n, [c for k, c in enumerate(cells) if mask >> k & 1])
+            forest = reference_is_forest(g)
+            assert is_forest(g) == forest, g
+            if forest:
+                assert longest_path(g) == reference_longest_path(g), g
+            else:
+                with pytest.raises(NotForestError):
+                    longest_path(g)
+
+
 class TestFill:
     def test_exact_ratio(self):
         g = BipartiteGraph(3, 4, [(1, 1), (2, 2)])
@@ -112,14 +143,6 @@ class TestFill:
 
     def test_worked_matrix(self):
         assert fill(bipartite_of(basis_centro_odd(5, 4)[-1])) == Fraction(3, 10)
-
-
-def uniform_on_pattern(rows):
-    out = []
-    for row in rows:
-        count = sum(row)
-        out.append([Fraction(1, count) if x else Fraction(0) for x in row])
-    return Matrix(out)
 
 
 class TestGraphPredicates:

@@ -1,7 +1,9 @@
-"""The package surface is the union of the modules' __all__ lists, and the
-package imports nothing outside the standard library."""
+"""The package surface is the union of the modules' __all__ lists, the
+package imports nothing outside the standard library, and every name the
+benchmark's tracer wraps still exists."""
 
 import ast
+import importlib
 import sys
 from collections import Counter
 from pathlib import Path
@@ -54,3 +56,25 @@ def test_imports_only_the_standard_library(path):
             imported.add(node.module)
     tops = {name.partition(".")[0] for name in imported}
     assert tops <= sys.stdlib_module_names | {"centrostoch"}
+
+
+def test_benchmark_trace_sites_exist(monkeypatch):
+    # perfbench/spans.py wraps functions by the module attribute each caller
+    # reads them through (cli.fill, decompose.is_stochastic, ...); a renamed
+    # or dropped attribute would otherwise show only in perfbench's own suite
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    sys.modules.pop("spans", None)
+    try:
+        spans = importlib.import_module("spans")
+    finally:
+        sys.modules.pop("spans", None)
+    sites = [site for sites in spans.CALLS.values() for site in sites]
+    sites += [(owner, attr) for sites in spans.LAZY.values() for owner, attr, _ in sites]
+    originals = [getattr(owner, attr) for owner, attr in sites]
+    recorder = spans.Recorder()
+    recorder.install()
+    try:
+        assert all(getattr(owner, attr) is not fn for (owner, attr), fn in zip(sites, originals))
+    finally:
+        recorder.uninstall()
+    assert [getattr(owner, attr) for owner, attr in sites] == originals
