@@ -36,6 +36,7 @@ from centrostoch.extremes import (
 )
 from centrostoch.faces import (
     FacePattern,
+    _choice_sizes,
     count_face_vertices_centro,
     count_face_vertices_stochastic,
     enumerate_face_vertices,
@@ -52,6 +53,9 @@ def _bool_word(value: bool) -> str:
     return "true" if value else "false"
 
 
+_TOO_LONG = "the result has a number too long to print"
+
+
 def _text(value, render=str):
     """render(value): the printed text of a number or of a matrix's entries.
 
@@ -63,7 +67,23 @@ def _text(value, render=str):
     try:
         return render(value)
     except ValueError:
-        raise CentrostochError("the result has a number too long to print") from None
+        raise CentrostochError(_TOO_LONG) from None
+
+
+def _refuse_long_product(factors: list[int]) -> None:
+    """Refuse as `_text` would, before multiplying, a product of positive
+    ints that provably has more digits than str() converts.
+
+    Each factor f is at least 2^(bit length - 1), and 2^L has at least
+    floor(L * 0.30102) + 1 decimal digits. Products this bound cannot place
+    beyond the limit are left to be built and given to `_text`, so exactly
+    the same products are refused, the huge ones without a quadratic-time
+    multiplication.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    bits = sum(f.bit_length() - 1 for f in factors)
+    if limit and bits * 30102 // 100000 + 1 > limit:
+        raise CentrostochError(_TOO_LONG)
 
 
 def _matrix_lines(mat: Matrix) -> list[str]:
@@ -84,13 +104,30 @@ def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2))
 
 
+class _UnitRows(dict):
+    """column -> the rendered unit row of length n with its 1 there (JSON
+    cells, or a text line), built on first use. Every cell of a matrix of
+    unit rows is "0" or "1", so its columns are all one character wide and
+    each row renders the same whatever rows surround it."""
+
+    def __init__(self, n: int, as_json: bool) -> None:
+        super().__init__()
+        self.n, self.as_json = n, as_json
+
+    def __missing__(self, c: int):
+        cells = ["0"] * self.n
+        cells[c - 1] = "1"
+        row = self[c] = cells if self.as_json else " ".join(cells)
+        return row
+
+
 def _print_blocks(blocks, tail: str | None = None) -> None:
-    # blocks are (matrix, header suffix): "[k]<suffix>" and the aligned
-    # matrix, with a blank line between consecutive blocks and before the
-    # tail line; all of it is rendered before any is written, so a failure
-    # leaves stdout empty
-    chunks = ["\n".join([f"[{k}]{suffix}", *_matrix_lines(mat)])
-              for k, (mat, suffix) in enumerate(blocks, 1)]
+    # blocks are (matrix lines, header suffix): "[k]<suffix>" and the lines,
+    # with a blank line between consecutive blocks and before the tail line;
+    # all of it is rendered before any is written, so a failure leaves
+    # stdout empty
+    chunks = ["\n".join([f"[{k}]{suffix}", *lines])
+              for k, (lines, suffix) in enumerate(blocks, 1)]
     if tail is not None:
         chunks.append(tail)
     print("\n\n".join(chunks))
@@ -111,7 +148,7 @@ def _print_listing(mats: list[Matrix], as_json: bool) -> int:
     if as_json:
         _print_json({"count": len(mats), "matrices": [_matrix_json(m) for m in mats]})
     else:
-        _print_blocks(((mat, "") for mat in mats), f"count={len(mats)}")
+        _print_blocks(((_matrix_lines(mat), "") for mat in mats), f"count={len(mats)}")
     return 0
 
 
@@ -146,17 +183,22 @@ def _cmd_check(ns) -> int:
 def _cmd_decompose(ns) -> int:
     mat = _read_matrix(ns)
     comb = decompose_centrosymmetric(mat) if ns.centro else decompose_stochastic(mat)
+    # a term of unit rows comes as its column tuple and is rendered from
+    # cached rows; a centre row's 1/2 cells widen their columns, so a term
+    # with one comes as a Matrix and takes the generic path
+    units = _UnitRows(mat.ncols, ns.json)
+    generic = _matrix_json if ns.json else _matrix_lines
+
+    def render(term) -> list:
+        return generic(term) if isinstance(term, Matrix) else [units[c] for c in term]
+
+    terms = comb._unit_terms()
     if ns.json:
         _print_json(
-            {
-                "terms": [
-                    {"coefficient": _text(c), "matrix": _matrix_json(term)}
-                    for c, term in comb
-                ]
-            }
+            {"terms": [{"coefficient": _text(c), "matrix": render(term)} for c, term in terms]}
         )
         return 0
-    _print_blocks((term, f" coefficient={_text(coeff)}") for coeff, term in comb)
+    _print_blocks((render(term), f" coefficient={_text(c)}") for c, term in terms)
     return 0
 
 
@@ -197,7 +239,7 @@ def _cmd_basis(ns) -> int:
         _print_json(payload)
         return 0
     tail = f"rank={rank} independent={_bool_word(independent)}" if ns.verify else None
-    _print_blocks(((mat, "") for mat in family), tail)
+    _print_blocks(((_matrix_lines(mat), "") for mat in family), tail)
     return 0
 
 
@@ -248,6 +290,7 @@ def _cmd_face(ns) -> int:
     if ns.action == "support":
         return _print_report({"row_support": supported(pattern)}, ns.json)
     if ns.action == "count":
+        _refuse_long_product(_choice_sizes(pattern, ns.centro))
         count = counter(pattern)
         text = _text(count)
         if ns.json:

@@ -9,13 +9,18 @@ to hash, reuse and share.
 Positions are 1-based in the public API (`at(i, j)`, supports, graph edges),
 matching the usual combinatorial conventions for these objects. Internal
 storage is ordinary 0-based tuples.
+
+Extreme points travel as column tuples. A convex combination keys each term
+that is an extreme point by its vertex (column tuple, column count and
+canonical centre column), merges and recombines on those keys, and builds
+the dense Matrix of a term only when the terms are iterated.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
@@ -266,6 +271,53 @@ def _mirrored(top: Sequence[int], n: int) -> tuple[int, ...]:
     return tuple(top) + _rotated(top, n)
 
 
+class _Vertex(NamedTuple):
+    """The key of the extreme point `_unit_matrix(cols, ncols, center)`.
+
+    Built by `_vertex` or `_vertex_of`, which keep `center` canonical, so
+    two keys are equal exactly when their matrices are.
+    """
+
+    cols: tuple[int, ...]
+    ncols: int
+    center: int | None
+
+
+def _vertex(cols: Sequence[int], n: int, center: int | None = None) -> _Vertex:
+    """Canonical key of `_unit_matrix(cols, n, center)`.
+
+    Centre columns j and n+1-j give the same centre row, so the key keeps
+    the smaller; the middle column's centre row is a unit row, so it joins
+    the column tuple instead.
+    """
+    cols = tuple(cols)
+    if center is not None:
+        center = min(center, n + 1 - center)
+        if center == n + 1 - center:
+            half = len(cols) // 2
+            cols, center = cols[:half] + (center,) + cols[half:], None
+    return _Vertex(cols, n, center)
+
+
+def _vertex_of(a: Matrix) -> _Vertex | None:
+    """The key of `a` when it is a matrix `_unit_matrix` builds, else None."""
+    cols = [_unit_column(row) for row in a.entries]
+    if None not in cols:
+        return _Vertex(tuple(cols), a.ncols, None)
+    half = a.nrows // 2
+    row = a.entries[half]
+    if a.nrows % 2 and cols.count(None) == 1 and cols[half] is None and _HALF in row:
+        j = row.index(_HALF) + 1
+        if row == _center_row(a.ncols, j):
+            return _Vertex(tuple(cols[:half] + cols[half + 1 :]), a.ncols, j)
+    return None
+
+
+def _dense(key: _Vertex | Matrix) -> Matrix:
+    """The Matrix of a merge key: a vertex's `_unit_matrix`, or the Matrix itself."""
+    return key if isinstance(key, Matrix) else _unit_matrix(*key)
+
+
 def is_stochastic(a: Matrix) -> bool:
     """True iff every entry is nonnegative and every row sums to exactly 1."""
     for row in a.entries:
@@ -358,48 +410,99 @@ class ConvexCombination:
     matrices by adding their coefficients (first occurrence fixes the order),
     then requires every merged coefficient to lie in (0, 1] and the total to
     be exactly 1.
+
+    A term that is an extreme point, whether given as a Matrix or (by the
+    decompositions) as its vertex, is keyed by its vertex: merging hashes a
+    few ints instead of every entry, and `combine()` adds each coefficient
+    into one cell per row. The dense matrices are built once, on the first
+    access to `terms` or the first iteration.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("_coeffs", "_keys", "_shape", "_terms")
 
     def __init__(self, terms: Iterable[tuple]) -> None:
-        merged: dict[Matrix, Fraction] = {}
-        for coeff, mat in terms:
-            if not isinstance(mat, Matrix):
+        merged: dict[_Vertex | Matrix, Fraction] = {}
+        for coeff, term in terms:
+            if type(term) is _Vertex:
+                key = term
+            elif isinstance(term, Matrix):
+                key = _vertex_of(term) or term
+            else:
                 raise TypeError("terms must pair a coefficient with a Matrix")
-            merged[mat] = merged.get(mat, Fraction(0)) + _to_rational(coeff)
+            merged[key] = merged.get(key, 0) + _to_rational(coeff)
         if not merged:
             raise ShapeError("a convex combination needs at least one term")
-        shapes = {mat.shape for mat in merged}
+        shapes = {
+            key.shape if isinstance(key, Matrix)
+            else (len(key.cols) + (key.center is not None), key.ncols)
+            for key in merged
+        }
         if len(shapes) != 1:
             raise ShapeError(f"terms mix shapes: {sorted(shapes)}")
         total = Fraction(0)
-        for mat, coeff in merged.items():
+        for coeff in merged.values():
             if not 0 < coeff <= 1:
                 raise ValueError(f"coefficient {coeff} outside (0, 1]")
             total += coeff
         if total != 1:
             raise ValueError(f"coefficients sum to {total}, not 1")
-        object.__setattr__(
-            self, "terms", tuple((coeff, mat) for mat, coeff in merged.items())
-        )
+        object.__setattr__(self, "_keys", tuple(merged))
+        object.__setattr__(self, "_shape", shapes.pop())
+        object.__setattr__(self, "_coeffs", tuple(merged.values()))
+        object.__setattr__(self, "_terms", None)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("ConvexCombination is immutable")
 
+    @property
+    def terms(self) -> tuple[tuple[Fraction, Matrix], ...]:
+        """The merged (coefficient, Matrix) pairs, in first-occurrence order."""
+        if self._terms is None:
+            object.__setattr__(
+                self, "_terms", tuple(zip(self._coeffs, map(_dense, self._keys)))
+            )
+        return self._terms
+
+    def _unit_terms(self) -> Iterator[tuple[Fraction, tuple[int, ...] | Matrix]]:
+        """(coefficient, term) pairs in order, without building the matrices
+        of unit rows only: such a term comes as its column tuple, any other
+        (one with a centre row, or not extreme) as its Matrix."""
+        for coeff, key in zip(self._coeffs, self._keys):
+            unit = type(key) is _Vertex and key.center is None
+            yield coeff, key.cols if unit else _dense(key)
+
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self._keys)
 
     def __iter__(self) -> Iterator[tuple[Fraction, Matrix]]:
         return iter(self.terms)
 
     def combine(self) -> Matrix:
-        """Evaluate the combination exactly."""
-        coeff, mat = self.terms[0]
-        acc = mat * coeff
-        for coeff, mat in self.terms[1:]:
-            acc = acc + mat * coeff
-        return acc
+        """Evaluate the combination exactly.
+
+        A vertex adds its coefficient to one cell per row (half of it to
+        each of a centre row's two cells); any other term adds its scaled
+        nonzero entries.
+        """
+        m, n = self._shape
+        acc = [[Fraction(0)] * n for _ in range(m)]
+        for coeff, key in zip(self._coeffs, self._keys):
+            if isinstance(key, Matrix):
+                for row, entries in zip(acc, key.entries):
+                    for j, x in enumerate(entries):
+                        if x:
+                            row[j] += coeff * x
+                continue
+            rows = acc
+            if key.center is not None:
+                half = m // 2
+                rows = acc[:half] + acc[half + 1 :]
+                share = coeff * _HALF
+                acc[half][key.center - 1] += share
+                acc[half][n - key.center] += share
+            for row, c in zip(rows, key.cols):
+                row[c - 1] += coeff
+        return Matrix(acc)
 
     def __repr__(self) -> str:
         inner = ", ".join(f"({c}, {m!r})" for c, m in self.terms)

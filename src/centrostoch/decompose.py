@@ -14,6 +14,7 @@ renormalise), because a marked entry stays the smallest of its row until it
 is used up. Everything else in the module is bookkeeping on the column
 tuples: pairing terms with their half-turn rotations for the
 centrosymmetric polytope, and splitting the pairs that are not yet extreme.
+The terms reach `ConvexCombination` as vertices, never as dense matrices.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from centrostoch.core import (
     SplitError,
     _mirrored,
     _rotated,
-    _unit_matrix,
+    _vertex,
+    _Vertex,
     is_centrosymmetric,
     is_stochastic,
 )
@@ -81,7 +83,7 @@ def decompose_stochastic(a: Matrix) -> ConvexCombination:
     """
     if not is_stochastic(a):
         raise NotStochasticError("decomposition input must be row-stochastic")
-    return ConvexCombination((c, _unit_matrix(cols, a.ncols)) for c, cols in _greedy_terms(a))
+    return ConvexCombination((c, _vertex(cols, a.ncols)) for c, cols in _greedy_terms(a))
 
 
 def _check_centro_stochastic(a: Matrix) -> None:
@@ -127,7 +129,7 @@ def decompose_centrosymmetric(a: Matrix) -> ConvexCombination:
     _check_centro_stochastic(a)
     m, n = a.shape
     half = m // 2
-    terms: list[tuple[Fraction, Matrix]] = []
+    terms: list[tuple[Fraction, _Vertex]] = []
     for coeff, cols in _greedy_terms(a):
         center = cols[half] if m % 2 else None
         trimmed = cols[:half] + cols[m - half :]
@@ -136,5 +138,5 @@ def decompose_centrosymmetric(a: Matrix) -> ConvexCombination:
             if trimmed == _rotated(trimmed, n)
             else [q.row_to_col for q in split_noncentrosymmetric(RectPermMatrix(trimmed, n))]
         )
-        terms.extend((coeff / len(pair), _unit_matrix(q, n, center)) for q in pair)
+        terms.extend((coeff / len(pair), _vertex(q, n, center)) for q in pair)
     return ConvexCombination(terms)

@@ -85,11 +85,17 @@ def has_row_support_centro(pattern) -> bool:
     return all(1 in row for row in b.meet(b.rotate_pi()).entries)
 
 
+def _choice_sizes(pattern, centro: bool) -> list[int]:
+    """The sizes of the face's per-row column choices, whose product is its
+    vertex count; raises the counters' errors."""
+    b = _coerce(pattern)
+    return [len(choice) for choice in _column_choices(*b.shape, b, centro=centro)]
+
+
 def count_face_vertices_stochastic(pattern) -> int:
     """Number of extreme points supported inside the pattern: the product
     of its row sums. Raises NoRowSupportError when some row is all zero."""
-    b = _coerce(pattern)
-    return prod(map(len, _column_choices(*b.shape, b, centro=False)))
+    return prod(_choice_sizes(pattern, centro=False))
 
 
 def count_face_vertices_centro(pattern) -> int:
@@ -101,8 +107,7 @@ def count_face_vertices_centro(pattern) -> int:
     row sums, times ceil(c / 2) for the center row sum c when the row count
     is odd. Raises NotCentrosymmetricError / NoRowSupportError.
     """
-    b = _coerce(pattern)
-    return prod(map(len, _column_choices(*b.shape, b, centro=True)))
+    return prod(_choice_sizes(pattern, centro=True))
 
 
 def enumerate_face_vertices(

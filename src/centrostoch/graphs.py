@@ -67,11 +67,13 @@ class BipartiteGraph:
         return tuple(sorted(self.edges))
 
     def row_degree(self, i: int) -> int:
+        i = _as_int(i)
         if not 1 <= i <= self.row_count:
             raise IndexError(f"row vertex {i} outside 1..{self.row_count}")
         return sum(1 for r, _ in self.edges if r == i)
 
     def col_degree(self, j: int) -> int:
+        j = _as_int(j)
         if not 1 <= j <= self.col_count:
             raise IndexError(f"column vertex {j} outside 1..{self.col_count}")
         return sum(1 for _, c in self.edges if c == j)

@@ -2,13 +2,21 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from centrostoch import Matrix, parse_matrix
+from centrostoch import (
+    Matrix,
+    decompose_centrosymmetric,
+    decompose_stochastic,
+    format_matrix,
+    parse_matrix,
+)
+from matrixgen import random_centro_stochastic, random_stochastic
 
 S_TEXT = "3 4\n1 0 0 0\n0 1/2 1/2 0\n0 0 0 1\n"
 ALL_ONES_3 = "3 3\n1 1 1\n1 1 1\n1 1 1\n"
@@ -194,6 +202,45 @@ class TestDecompose:
         assert code == 1
         assert err == "error: the result has a number too long to print\n"
         assert out == ""
+
+
+def reference_decompose_output(comb, as_json):
+    # every term through the generic cell path: str() of each entry, and
+    # each column as wide as its widest cell
+    if as_json:
+        terms = [
+            {"coefficient": str(c), "matrix": [[str(x) for x in row] for row in mat.entries]}
+            for c, mat in comb
+        ]
+        return json.dumps({"terms": terms}, indent=2) + "\n"
+    blocks = []
+    for k, (c, mat) in enumerate(comb, 1):
+        cells = [[str(x) for x in row] for row in mat.entries]
+        widths = [max(len(row[j]) for row in cells) for j in range(mat.ncols)]
+        lines = [" ".join(x.rjust(w) for x, w in zip(row, widths)).rstrip() for row in cells]
+        blocks.append("\n".join([f"[{k}] coefficient={c}", *lines]))
+    return "\n\n".join(blocks) + "\n"
+
+
+class TestDecomposeRendering:
+    """The printed terms equal a rendering of the terms' dense matrices."""
+
+    SHAPES = [(1, 1), (1, 2), (1, 5), (2, 1), (2, 2), (3, 1), (3, 3), (3, 4), (4, 3),
+              (4, 6), (5, 2), (5, 5), (6, 7), (7, 6), (9, 8)]
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["plain", "json"])
+    @pytest.mark.parametrize("centro", [False, True], ids=["stochastic", "centro"])
+    def test_equals_the_generic_rendering(self, run_cli, centro, json_flag):
+        rng = random.Random(4099)
+        for m, n in self.SHAPES:
+            for max_weight in (1, 3, 9):
+                make = random_centro_stochastic if centro else random_stochastic
+                a = make(rng, m, n, max_weight)
+                comb = decompose_centrosymmetric(a) if centro else decompose_stochastic(a)
+                argv = ["decompose", *(["--centro"] if centro else []), *json_flag]
+                code, out, err = run_cli(argv, format_matrix(a))
+                assert (code, err) == (0, "")
+                assert out == reference_decompose_output(comb, bool(json_flag)), (m, n)
 
 
 class TestEnumerate:
@@ -388,6 +435,44 @@ class TestFace:
         assert code == 1
         assert "too long to print" in err
         assert out == ""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        # records the patterns whose vertices the CLI counts
+        import centrostoch.cli as cli
+
+        calls = []
+        for name in ("count_face_vertices_stochastic", "count_face_vertices_centro"):
+            counter = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda p, counter=counter: calls.append(p) or counter(p))
+        return calls
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["plain", "json"])
+    @pytest.mark.parametrize("centro", [False, True], ids=["stochastic", "centro"])
+    def test_huge_count_refused_before_it_is_built(self, run_cli, counted, tmp_path, centro,
+                                                   json_flag):
+        # 4^15001, or 4^7500 * 2 for centro: the factors' bit lengths alone
+        # prove more than 4300 digits, so the count is never multiplied out
+        path = tmp_path / "tall.smx"
+        path.write_text("15001 4\n" + "1 1 1 1\n" * 15001)
+        argv = ["face", "count", *(["--centro"] if centro else []), "--input", str(path)]
+        code, out, err = run_cli([*argv, *json_flag])
+        assert (code, out, err) == (1, "", "error: the result has a number too long to print\n")
+        assert counted == []
+
+    @pytest.mark.parametrize("rows, printed", [(9000, True), (9100, False)])
+    def test_count_near_the_limit_is_built_then_judged(self, run_cli, counted, tmp_path, rows,
+                                                       printed):
+        # 3^9000 has 4295 digits and prints; 3^9100 has 4342 and is refused,
+        # though the bit-length bound proves only 2740 for it
+        path = tmp_path / "ones.smx"
+        path.write_text(f"{rows} 3\n" + "1 1 1\n" * rows)
+        code, out, err = run_cli(["face", "count", "--input", str(path)])
+        assert len(counted) == 1
+        if printed:
+            assert (code, out, err) == (0, f"{3**rows}\n", "")
+        else:
+            assert (code, out, err) == (1, "", "error: the result has a number too long to print\n")
 
 
 class TestNormalize:

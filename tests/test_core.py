@@ -18,6 +18,7 @@ from centrostoch import (
     rank_of_family,
     rotate_pi,
 )
+from centrostoch.core import _unit_matrix, _vertex
 
 rationals = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
 
@@ -265,6 +266,71 @@ class TestConvexCombination:
         assert list(comb) == [(Fraction(1), Matrix([[1]]))]
         with pytest.raises(AttributeError):
             comb.terms = ()
+
+
+class TestVertexKeys:
+    """Terms that are extreme points merge and recombine on their vertex."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_mirrored_centre_columns_merge(self, n):
+        cols = (1, n)
+        for j in range(1, n + 1):
+            comb = ConvexCombination(
+                [("1/3", _vertex(cols, n, j)), ("2/3", _vertex(cols, n, n + 1 - j))]
+            )
+            assert len(comb) == 1
+            assert comb.terms == ((Fraction(1), _unit_matrix(cols, n, j)),)
+
+    def test_middle_centre_column_merges_with_unit_rows(self):
+        comb = ConvexCombination([("1/2", _vertex((1, 3), 3, 2)), ("1/2", _vertex((1, 2, 3), 3))])
+        assert len(comb) == 1
+        assert comb.terms == ((Fraction(1), Matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])),)
+
+    @pytest.mark.parametrize("center", [None, 1])
+    def test_matrix_and_vertex_terms_merge_in_first_order(self, center):
+        a, b = _vertex((1, 2), 2, center), _vertex((2, 1), 2, center)
+        comb = ConvexCombination(
+            [("1/8", b), ("1/4", _unit_matrix(*a)), ("1/8", _unit_matrix(*b)), ("1/2", a)]
+        )
+        assert len(comb) == 2
+        assert comb.terms == (
+            (Fraction(1, 4), _unit_matrix(*b)),
+            (Fraction(3, 4), _unit_matrix(*a)),
+        )
+
+    def test_terms_cannot_be_set(self):
+        # before and after the first access builds them
+        comb = ConvexCombination([("1/2", _vertex((1, 2), 2)), ("1/2", _vertex((2, 1), 2))])
+        with pytest.raises(AttributeError):
+            comb.terms = ()
+        assert [c for c, _ in comb] == [Fraction(1, 2)] * 2
+        with pytest.raises(AttributeError):
+            comb.terms = ()
+
+    def test_combine_equals_the_left_fold(self):
+        rng = random.Random(20260819)
+        for _ in range(200):
+            m, n = rng.randint(1, 5), rng.randint(1, 5)
+            terms = []
+            for _ in range(rng.randint(1, 6)):
+                cols = tuple(rng.randint(1, n) for _ in range(m - m % 2))
+                center = rng.randint(1, n) if m % 2 else None
+                vertex = _vertex(cols, n, center)
+                kind = rng.randrange(3)
+                if kind == 0:
+                    term = vertex
+                elif kind == 1:
+                    term = _unit_matrix(*vertex)
+                else:
+                    term = Matrix([[Fraction(rng.randint(0, 3), 3) for _ in range(n)] for _ in range(m)])
+                terms.append((Fraction(rng.randint(1, 9)), term))
+            total = sum(c for c, _ in terms)
+            comb = ConvexCombination([(c / total, term) for c, term in terms])
+            coeff, mat = comb.terms[0]
+            acc = mat * coeff
+            for coeff, mat in comb.terms[1:]:
+                acc = acc + mat * coeff
+            assert comb.combine() == acc
 
 
 class TestRank:

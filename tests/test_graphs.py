@@ -70,6 +70,18 @@ class TestBipartiteGraph:
         with pytest.raises(TypeError):
             BipartiteGraph(*counts, edges)
 
+    @pytest.mark.parametrize(
+        "degree, vertex",
+        [("row_degree", 1.5), ("row_degree", True), ("row_degree", 1.0),
+         ("col_degree", 1.0), ("col_degree", False), ("col_degree", 2.5)],
+        ids=repr,
+    )
+    def test_degree_refuses_float_and_bool(self, degree, vertex):
+        # refused, not looked up: row_degree(True) used to count row 1's edges
+        g = BipartiteGraph(2, 2, [(1, 1), (1, 2)])
+        with pytest.raises(TypeError):
+            getattr(g, degree)(vertex)
+
     def test_worked_column_pair_matrix(self):
         mat = basis_centro_odd(5, 4)[-1]
         g = bipartite_of(mat)
