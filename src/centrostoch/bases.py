@@ -39,19 +39,13 @@ def renumber_position(i: int, j: int, side: int) -> int:
     return value if value else side * side
 
 
-def _cells_by_number(side: int) -> dict[int, tuple[int, int]]:
-    return {
-        renumber_position(i, j, side): (i, j)
-        for i in range(1, side + 1)
-        for j in range(1, side + 1)
-    }
-
-
 def _near_permutation(start: int, side: int) -> list[tuple[int, int]]:
     # the side-1 consecutively numbered cells start, start+1, ... (wrapping
-    # past side^2 back to 1); one row and one column stay empty
-    cells = _cells_by_number(side)
-    return [cells[(start + k - 1) % (side * side) + 1] for k in range(side - 1)]
+    # past side^2 back to 1); one row and one column stay empty. Inverting
+    # renumber_position, the number v with v - 1 = q * side + r is the cell
+    # (r + 1, (r + q) mod side + 1)
+    places = (divmod((start + k - 1) % (side * side), side) for k in range(side - 1))
+    return [(r + 1, (r + q) % side + 1) for q, r in places]
 
 
 def _complete_to_permutation(block: list[tuple[int, int]], side: int) -> tuple[int, ...]:

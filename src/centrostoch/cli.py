@@ -4,6 +4,10 @@ Matrix-reading commands take SMX text from --input FILE or stdin and print
 exact rational results; --json swaps the human layout for a JSON document.
 Exit codes: 0 success, 1 domain error (bad matrix for the requested
 operation), 2 usage or parse error.
+
+Every matrix that `decompose`, `enumerate`, `face vertices` and `basis` list
+is an extreme point, so it is printed from its vertex (`core._Vertex`): each
+row is rendered once per command and shared by every matrix that has it.
 """
 
 from __future__ import annotations
@@ -22,6 +26,9 @@ from centrostoch.core import (
     DEFAULT_ENUMERATION_CAP,
     CentrostochError,
     Matrix,
+    _vertex,
+    _vertex_of,
+    _Vertex,
     is_centrosymmetric,
     is_stochastic,
     rank_of_family,
@@ -49,8 +56,9 @@ from centrostoch.smx import SmxError, format_matrix, parse_matrix
 __all__ = ["build_parser", "run_command", "main"]
 
 
-def _bool_word(value: bool) -> str:
-    return "true" if value else "false"
+def _word(value) -> str:
+    # a printed value, with JSON's spelling of a bool
+    return ("true" if value else "false") if isinstance(value, bool) else str(value)
 
 
 _TOO_LONG = "the result has a number too long to print"
@@ -86,16 +94,6 @@ def _refuse_long_product(factors: list[int]) -> None:
         raise CentrostochError(_TOO_LONG)
 
 
-def _matrix_lines(mat: Matrix) -> list[str]:
-    # the JSON layout's cells, column-aligned; lines carry no trailing blanks
-    cells = _matrix_json(mat)
-    widths = [max(len(row[c]) for row in cells) for c in range(mat.ncols)]
-    return [
-        " ".join(cell.rjust(w) for cell, w in zip(row, widths)).rstrip()
-        for row in cells
-    ]
-
-
 def _matrix_json(mat: Matrix) -> list[list[str]]:
     return _text(mat.entries, lambda rows: [[str(x) for x in row] for row in rows])
 
@@ -104,21 +102,41 @@ def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2))
 
 
-class _UnitRows(dict):
-    """column -> the rendered unit row of length n with its 1 there (JSON
-    cells, or a text line), built on first use. Every cell of a matrix of
-    unit rows is "0" or "1", so its columns are all one character wide and
-    each row renders the same whatever rows surround it."""
+class _Rows(dict):
+    """(column, centre) -> a rendered row of a listed n-column extreme point
+    (JSON cells, or a text line), built on first use.
+
+    A vertex's matrix has a unit row with its 1 in `column` per entry of
+    its column tuple and, when its `centre` is not None, the centre row
+    (`column` None) with 1/2 in columns centre and n+1-centre. In text those
+    two columns are three characters wide in every row of the matrix and
+    the others one, so a row renders the same whatever rows surround it.
+    """
 
     def __init__(self, n: int, as_json: bool) -> None:
         super().__init__()
         self.n, self.as_json = n, as_json
 
-    def __missing__(self, c: int):
+    def __missing__(self, key: tuple[int | None, int | None]):
+        column, centre = key
         cells = ["0"] * self.n
-        cells[c - 1] = "1"
-        row = self[c] = cells if self.as_json else " ".join(cells)
-        return row
+        if column is None:
+            cells[centre - 1] = cells[self.n - centre] = "1/2"
+        else:
+            cells[column - 1] = "1"
+        if not self.as_json:
+            if centre is not None:
+                for k in (centre - 1, self.n - centre):
+                    cells[k] = cells[k].rjust(3)
+            cells = " ".join(cells)
+        self[key] = cells
+        return cells
+
+    def matrix(self, vertex: _Vertex) -> list:
+        rows = [self[c, vertex.center] for c in vertex.cols]
+        if vertex.center is not None:
+            rows.insert(len(rows) // 2, self[None, vertex.center])
+        return rows
 
 
 def _print_blocks(blocks, tail: str | None = None) -> None:
@@ -139,16 +157,21 @@ def _print_report(report: dict, as_json: bool) -> int:
         _print_json(report)
     else:
         for key, value in report.items():
-            print(f"{key}={_bool_word(value)}")
+            print(f"{key}={_word(value)}")
     return 0
 
 
-def _print_listing(mats: list[Matrix], as_json: bool) -> int:
-    # numbered matrices followed by their count, or the JSON equivalent
+def _print_listing(vertices: list[_Vertex], n: int, as_json: bool, footer: dict) -> int:
+    # numbered matrices, then the footer's key=value pairs on one line when
+    # there are any; in JSON the count and the matrices, then the footer (a
+    # count there is the same count and keeps its place)
+    rows = _Rows(n, as_json)
+    mats = [rows.matrix(v) for v in vertices]
     if as_json:
-        _print_json({"count": len(mats), "matrices": [_matrix_json(m) for m in mats]})
+        _print_json({"count": len(mats), "matrices": mats, **footer})
     else:
-        _print_blocks(((_matrix_lines(mat), "") for mat in mats), f"count={len(mats)}")
+        tail = " ".join(f"{key}={_word(value)}" for key, value in footer.items())
+        _print_blocks(((mat, "") for mat in mats), tail or None)
     return 0
 
 
@@ -183,31 +206,22 @@ def _cmd_check(ns) -> int:
 def _cmd_decompose(ns) -> int:
     mat = _read_matrix(ns)
     comb = decompose_centrosymmetric(mat) if ns.centro else decompose_stochastic(mat)
-    # a term of unit rows comes as its column tuple and is rendered from
-    # cached rows; a centre row's 1/2 cells widen their columns, so a term
-    # with one comes as a Matrix and takes the generic path
-    units = _UnitRows(mat.ncols, ns.json)
-    generic = _matrix_json if ns.json else _matrix_lines
-
-    def render(term) -> list:
-        return generic(term) if isinstance(term, Matrix) else [units[c] for c in term]
-
-    terms = comb._unit_terms()
+    rows = _Rows(mat.ncols, ns.json)
+    terms = [(_text(c), rows.matrix(v)) for c, v in comb._vertex_terms()]
     if ns.json:
-        _print_json(
-            {"terms": [{"coefficient": _text(c), "matrix": render(term)} for c, term in terms]}
-        )
-        return 0
-    _print_blocks((render(term), f" coefficient={_text(c)}") for c, term in terms)
+        _print_json({"terms": [{"coefficient": c, "matrix": mat} for c, mat in terms]})
+    else:
+        _print_blocks((mat, f" coefficient={c}") for c, mat in terms)
     return 0
 
 
 def _cmd_enumerate(ns) -> int:
     if ns.centro:
-        mats = list(enumerate_extreme_centro(ns.m, ns.n, cap=ns.cap))
+        vertices = list(map(_vertex_of, enumerate_extreme_centro(ns.m, ns.n, cap=ns.cap)))
     else:
-        mats = [r.to_matrix() for r in enumerate_extreme_stochastic(ns.m, ns.n, cap=ns.cap)]
-    return _print_listing(mats, ns.json)
+        plain = enumerate_extreme_stochastic(ns.m, ns.n, cap=ns.cap)
+        vertices = [_vertex(r.row_to_col, ns.n) for r in plain]
+    return _print_listing(vertices, ns.n, ns.json, {"count": len(vertices)})
 
 
 def _cmd_basis(ns) -> int:
@@ -224,23 +238,11 @@ def _cmd_basis(ns) -> int:
             "centro-odd": basis_centro_odd,
         }[ns.set]
         family = builder(ns.m, ns.n)
-    rank = independent = None
+    footer = {}
     if ns.verify:
         rank = rank_of_family(family)
-        independent = rank == len(family)
-    if ns.json:
-        payload = {
-            "count": len(family),
-            "matrices": [_matrix_json(m) for m in family],
-        }
-        if ns.verify:
-            payload["rank"] = rank
-            payload["independent"] = independent
-        _print_json(payload)
-        return 0
-    tail = f"rank={rank} independent={_bool_word(independent)}" if ns.verify else None
-    _print_blocks(((_matrix_lines(mat), "") for mat in family), tail)
-    return 0
+        footer = {"rank": rank, "independent": rank == len(family)}
+    return _print_listing(list(map(_vertex_of, family)), ns.n, ns.json, footer)
 
 
 def _dot_document(graph: BipartiteGraph) -> str:
@@ -298,8 +300,9 @@ def _cmd_face(ns) -> int:
         else:
             print(text)
         return 0
-    mats = list(enumerate_face_vertices(pattern, centro=ns.centro, cap=ns.cap))
-    return _print_listing(mats, ns.json)
+    mats = enumerate_face_vertices(pattern, centro=ns.centro, cap=ns.cap)
+    vertices = list(map(_vertex_of, mats))
+    return _print_listing(vertices, pattern.ncols, ns.json, {"count": len(vertices)})
 
 
 def _cmd_normalize(ns) -> int:

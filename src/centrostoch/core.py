@@ -13,7 +13,10 @@ storage is ordinary 0-based tuples.
 Extreme points travel as column tuples. A convex combination keys each term
 that is an extreme point by its vertex (column tuple, column count and
 canonical centre column), merges and recombines on those keys, and builds
-the dense Matrix of a term only when the terms are iterated.
+the dense Matrix of a term only when the terms are iterated. `_vertex_of`
+reads the vertex back off a Matrix; it is the one statement of what an
+extreme point looks like, and the extremality predicates and the CLI both
+read it.
 """
 
 from __future__ import annotations
@@ -463,13 +466,11 @@ class ConvexCombination:
             )
         return self._terms
 
-    def _unit_terms(self) -> Iterator[tuple[Fraction, tuple[int, ...] | Matrix]]:
-        """(coefficient, term) pairs in order, without building the matrices
-        of unit rows only: such a term comes as its column tuple, any other
-        (one with a centre row, or not extreme) as its Matrix."""
-        for coeff, key in zip(self._coeffs, self._keys):
-            unit = type(key) is _Vertex and key.center is None
-            yield coeff, key.cols if unit else _dense(key)
+    def _vertex_terms(self) -> Iterator[tuple[Fraction, _Vertex | Matrix]]:
+        """(coefficient, vertex) pairs in order, building no matrix; a term
+        that is not an extreme point (never one of a decomposition) comes as
+        its Matrix."""
+        return zip(self._coeffs, self._keys)
 
     def __len__(self) -> int:
         return len(self._keys)

@@ -1,11 +1,12 @@
 """Extreme points of the stochastic and centrosymmetric stochastic polytopes.
 
 Two independent routes to extremality live here. The structural predicates
-(`is_extreme_stochastic`, `is_extreme_centro`) check the known shape of the
-extreme points directly. The oracle (`is_extreme_oracle`) knows nothing about
-that shape: it applies the general vertex criterion, testing by exact rank
-whether the only support-preserving perturbation with zero row sums (and, on
-request, half-turn symmetry) is zero. Tests play the two routes against each
+(`is_extreme_stochastic`, `is_extreme_centro`) read the known shape of the
+extreme points off `core._vertex_of`, the one place that states it. The
+oracle (`is_extreme_oracle`) knows nothing about that shape: it applies the
+general vertex criterion, testing by exact rank whether the only
+support-preserving perturbation with zero row sums (and, on request,
+half-turn symmetry) is zero. Tests play the two routes against each
 other; library code never mixes them.
 
 The enumerators walk one product: an extreme point picks a column in each
@@ -31,11 +32,11 @@ from centrostoch.core import (
     PatternError,
     RectPermMatrix,
     ShapeError,
-    _center_row,
     _mirrored,
     _rank,
-    _unit_column,
+    _rotated,
     _unit_matrix,
+    _vertex_of,
     is_centrosymmetric,
     is_stochastic,
 )
@@ -49,18 +50,14 @@ __all__ = [
 ]
 
 
-def _one_per_row(a: Matrix, skip_row: int = 0) -> bool:
-    # every row a unit row; skip_row (1-based) is exempted
-    return all(_unit_column(row) for i, row in enumerate(a.entries, 1) if i != skip_row)
-
-
 def is_extreme_stochastic(a: Matrix) -> bool:
     """True iff `a` is a rectangular permutation matrix.
 
     Those are exactly the extreme points of the polytope of row-stochastic
-    matrices of the given shape.
+    matrices of the given shape: vertices without a centre row.
     """
-    return _one_per_row(a)
+    vertex = _vertex_of(a)
+    return vertex is not None and vertex.center is None
 
 
 def is_extreme_centro(a: Matrix) -> bool:
@@ -69,20 +66,12 @@ def is_extreme_centro(a: Matrix) -> bool:
     For even row count the extreme points are the centrosymmetric
     rectangular permutation matrices. For odd row count every row except the
     center one carries a single 1, and the center row is either a 1 on the
-    middle column (odd column count) or a mirrored pair of 1/2 entries.
-    Returns False for anything outside the polytope.
+    middle column (odd column count) or a mirrored pair of 1/2 entries. So
+    `a` is extreme iff it is a vertex whose column tuple is its own
+    rotation. Returns False for anything outside the polytope.
     """
-    if not is_stochastic(a) or not is_centrosymmetric(a):
-        return False
-    m, n = a.shape
-    if m % 2 == 0:
-        return _one_per_row(a)
-    center = m // 2 + 1
-    if not _one_per_row(a, skip_row=center):
-        return False
-    row = a.row(center)
-    first = next(j for j, x in enumerate(row, 1) if x != 0)
-    return row == _center_row(n, first)
+    vertex = _vertex_of(a)
+    return vertex is not None and vertex.cols == _rotated(vertex.cols, vertex.ncols)
 
 
 def _check_sizes(m: int, n: int) -> None:
@@ -111,13 +100,20 @@ def _column_choices(
     else:
         if pattern.shape != (m, n):
             raise ShapeError(f"the pattern is {pattern.nrows} x {pattern.ncols}, not {m} x {n}")
-        if not pattern.is_zero_one():
-            raise PatternError("a face pattern must have entries 0 and 1 only")
+        # each row's support, refusing any entry other than 0 and 1 on the way
+        supports = []
+        for row in pattern.entries:
+            support = []
+            for j, x in enumerate(row, 1):
+                if x == 1:
+                    support.append(j)
+                elif x != 0:
+                    raise PatternError("a face pattern must have entries 0 and 1 only")
+            supports.append(support)
         if centro and not is_centrosymmetric(pattern):
             raise NotCentrosymmetricError(
                 "the face needs a centrosymmetric pattern; meet it with its rotation first"
             )
-        supports = [[j for j, x in enumerate(row, 1) if x == 1] for row in pattern.entries]
         if not all(supports):
             raise NoRowSupportError("pattern has an all-zero row")
         rows = supports[:free]

@@ -9,7 +9,10 @@ Writing then reading a matrix reproduces it bit-for-bit.
 A decimal exponent (``1e-3``) may not exceed 4300 in absolute value, the
 interpreter's default limit on the digits of an int read from a string;
 larger ones would make huge numerators or denominators and are refused with
-SmxError before any arithmetic is done.
+SmxError before any arithmetic is done. A numerator or denominator with more
+digits than that limit (`sys.get_int_max_str_digits()`) is refused as a bad
+rational. The dimension line allocates nothing: a huge m on a short input
+fails with "expected m rows, found only k".
 
 An error message quotes at most the first 40 characters of a bad token or
 dimension line, followed by its length, so its size does not grow with the

@@ -65,6 +65,18 @@ class TestRenumbering:
 
 
 class TestNearPermutationBlocks:
+    def test_inverts_the_renumbering(self):
+        for side in range(1, 12):
+            total = side * side
+            cells = {
+                renumber_position(i, j, side): (i, j)
+                for i in range(1, side + 1)
+                for j in range(1, side + 1)
+            }
+            for start in range(1, total + 1):
+                expected = [cells[(start + k - 1) % total + 1] for k in range(side - 1)]
+                assert _near_permutation(start, side) == expected, (side, start)
+
     def test_one_empty_row_and_column(self):
         for side in range(2, 5):
             for start in range(1, side * side + 1):

@@ -11,10 +11,18 @@ import pytest
 
 from centrostoch import (
     Matrix,
+    basis_centro_even,
+    basis_centro_odd,
+    basis_rect,
+    basis_square,
     decompose_centrosymmetric,
     decompose_stochastic,
+    enumerate_extreme_centro,
+    enumerate_extreme_stochastic,
+    enumerate_face_vertices,
     format_matrix,
     parse_matrix,
+    rank_of_family,
 )
 from matrixgen import random_centro_stochastic, random_stochastic
 
@@ -204,22 +212,42 @@ class TestDecompose:
         assert out == ""
 
 
+def reference_cells(mat):
+    return [[str(x) for x in row] for row in mat.entries]
+
+
+def reference_lines(mat):
+    # str() of each entry, each column as wide as its widest cell
+    cells = reference_cells(mat)
+    widths = [max(len(row[j]) for row in cells) for j in range(mat.ncols)]
+    return [" ".join(x.rjust(w) for x, w in zip(row, widths)).rstrip() for row in cells]
+
+
+def reference_blocks(blocks, tail=None):
+    # numbered (header suffix, matrix) blocks, then the tail line
+    chunks = [
+        "\n".join([f"[{k}]{suffix}", *reference_lines(mat)])
+        for k, (suffix, mat) in enumerate(blocks, 1)
+    ]
+    return "\n\n".join(chunks + ([] if tail is None else [tail])) + "\n"
+
+
 def reference_decompose_output(comb, as_json):
-    # every term through the generic cell path: str() of each entry, and
-    # each column as wide as its widest cell
+    # every term as its dense matrix, rendered cell by cell
     if as_json:
-        terms = [
-            {"coefficient": str(c), "matrix": [[str(x) for x in row] for row in mat.entries]}
-            for c, mat in comb
-        ]
+        terms = [{"coefficient": str(c), "matrix": reference_cells(mat)} for c, mat in comb]
         return json.dumps({"terms": terms}, indent=2) + "\n"
-    blocks = []
-    for k, (c, mat) in enumerate(comb, 1):
-        cells = [[str(x) for x in row] for row in mat.entries]
-        widths = [max(len(row[j]) for row in cells) for j in range(mat.ncols)]
-        lines = [" ".join(x.rjust(w) for x, w in zip(row, widths)).rstrip() for row in cells]
-        blocks.append("\n".join([f"[{k}] coefficient={c}", *lines]))
-    return "\n\n".join(blocks) + "\n"
+    return reference_blocks((f" coefficient={c}", mat) for c, mat in comb)
+
+
+def reference_listing_output(mats, as_json, tail=None, fields=None):
+    # numbered dense matrices and the tail line, or in JSON their count and
+    # cells followed by `fields`
+    if as_json:
+        payload = {"count": len(mats), "matrices": [reference_cells(mat) for mat in mats]}
+        payload.update(fields or {})
+        return json.dumps(payload, indent=2) + "\n"
+    return reference_blocks((("", mat) for mat in mats), tail)
 
 
 class TestDecomposeRendering:
@@ -241,6 +269,111 @@ class TestDecomposeRendering:
                 code, out, err = run_cli(argv, format_matrix(a))
                 assert (code, err) == (0, "")
                 assert out == reference_decompose_output(comb, bool(json_flag)), (m, n)
+
+
+def random_pattern(rng, m, n, centro):
+    # a (0,1) pattern with a 1 in every row, centrosymmetric for centro
+    rows = []
+    for _ in range(m):
+        row = [rng.randint(0, 1) for _ in range(n)]
+        row[rng.randrange(n)] = 1
+        rows.append(row)
+    if centro:
+        for i in range(m // 2):
+            rows[m - 1 - i] = rows[i][::-1]
+        if m % 2:
+            middle = rows[m // 2]
+            rows[m // 2] = [a | b for a, b in zip(middle, middle[::-1])]
+    return Matrix(rows)
+
+
+JSON_FLAGS = pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["plain", "json"])
+CENTRO_FLAGS = pytest.mark.parametrize("centro", [[], ["--centro"]], ids=["stochastic", "centro"])
+
+
+class TestListingRendering:
+    """enumerate, face vertices and basis print the library's dense matrices
+    as the reference renders them: str() per cell, columns as wide as their
+    widest cell."""
+
+    SHAPES = [(1, 1), (1, 2), (1, 4), (1, 5), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2),
+              (3, 3), (3, 4), (4, 2), (4, 3), (2, 5), (5, 2), (5, 3)]
+
+    @JSON_FLAGS
+    @CENTRO_FLAGS
+    def test_enumerate(self, run_cli, centro, json_flag):
+        for m, n in self.SHAPES:
+            if centro:
+                mats = list(enumerate_extreme_centro(m, n))
+            else:
+                mats = [r.to_matrix() for r in enumerate_extreme_stochastic(m, n)]
+            argv = ["enumerate", "--extremes", *centro, "--m", str(m), "--n", str(n), *json_flag]
+            code, out, err = run_cli(argv)
+            assert (code, err) == (0, "")
+            expected = reference_listing_output(mats, bool(json_flag), f"count={len(mats)}")
+            assert out == expected, (m, n)
+
+    @JSON_FLAGS
+    @CENTRO_FLAGS
+    def test_face_vertices(self, run_cli, centro, json_flag):
+        rng = random.Random(1357)
+        for m, n in [*self.SHAPES, (4, 4)]:
+            for _ in range(3):
+                pattern = random_pattern(rng, m, n, bool(centro))
+                mats = list(enumerate_face_vertices(pattern, centro=bool(centro)))
+                argv = ["face", "vertices", *centro, *json_flag]
+                code, out, err = run_cli(argv, format_matrix(pattern))
+                assert (code, err) == (0, "")
+                expected = reference_listing_output(mats, bool(json_flag), f"count={len(mats)}")
+                assert out == expected, pattern
+
+    FAMILIES = [
+        ("square", basis_square, [(None, n) for n in range(2, 6)]),
+        ("rect", basis_rect, [(1, 2), (1, 3), (2, 2), (3, 3), (4, 2), (2, 5)]),
+        ("centro-even", basis_centro_even, [(2, 2), (2, 3), (4, 3), (4, 4), (6, 2)]),
+        ("centro-odd", basis_centro_odd, [(3, 2), (3, 3), (5, 4), (5, 5), (3, 6), (7, 3)]),
+    ]
+
+    @JSON_FLAGS
+    @pytest.mark.parametrize("verify", [[], ["--verify"]], ids=["listed", "verified"])
+    @pytest.mark.parametrize("family", FAMILIES, ids=[name for name, _, _ in FAMILIES])
+    def test_basis(self, run_cli, family, verify, json_flag):
+        name, build, sizes = family
+        for m, n in sizes:
+            mats = build(n) if m is None else build(m, n)
+            tail, fields = None, None
+            if verify:
+                rank = rank_of_family(mats)
+                independent = rank == len(mats)
+                tail = f"rank={rank} independent={'true' if independent else 'false'}"
+                fields = {"rank": rank, "independent": independent}
+            size = ["--n", str(n)] if m is None else ["--m", str(m), "--n", str(n)]
+            code, out, err = run_cli(["basis", "--set", name, *size, *verify, *json_flag])
+            assert (code, err) == (0, "")
+            assert out == reference_listing_output(mats, bool(json_flag), tail, fields), (m, n)
+
+    def test_plain_enumerate_builds_no_dense_matrix(self, run_cli, monkeypatch):
+        from centrostoch.core import RectPermMatrix, _unit_matrix
+
+        units, dense = [], []
+
+        def counting(*args):
+            units.append(args)
+            return _unit_matrix(*args)
+
+        # every module that binds the builder, so an import of it counts too
+        for name, module in list(sys.modules.items()):
+            if name.startswith("centrostoch") and getattr(module, "_unit_matrix", None) is _unit_matrix:
+                monkeypatch.setattr(module, "_unit_matrix", counting)
+        to_matrix = RectPermMatrix.to_matrix
+        monkeypatch.setattr(RectPermMatrix, "to_matrix", lambda r: dense.append(r) or to_matrix(r))
+        for json_flag in ([], ["--json"]):
+            code, out, err = run_cli(["enumerate", "--extremes", "--m", "3", "--n", "4", *json_flag])
+            assert (code, err) == (0, "")
+        assert (units, dense) == ([], [])
+        # the same counters see the plain face enumerator build its two vertices
+        code, out, err = run_cli(["face", "vertices"], "2 2\n1 1\n0 1\n")
+        assert code == 0 and len(units) == len(dense) == 2
 
 
 class TestEnumerate:

@@ -23,6 +23,7 @@ from centrostoch import (
     is_extreme_stochastic,
     is_stochastic,
 )
+import extreme_reference
 from matrixgen import random_centro_stochastic, random_stochastic, uniform_on_pattern
 
 HALF = H = Fraction(1, 2)
@@ -83,6 +84,66 @@ class TestStructuralPredicates:
 
     def test_non_stochastic_is_not_extreme(self):
         assert not is_extreme_centro(Matrix([[2, -1], [-1, 2]]))
+
+
+SMALL_VALUES = [Fraction(v) for v in ("-1/2", "0", "1/4", "1/2", "3/4", "1", "3/2")]
+
+
+def random_small_matrix(rng: random.Random, m: int, n: int) -> Matrix:
+    # each row a unit row, a mirrored 1/2 pair or arbitrary values, so that
+    # vertices, near-vertices and non-stochastic rows all turn up; half the
+    # matrices are then made centrosymmetric
+    rows = []
+    for _ in range(m):
+        kind = rng.random()
+        row = [Fraction(0)] * n
+        if kind < 0.5:
+            row[rng.randrange(n)] = Fraction(1)
+        elif kind < 0.75:
+            j = rng.randrange(n)
+            row[j] += H
+            row[n - 1 - j] += H
+        else:
+            row = [rng.choice(SMALL_VALUES) for _ in range(n)]
+        rows.append(row)
+    if rng.random() < 0.5:
+        for i in range(m // 2):
+            rows[m - 1 - i] = rows[i][::-1]
+        if m % 2:
+            middle = rows[m // 2]
+            rows[m // 2] = middle[: (n + 1) // 2] + middle[: n // 2][::-1]
+    return Matrix(rows)
+
+
+class TestPredicatesAgainstReference:
+    """The predicates read off `_vertex_of` agree with the row-by-row ones."""
+
+    def test_every_small_matrix_over_zero_half_one(self):
+        values = (Fraction(0), H, Fraction(1))
+        extreme = [0, 0]
+        for m, n in itertools.product(range(1, 4), repeat=2):
+            for cells in itertools.product(values, repeat=m * n):
+                a = Matrix([cells[i * n : (i + 1) * n] for i in range(m)])
+                plain, centro = is_extreme_stochastic(a), is_extreme_centro(a)
+                assert plain == extreme_reference.is_extreme_stochastic(a), a
+                assert centro == extreme_reference.is_extreme_centro(a), a
+                extreme[0] += plain
+                extreme[1] += centro
+        # 3^1 + ... + 3^3 rectangular permutation matrices over all nine shapes
+        assert extreme[0] == sum(n**m for m in range(1, 4) for n in range(1, 4))
+        assert extreme[1] > 0
+
+    def test_seeded_random_matrices(self):
+        rng = random.Random(2468)
+        extreme = [0, 0]
+        for _ in range(24000):
+            a = random_small_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
+            plain, centro = is_extreme_stochastic(a), is_extreme_centro(a)
+            assert plain == extreme_reference.is_extreme_stochastic(a), a
+            assert centro == extreme_reference.is_extreme_centro(a), a
+            extreme[0] += plain
+            extreme[1] += centro
+        assert min(extreme) > 1000
 
 
 class TestEnumerateStochastic:
@@ -194,6 +255,14 @@ class TestFacePattern:
     def test_pattern_entries_are_zero_one(self):
         with pytest.raises(PatternError):
             enumerate_extreme_stochastic(1, 2, pattern=Matrix([[2, 1]]))
+
+    @pytest.mark.parametrize("centro", [False, True], ids=["plain", "centro"])
+    def test_a_bad_entry_is_refused_before_symmetry_or_support(self, centro):
+        # the later row's 1/2 is refused, though the pattern is neither
+        # centrosymmetric nor free of all-zero rows
+        enumerate_extremes = enumerate_extreme_centro if centro else enumerate_extreme_stochastic
+        with pytest.raises(PatternError):
+            enumerate_extremes(2, 2, pattern=Matrix([[0, 0], [1, H]]))
 
 
 class TestOracle:

@@ -1,5 +1,6 @@
 """SMX text format: exact parsing, formatting, round trips."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -97,6 +98,19 @@ class TestParse:
 
     def test_exponent_at_the_limit(self):
         assert parse_matrix("1 1\n1e-4300\n").at(1, 1) == Fraction(1, 10**4300)
+
+    @pytest.mark.parametrize("form", ["{}", "1/{}", "{}/7"], ids=["int", "denominator", "numerator"])
+    def test_digits_beyond_the_int_limit_are_a_bad_rational(self, form):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this interpreter sets no int/str digit limit")
+        assert parse_matrix(f"1 1\n{form.format('3' * limit)}\n").nrows == 1
+        with pytest.raises(SmxError, match="bad rational"):
+            parse_matrix(f"1 1\n{form.format('3' * (limit + 1))}\n")
+
+    def test_huge_row_count_on_a_short_input(self):
+        with pytest.raises(SmxError, match=f"expected {10**30} rows, found only 1"):
+            parse_matrix(f"{10**30} 2\n1 0\n")
 
 
 class TestFormat:
