@@ -7,12 +7,19 @@ operation), 2 usage or parse error.
 
 Every matrix that `decompose`, `enumerate`, `face vertices` and `basis` list
 is an extreme point, so it is printed from its vertex (`core._Vertex`): each
-row is rendered once per command and shared by every matrix that has it.
+row is rendered once per command and shared by every matrix that has it. In
+JSON that rendered row is its finished `json.dumps(indent=2)` text at the
+nesting the command puts it, so a listing is one join of cached fragments
+in exactly that layout.
+
+`run_command` builds the argument parser on its first call and reuses it for
+the rest of the process; importing this module builds none.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -103,8 +110,10 @@ def _print_json(obj) -> None:
 
 
 class _Rows(dict):
-    """(column, centre) -> a rendered row of a listed n-column extreme point
-    (JSON cells, or a text line), built on first use.
+    """(column, centre) -> a rendered row of a listed n-column extreme point,
+    built on first use: a text line, or with `pad` (a newline and the row's
+    indent) the row's JSON text in the indent=2 layout, from that newline to
+    its closing bracket.
 
     A vertex's matrix has a unit row with its 1 in `column` per entry of
     its column tuple and, when its `centre` is not None, the centre row
@@ -113,30 +122,76 @@ class _Rows(dict):
     the others one, so a row renders the same whatever rows surround it.
     """
 
-    def __init__(self, n: int, as_json: bool) -> None:
+    def __init__(self, n: int, pad: str | None = None) -> None:
         super().__init__()
-        self.n, self.as_json = n, as_json
+        self.n, self.pad = n, pad
 
-    def __missing__(self, key: tuple[int | None, int | None]):
+    def __missing__(self, key: tuple[int | None, int | None]) -> str:
         column, centre = key
         cells = ["0"] * self.n
         if column is None:
             cells[centre - 1] = cells[self.n - centre] = "1/2"
         else:
             cells[column - 1] = "1"
-        if not self.as_json:
+        if self.pad is not None:
+            inner = self.pad + "  "
+            text = f"{self.pad}[{inner}{(',' + inner).join(map(json.dumps, cells))}{self.pad}]"
+        else:
             if centre is not None:
                 for k in (centre - 1, self.n - centre):
                     cells[k] = cells[k].rjust(3)
-            cells = " ".join(cells)
-        self[key] = cells
-        return cells
+            text = " ".join(cells)
+        self[key] = text
+        return text
 
-    def matrix(self, vertex: _Vertex) -> list:
+    def matrix(self, vertex: _Vertex) -> list[str]:
         rows = [self[c, vertex.center] for c in vertex.cols]
         if vertex.center is not None:
             rows.insert(len(rows) // 2, self[None, vertex.center])
         return rows
+
+
+def _print_json_listing(doc: dict) -> None:
+    """print(json.dumps(doc, indent=2)) for a document that holds each
+    listed matrix as its vertex (`_Vertex`).
+
+    In that layout a row's text depends only on its nesting, so each
+    distinct row is rendered once per nesting by `_Rows`, and the document
+    is one join of shared fragments. Keys and other values are written by
+    json.dumps. Every fragment is rendered before anything is written, so a
+    failure leaves stdout empty.
+    """
+    out: list[str] = []
+    caches: dict[tuple[int, str], _Rows] = {}
+
+    def put(value, pad: str) -> None:
+        # append value's text; pad is a newline and the indent of its line
+        if isinstance(value, _Vertex):
+            form = (value.ncols, pad + "  ")
+            rows = caches.get(form)
+            if rows is None:
+                rows = caches[form] = _Rows(*form)
+            out.append("[")
+            for row in rows.matrix(value):
+                out.extend((row, ","))
+            out[-1] = pad + "]"
+        elif isinstance(value, (dict, list)) and value:
+            inner = pad + "  "
+            is_dict = isinstance(value, dict)
+            out.append("{" if is_dict else "[")
+            for item in value.items() if is_dict else value:
+                out.append(inner)
+                if is_dict:
+                    key, item = item
+                    out.append(json.dumps(key) + ": ")
+                put(item, inner)
+                out.append(",")
+            out[-1] = pad + ("}" if is_dict else "]")
+        else:
+            out.append(json.dumps(value))
+
+    put(doc, "\n")
+    print("".join(out))
 
 
 def _print_blocks(blocks, tail: str | None = None) -> None:
@@ -165,13 +220,12 @@ def _print_listing(vertices: list[_Vertex], n: int, as_json: bool, footer: dict)
     # numbered matrices, then the footer's key=value pairs on one line when
     # there are any; in JSON the count and the matrices, then the footer (a
     # count there is the same count and keeps its place)
-    rows = _Rows(n, as_json)
-    mats = [rows.matrix(v) for v in vertices]
     if as_json:
-        _print_json({"count": len(mats), "matrices": mats, **footer})
+        _print_json_listing({"count": len(vertices), "matrices": vertices, **footer})
     else:
+        rows = _Rows(n)
         tail = " ".join(f"{key}={_word(value)}" for key, value in footer.items())
-        _print_blocks(((mat, "") for mat in mats), tail or None)
+        _print_blocks(((rows.matrix(v), "") for v in vertices), tail or None)
     return 0
 
 
@@ -206,12 +260,12 @@ def _cmd_check(ns) -> int:
 def _cmd_decompose(ns) -> int:
     mat = _read_matrix(ns)
     comb = decompose_centrosymmetric(mat) if ns.centro else decompose_stochastic(mat)
-    rows = _Rows(mat.ncols, ns.json)
-    terms = [(_text(c), rows.matrix(v)) for c, v in comb._vertex_terms()]
+    terms = [(_text(c), v) for c, v in comb._vertex_terms()]
     if ns.json:
-        _print_json({"terms": [{"coefficient": c, "matrix": mat} for c, mat in terms]})
+        _print_json_listing({"terms": [{"coefficient": c, "matrix": v} for c, v in terms]})
     else:
-        _print_blocks((mat, f" coefficient={c}") for c, mat in terms)
+        rows = _Rows(mat.ncols)
+        _print_blocks((rows.matrix(v), f" coefficient={c}") for c, v in terms)
     return 0
 
 
@@ -394,11 +448,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first run_command; argparse keeps no state between parse_args
+# calls (each makes a new Namespace, and errors and help look up sys.stderr
+# and sys.stdout when they are written)
+_parser = functools.cache(build_parser)
+
+
 def run_command(argv) -> int:
     """Parse argv (no program name) and run the command; returns the exit code."""
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         if code is None:

@@ -6,6 +6,10 @@ whitespace-separated entries each. An entry is a rational in any form the
 first non-blank character is ``#`` are comments; blank lines are skipped.
 Writing then reading a matrix reproduces it bit-for-bit.
 
+A token's text fixes its value, so each distinct token of an input is
+parsed and checked once, at its first occurrence; only tokens that parse
+are remembered, so an error names the first line where a bad token occurs.
+
 A decimal exponent (``1e-3``) may not exceed 4300 in absolute value, the
 interpreter's default limit on the digits of an int read from a string;
 larger ones would make huge numerators or denominators and are refused with
@@ -52,6 +56,22 @@ def _data_lines(text: str):
         yield number, line
 
 
+def _rational(token: str, number: int) -> Fraction:
+    # the value of an entry token on line `number`
+    exponent = _EXPONENT.search(token)
+    if exponent:
+        try:
+            too_large = abs(int(exponent[1])) > _MAX_EXPONENT
+        except ValueError:  # too many digits for int() to read
+            too_large = True
+        if too_large:
+            raise SmxError(f"line {number}: exponent outside -{_MAX_EXPONENT}..{_MAX_EXPONENT}")
+    try:
+        return Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        raise SmxError(f"line {number}: bad rational {_quote(token)}") from None
+
+
 def parse_matrix(text: str) -> Matrix:
     """Parse SMX text into a Matrix. Raises SmxError on malformed input."""
     lines = _data_lines(text)
@@ -70,6 +90,7 @@ def parse_matrix(text: str) -> Matrix:
         raise SmxError(f"line {header_no}: dimensions must be positive")
 
     rows = []
+    values: dict[str, Fraction] = {}  # each distinct token parsed once
     for _ in range(nrows):
         try:
             number, line = next(lines)
@@ -84,20 +105,10 @@ def parse_matrix(text: str) -> Matrix:
             )
         row = []
         for token in tokens:
-            exponent = _EXPONENT.search(token)
-            if exponent:
-                try:
-                    too_large = abs(int(exponent[1])) > _MAX_EXPONENT
-                except ValueError:  # too many digits for int() to read
-                    too_large = True
-                if too_large:
-                    raise SmxError(
-                        f"line {number}: exponent outside -{_MAX_EXPONENT}..{_MAX_EXPONENT}"
-                    )
-            try:
-                row.append(Fraction(token))
-            except (ValueError, ZeroDivisionError):
-                raise SmxError(f"line {number}: bad rational {_quote(token)}") from None
+            value = values.get(token)
+            if value is None:
+                value = values[token] = _rational(token, number)
+            row.append(value)
         rows.append(row)
     for number, _ in lines:
         raise SmxError(f"line {number}: data after the final row")

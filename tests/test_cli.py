@@ -24,6 +24,8 @@ from centrostoch import (
     parse_matrix,
     rank_of_family,
 )
+from centrostoch.cli import _print_json_listing, build_parser
+from centrostoch.core import _unit_matrix, _vertex
 from matrixgen import random_centro_stochastic, random_stochastic
 
 S_TEXT = "3 4\n1 0 0 0\n0 1/2 1/2 0\n0 0 0 1\n"
@@ -374,6 +376,135 @@ class TestListingRendering:
         # the same counters see the plain face enumerator build its two vertices
         code, out, err = run_cli(["face", "vertices"], "2 2\n1 1\n0 1\n")
         assert code == 0 and len(units) == len(dense) == 2
+
+
+class TestJsonFragments:
+    """The JSON listings, written from cached row fragments, at the edges of
+    the indent=2 layout."""
+
+    @pytest.mark.parametrize(
+        "argv, stdin_text",
+        [(["decompose", "--json"], "1 1\n1\n"),
+         (["decompose", "--json"], "1 3\n1/2 0 1/2\n"),
+         (["decompose", "--centro", "--json"], "3 1\n1\n1\n1\n"),
+         (["decompose", "--centro", "--json"], "5 3\n1/3 1/3 1/3\n0 1 0\n1/4 1/2 1/4\n0 1 0\n"
+                                               "1/3 1/3 1/3\n")],
+        ids=["one-term-1x1", "m=1", "centro-n=1", "centro-centre-row"],
+    )
+    def test_decompose(self, run_cli, argv, stdin_text):
+        a = parse_matrix(stdin_text)
+        comb = decompose_centrosymmetric(a) if "--centro" in argv else decompose_stochastic(a)
+        code, out, err = run_cli(argv, stdin_text)
+        assert (code, err) == (0, "")
+        assert out == reference_decompose_output(comb, True)
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (1, 4), (4, 1)])
+    @pytest.mark.parametrize("centro", [False, True], ids=["stochastic", "centro"])
+    def test_enumerate(self, run_cli, centro, m, n):
+        if centro:
+            mats = list(enumerate_extreme_centro(m, n))
+        else:
+            mats = [r.to_matrix() for r in enumerate_extreme_stochastic(m, n)]
+        argv = ["enumerate", "--extremes", *(["--centro"] if centro else []),
+                "--m", str(m), "--n", str(n), "--json"]
+        code, out, err = run_cli(argv)
+        assert (code, err) == (0, "")
+        assert out == reference_listing_output(mats, True)
+
+    def test_basis_footer_follows_the_matrices(self, run_cli):
+        mats = basis_centro_odd(5, 4)
+        code, out, err = run_cli(["basis", "--set", "centro-odd", "--m", "5", "--n", "4",
+                                  "--verify", "--json"])
+        assert (code, err) == (0, "")
+        assert out == reference_listing_output(mats, True, fields={"rank": 8, "independent": True})
+        assert list(json.loads(out)) == ["count", "matrices", "rank", "independent"]
+
+    @pytest.mark.parametrize(
+        "argv, stdin_text",
+        [(["decompose", "--json"], "1 3\n0.25 0.25" + "0" * 4297 + "1 0.4" + "9" * 4299 + "\n"),
+         (["enumerate", "--extremes", "--m", "3", "--n", "3", "--cap", "26", "--json"], ""),
+         (["face", "vertices", "--centro", "--cap", "3", "--json"], "3 3\n1 1 0\n1 1 1\n0 1 1\n")],
+        ids=["coefficient-too-long", "enumerate-cap", "face-cap"],
+    )
+    def test_a_failed_listing_leaves_stdout_empty(self, run_cli, argv, stdin_text):
+        code, out, err = run_cli(argv, stdin_text)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "doc",
+        [{"count": 0, "matrices": []},
+         {},
+         {"terms": [{"coefficient": "1", "matrix": _vertex((1,), 1)}]},
+         {"a\"b\u00e9": [[], {}, [1, [True, None]], "tab\t"],
+          "m": [_vertex((2, 3), 3, 1), _vertex((1, 2), 2, 1), [_vertex((4,), 5)]],
+          "n": _vertex((1, 1), 3, 2)}],
+        ids=["empty-listing", "empty-document", "one-term", "nested"],
+    )
+    def test_writer_equals_json_dumps(self, capsys, doc):
+        def dense(value):
+            # the document with each vertex replaced by its matrix's cells
+            if isinstance(value, dict):
+                return {key: dense(item) for key, item in value.items()}
+            if isinstance(value, tuple):
+                return reference_cells(_unit_matrix(*value))
+            return [dense(item) for item in value] if isinstance(value, list) else value
+
+        _print_json_listing(doc)
+        assert capsys.readouterr().out == json.dumps(dense(doc), indent=2) + "\n"
+
+
+def fresh_process(argv, stdin_text=""):
+    # (exit code, stdout, stderr) of the command as the first call of a new
+    # interpreter
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "centrostoch", *argv],
+        input=stdin_text,
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestParserReuse:
+    """run_command builds its parser once per process and carries no state
+    from one call to the next."""
+
+    CALLS = [
+        (["decompose", "--centro", "--json"], S_TEXT),
+        (["decompose"], S_TEXT),
+        (["enumerate", "--extremes", "--m", "2", "--n", "2"], ""),
+    ]
+
+    def test_calls_in_one_process_equal_fresh_processes(self, run_cli):
+        expected = [fresh_process(*call) for call in self.CALLS]
+        assert all(code == 0 for code, _, _ in expected)
+        for _ in range(2):
+            assert [run_cli(*call) for call in self.CALLS] == expected
+
+    def test_usage_errors_between_successes(self, run_cli):
+        success = (["enumerate", "--extremes", "--m", "1", "--n", "2"], "")
+        failure = (["enumerate", "--m", "1", "--n", "2"], "")
+        expected_success, expected_failure = fresh_process(*success), fresh_process(*failure)
+        assert expected_failure[0] == 2 and expected_failure[1] == ""
+        assert "error: the following arguments are required: --extremes" in expected_failure[2]
+        assert run_cli(*success) == expected_success
+        assert run_cli(*failure) == expected_failure
+        assert run_cli(*success) == expected_success
+        assert run_cli(*failure) == expected_failure
+
+    def test_help_is_the_same_each_time(self, run_cli, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(["decompose", "--help"])
+        assert info.value.code == 0
+        reference = capsys.readouterr().out
+        assert "--centro" in reference
+        assert run_cli(["decompose", "--help"]) == (0, reference, "")
+        assert run_cli(["decompose", "--help"]) == (0, reference, "")
 
 
 class TestEnumerate:

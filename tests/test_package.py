@@ -1,9 +1,14 @@
 """The package surface is the union of the modules' __all__ lists, the
-package imports nothing outside the standard library, and every name the
-benchmark's tracer wraps still exists."""
+package imports nothing outside the standard library, importing the CLI
+builds no argument parser, and every name the benchmark's tracer wraps
+still exists."""
 
+import argparse
 import ast
 import importlib
+import json
+import os
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -11,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import centrostoch
-from centrostoch import bases, core, decompose, extremes, faces, graphs, smx
+from centrostoch import bases, cli, core, decompose, extremes, faces, graphs, smx
 
 MODULES = [core, decompose, extremes, bases, graphs, faces, smx]
 
@@ -56,6 +61,52 @@ def test_imports_only_the_standard_library(path):
             imported.add(node.module)
     tops = {name.partition(".")[0] for name in imported}
     assert tops <= sys.stdlib_module_names | {"centrostoch"}
+
+
+# counts the ArgumentParser objects made by importing the CLI, by one
+# build_parser(), and by each of two run_command calls
+PARSER_COUNT_SCRIPT = """
+import argparse, contextlib, io, json
+made = []
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    made.append(1)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+import centrostoch.cli as cli
+counts = [len(made)]
+cli.build_parser()
+counts.append(len(made))
+for _ in range(2):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run_command(["enumerate", "--extremes", "--m", "1", "--n", "2"]) == 0
+    counts.append(len(made))
+print(json.dumps(counts))
+"""
+
+
+def test_cli_builds_its_parser_on_first_use_only():
+    # importing the CLI builds no parser, so a child interpreter's import
+    # does no argparse work; the first run_command builds one parser (the
+    # program's and its subcommands') and later calls reuse it
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", PARSER_COUNT_SCRIPT],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    imported, built, first, second = json.loads(proc.stdout)
+    assert imported == 0 and built > 1
+    assert first == second == 2 * built
+
+
+def test_build_parser_returns_a_new_parser():
+    first, second = cli.build_parser(), cli.build_parser()
+    assert isinstance(first, argparse.ArgumentParser)
+    assert first is not second
 
 
 def test_benchmark_trace_sites_exist(monkeypatch):

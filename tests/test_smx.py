@@ -1,5 +1,6 @@
 """SMX text format: exact parsing, formatting, round trips."""
 
+import random
 import sys
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from centrostoch import Matrix, SmxError, format_matrix, parse_matrix
+from centrostoch import Matrix, SmxError, format_matrix, parse_matrix, smx
 
 rationals = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 17))
 
@@ -111,6 +112,51 @@ class TestParse:
     def test_huge_row_count_on_a_short_input(self):
         with pytest.raises(SmxError, match=f"expected {10**30} rows, found only 1"):
             parse_matrix(f"{10**30} 2\n1 0\n")
+
+
+class TestDistinctTokens:
+    """parse_matrix parses each distinct token once; errors are unchanged."""
+
+    @pytest.mark.parametrize(
+        "token, message",
+        [("1/0", "line 3: bad rational '1/0'"), ("x7", "line 3: bad rational 'x7'"),
+         ("1e9999", "line 3: exponent outside -4300..4300")],
+        ids=["zero-denominator", "bad-text", "exponent"],
+    )
+    def test_a_repeated_bad_token_is_reported_at_its_first_line(self, token, message):
+        text = f"3 2\n# rows follow\n{token} 1\n\n{token} 1\n0 1\n"
+        with pytest.raises(SmxError) as info:
+            parse_matrix(text)
+        assert str(info.value) == message
+
+    def test_each_distinct_token_is_parsed_once(self, monkeypatch):
+        parsed, searched = [], []
+        real_fraction, real_exponent = smx.Fraction, smx._EXPONENT
+
+        class CountingExponent:
+            def search(self, token):
+                searched.append(token)
+                return real_exponent.search(token)
+
+        monkeypatch.setattr(smx, "Fraction", lambda token: parsed.append(token) or real_fraction(token))
+        monkeypatch.setattr(smx, "_EXPONENT", CountingExponent())
+        a = parse_matrix("60 4\n" + "1 0 1/2 5e-1\n" * 60)
+        assert sorted(parsed) == sorted(searched) == ["0", "1", "1/2", "5e-1"]
+        assert a.entries == ((1, 0, Fraction(1, 2), Fraction(1, 2)),) * 60
+
+    def test_values_equal_the_token_by_token_parse(self):
+        # many repeats, and distinct tokens of equal value (1/2, 2/4, 0.5)
+        rng = random.Random(2718)
+        pool = ["0", "1", "-3", "+2", "1/2", "2/4", "0.5", "-7/3", "0.125", "1e-3", "25E-2",
+                "1_000", "3/1_0", "-0", "12.5e1"]
+        for _ in range(200):
+            m, n = rng.randint(1, 6), rng.randint(1, 6)
+            lines = [[rng.choice(pool) for _ in range(n)] for _ in range(m)]
+            text = f"{m} {n}\n" + "".join(" ".join(line) + "\n" for line in lines)
+            a = parse_matrix(text)
+            expected = tuple(tuple(Fraction(token) for token in line) for line in lines)
+            assert a.entries == expected
+            assert all(type(x) is Fraction for row in a.entries for x in row)
 
 
 class TestFormat:
