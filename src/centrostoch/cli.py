@@ -10,7 +10,8 @@ is an extreme point, so it is printed from its vertex (`core._Vertex`): each
 row is rendered once per command and shared by every matrix that has it. In
 JSON that rendered row is its finished `json.dumps(indent=2)` text at the
 nesting the command puts it, so a listing is one join of cached fragments
-in exactly that layout.
+in exactly that layout. The same writer, `_print_json`, prints the small
+documents of `check`, `graph`, `face count`, `face support` and `normalize`.
 
 `run_command` builds the argument parser on its first call and reuses it for
 the rest of the process; importing this module builds none.
@@ -105,10 +106,6 @@ def _matrix_json(mat: Matrix) -> list[list[str]]:
     return _text(mat.entries, lambda rows: [[str(x) for x in row] for row in rows])
 
 
-def _print_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
-
-
 class _Rows(dict):
     """(column, centre) -> a rendered row of a listed n-column extreme point,
     built on first use: a text line, or with `pad` (a newline and the row's
@@ -151,9 +148,10 @@ class _Rows(dict):
         return rows
 
 
-def _print_json_listing(doc: dict) -> None:
-    """print(json.dumps(doc, indent=2)) for a document that holds each
-    listed matrix as its vertex (`_Vertex`).
+def _print_json(doc: dict) -> None:
+    """print(json.dumps(doc, indent=2)) for every JSON document the CLI
+    writes, where each listed extreme point is held as its vertex
+    (`_Vertex`) rather than as nested lists of cells.
 
     In that layout a row's text depends only on its nesting, so each
     distinct row is rendered once per nesting by `_Rows`, and the document
@@ -221,7 +219,7 @@ def _print_listing(vertices: list[_Vertex], n: int, as_json: bool, footer: dict)
     # there are any; in JSON the count and the matrices, then the footer (a
     # count there is the same count and keeps its place)
     if as_json:
-        _print_json_listing({"count": len(vertices), "matrices": vertices, **footer})
+        _print_json({"count": len(vertices), "matrices": vertices, **footer})
     else:
         rows = _Rows(n)
         tail = " ".join(f"{key}={_word(value)}" for key, value in footer.items())
@@ -262,7 +260,7 @@ def _cmd_decompose(ns) -> int:
     comb = decompose_centrosymmetric(mat) if ns.centro else decompose_stochastic(mat)
     terms = [(_text(c), v) for c, v in comb._vertex_terms()]
     if ns.json:
-        _print_json_listing({"terms": [{"coefficient": c, "matrix": v} for c, v in terms]})
+        _print_json({"terms": [{"coefficient": c, "matrix": v} for c, v in terms]})
     else:
         rows = _Rows(mat.ncols)
         _print_blocks((rows.matrix(v), f" coefficient={c}") for c, v in terms)

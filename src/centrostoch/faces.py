@@ -4,7 +4,8 @@ A pattern B selects the face of matrices supported inside B. Its vertices
 pick one column from each free row's support (and, for odd row count, one
 admissible centre column), so a count is the product of the choice sizes
 and the enumerator is the global one restricted to B; both read the per-row
-choices from `extremes`.
+choices from `extremes`. A pattern made from a `Matrix` shares its rows, and
+the usable centrosymmetric support B meet B-rotated is read off B's rows.
 """
 
 from __future__ import annotations
@@ -46,7 +47,10 @@ class FacePattern(Matrix):
     __slots__ = ()
 
     def __init__(self, rows) -> None:
-        super().__init__(rows.entries if isinstance(rows, Matrix) else rows)
+        # a Matrix is immutable and already checked, so its slots are shared
+        source = rows if isinstance(rows, Matrix) else Matrix(rows)
+        for name in Matrix.__slots__:
+            object.__setattr__(self, name, getattr(source, name))
         if not self.is_zero_one():
             raise PatternError("a face pattern must have entries 0 and 1 only")
 
@@ -81,8 +85,9 @@ def has_row_support_centro(pattern) -> bool:
     That is the support condition a centrosymmetric stochastic matrix can
     actually use, since its support is closed under the half turn.
     """
-    b = _coerce(pattern)
-    return all(1 in row for row in b.meet(b.rotate_pi()).entries)
+    rows = _coerce(pattern).entries
+    # row i of B meet B-rotated: the entrywise min of row i and row m+1-i reversed
+    return all(1 in map(min, row, reversed(mirror)) for row, mirror in zip(rows, reversed(rows)))
 
 
 def _choice_sizes(pattern, centro: bool) -> list[int]:

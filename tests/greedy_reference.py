@@ -9,6 +9,11 @@ splices the averaged centre row back into both halves of a split. The
 library computes the same terms by a sorted-breakpoint sweep over column
 tuples; tests require the two to agree term for term, in order.
 
+`reference_split` splits R + R^pi on dense rows, as the paper states it:
+each top row's two unit entries in column order (a stacked pair counts
+twice), the leftmost to Q1 and the other to Q2, and the bottom halves
+mirrored. Tests hold `split_noncentrosymmetric` to it.
+
 `decompose_centro_halves` averages each library term with its rotation.
 Its terms are centrosymmetric but not always extreme, so no library route
 produces them; tests keep it as a check on the halves construction.
@@ -113,6 +118,19 @@ def reference_decompose_centrosymmetric(a: Matrix) -> ConvexCombination:
             terms.append((coeff * _HALF, _reinsert_center(q1, center)))
             terms.append((coeff * _HALF, _reinsert_center(q2, center)))
     return ConvexCombination(terms)
+
+
+def reference_split(r: RectPermMatrix) -> tuple[RectPermMatrix, RectPermMatrix]:
+    total = r.to_matrix() + r.rotate_pi().to_matrix()
+    m, n = total.shape
+    # each top row's unit entries, column by column, an entry of 2 twice
+    tops = [[j for j, x in enumerate(row, 1) for _ in range(int(x))]
+            for row in total.entries[: m // 2]]
+    halves = []
+    for k in (0, 1):
+        top = [cols[k] for cols in tops]
+        halves.append(RectPermMatrix(top + [n + 1 - c for c in reversed(top)], n))
+    return halves[0], halves[1]
 
 
 def decompose_centro_halves(a: Matrix) -> ConvexCombination:

@@ -15,16 +15,27 @@ from centrostoch import (
     basis_centro_odd,
     basis_rect,
     basis_square,
+    bipartite_of,
+    count_face_vertices_centro,
+    count_face_vertices_stochastic,
     decompose_centrosymmetric,
     decompose_stochastic,
     enumerate_extreme_centro,
     enumerate_extreme_stochastic,
     enumerate_face_vertices,
+    fill,
     format_matrix,
+    has_row_support_centro,
+    has_row_support_stochastic,
+    is_centrosymmetric,
+    is_extreme_centro,
+    is_extreme_stochastic,
+    is_stochastic,
     parse_matrix,
     rank_of_family,
+    rotate_pi,
 )
-from centrostoch.cli import _print_json_listing, build_parser
+from centrostoch.cli import _print_json, build_parser
 from centrostoch.core import _unit_matrix, _vertex
 from matrixgen import random_centro_stochastic, random_stochastic
 
@@ -450,8 +461,58 @@ class TestJsonFragments:
                 return reference_cells(_unit_matrix(*value))
             return [dense(item) for item in value] if isinstance(value, list) else value
 
-        _print_json_listing(doc)
+        _print_json(doc)
         assert capsys.readouterr().out == json.dumps(dense(doc), indent=2) + "\n"
+
+
+class TestSmallJsonDocuments:
+    """`check`, `graph`, `face count`, `face support` and `normalize` go
+    through the listing writer too; their --json output is byte for byte
+    json.dumps(..., indent=2) of the document built from the library."""
+
+    @pytest.mark.parametrize("text", [S_TEXT, "2 2\n1/2 1/2\n1/2 1/2\n", "1 2\n-1 2\n"])
+    def test_check(self, run_cli, text):
+        a = parse_matrix(text)
+        doc = {
+            "stochastic": is_stochastic(a),
+            "centrosymmetric": is_centrosymmetric(a),
+            "extreme_stochastic": is_extreme_stochastic(a),
+            "extreme_centrosymmetric": is_extreme_centro(a),
+        }
+        assert run_cli(["check", "--json"], text) == (0, json.dumps(doc, indent=2) + "\n", "")
+
+    @pytest.mark.parametrize("flags", [[], ["--fill"], ["--fill", "--dot"]],
+                             ids=["edges", "fill", "fill-dot"])
+    @pytest.mark.parametrize("text", [S_TEXT, "2 3\n0 0 0\n0 0 0\n"], ids=["s", "no-edges"])
+    def test_graph(self, run_cli, flags, text):
+        graph = bipartite_of(parse_matrix(text))
+        doc = {"rows": graph.row_count, "cols": graph.col_count,
+               "edges": [[i, j] for i, j in graph.sorted_edges()]}
+        if "--fill" in flags:
+            doc["fill"] = str(fill(graph))
+        if "--dot" in flags:
+            code, dot, err = run_cli(["graph", "--dot"], text)
+            doc["dot"] = dot.removesuffix("\n")
+        assert run_cli(["graph", "--json", *flags], text) == (0, json.dumps(doc, indent=2) + "\n", "")
+
+    @pytest.mark.parametrize("centro", [False, True], ids=["stochastic", "centro"])
+    def test_face(self, run_cli, centro):
+        text = "3 3\n1 1 0\n1 0 1\n0 1 1\n"
+        pattern = parse_matrix(text)
+        counter = count_face_vertices_centro if centro else count_face_vertices_stochastic
+        supported = has_row_support_centro if centro else has_row_support_stochastic
+        flag = ["--centro"] if centro else []
+        for action, doc in [("count", {"count": counter(pattern)}),
+                            ("support", {"row_support": supported(pattern)})]:
+            expected = json.dumps(doc, indent=2) + "\n"
+            assert run_cli(["face", action, *flag, "--json"], text) == (0, expected, "")
+
+    @pytest.mark.parametrize("text", ["2 2\n1 1\n1 0\n", "1 1\n7/3\n", "2 3\n1 -1/2 0\n3 1 1\n"])
+    def test_normalize(self, run_cli, text):
+        a = parse_matrix(text)
+        doc = {"matrix": [[str(x) for x in row] for row in a.entrywise_min(rotate_pi(a)).entries]}
+        expected = json.dumps(doc, indent=2) + "\n"
+        assert run_cli(["normalize", "--centro-and", "--json"], text) == (0, expected, "")
 
 
 def fresh_process(argv, stdin_text=""):

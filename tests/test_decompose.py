@@ -1,5 +1,6 @@
 """Greedy decompositions: golden traces, splitting, exactness properties."""
 
+import itertools
 import random
 import sys
 from fractions import Fraction
@@ -28,6 +29,7 @@ from greedy_reference import (
     decompose_centro_halves,
     reference_decompose_centrosymmetric,
     reference_decompose_stochastic,
+    reference_split,
 )
 from matrixgen import random_centro_stochastic, random_stochastic
 
@@ -189,6 +191,20 @@ class TestSplit:
         with pytest.raises(SplitError):
             split_noncentrosymmetric(RectPermMatrix([1, 3, 2, 4], 4))
 
+    def test_every_small_split_equals_the_dense_rule(self):
+        # every R up to 4 x 3: odd row counts and centrosymmetric R are
+        # refused, every other R splits as the dense rule does, in order
+        for m, n in itertools.product(range(1, 5), range(1, 4)):
+            for cols in itertools.product(range(1, n + 1), repeat=m):
+                r = RectPermMatrix(cols, n)
+                if m % 2 or r.is_centrosymmetric():
+                    with pytest.raises(SplitError):
+                        split_noncentrosymmetric(r)
+                    continue
+                split = split_noncentrosymmetric(r)
+                assert type(split) is tuple and split == reference_split(r), r
+                assert all(type(q) is RectPermMatrix for q in split)
+
 
 class TestDecomposeCentrosymmetric:
     def test_extreme_fixed_point(self):
@@ -242,6 +258,27 @@ class TestDecomposeCentrosymmetric:
             decompose_centrosymmetric(Matrix([[1, 1]]))
         with pytest.raises(NotCentrosymmetricError):
             decompose_centrosymmetric(Matrix([[1, 0], [1, 0]]))
+
+
+class TestCentroSplitsWithoutRectPerm:
+    """The centrosymmetric engine splits column tuples and never builds a
+    RectPermMatrix; its terms are the reference's, in order."""
+
+    @pytest.mark.parametrize(
+        "m, n",
+        [(1, 1), (1, 4), (2, 1), (2, 2), (2, 5), (3, 1), (3, 4), (4, 3), (5, 5), (6, 4), (7, 2),
+         (8, 7)],
+    )
+    def test_terms_equal_the_reference(self, monkeypatch, m, n):
+        rng = random.Random(1000 * m + n)
+        inputs = [random_centro_stochastic(rng, m, n) for _ in range(6)]
+        expected = [list(reference_decompose_centrosymmetric(a)) for a in inputs]
+
+        def refuse(self, *args):
+            raise AssertionError("the centrosymmetric engine built a RectPermMatrix")
+
+        monkeypatch.setattr(RectPermMatrix, "__init__", refuse)
+        assert [list(decompose_centrosymmetric(a)) for a in inputs] == expected
 
 
 class TestPropertiesOnEveryShape:

@@ -14,13 +14,16 @@ from centrostoch import (
     PatternError,
     count_face_vertices_centro,
     count_face_vertices_stochastic,
+    enumerate_extreme_centro,
+    enumerate_extreme_stochastic,
     enumerate_face_vertices,
     has_row_support_centro,
     has_row_support_stochastic,
     is_extreme_centro,
     is_extreme_stochastic,
 )
-from matrixgen import pattern_or_rotation, random_supported_pattern
+from face_reference import reference_row_support_centro
+from matrixgen import pattern_or_rotation, random_pattern, random_supported_pattern
 
 H = Fraction(1, 2)
 
@@ -79,6 +82,27 @@ class TestRowSupport:
 
     def test_accepts_plain_matrices(self):
         assert has_row_support_stochastic(Matrix([[1, 0], [0, 1]]))
+
+    def test_centro_equals_the_meet_route_on_every_small_pattern(self):
+        for m, n in itertools.product(range(1, 4), repeat=2):
+            for bits in itertools.product((0, 1), repeat=m * n):
+                rows = [bits[i * n : (i + 1) * n] for i in range(m)]
+                expected = reference_row_support_centro(rows)
+                assert has_row_support_centro(rows) is expected, rows
+                assert has_row_support_centro(Matrix(rows)) is expected, rows
+                assert has_row_support_centro(FacePattern(rows)) is expected, rows
+
+    def test_centro_equals_the_meet_route_on_seeded_patterns(self):
+        rng = random.Random(412)
+        outcomes = set()
+        for _ in range(300):
+            m, n = rng.randint(1, 9), rng.randint(1, 9)
+            density = rng.choice([Fraction(1, 5), Fraction(1, 2), Fraction(4, 5)])
+            pattern = random_pattern(rng, m, n, density)
+            expected = reference_row_support_centro(pattern)
+            assert has_row_support_centro(pattern) is expected, pattern
+            outcomes.add(expected)
+        assert outcomes == {False, True}
 
 
 class TestCounts:
@@ -189,3 +213,69 @@ class TestEnumeration:
             vs = count_face_vertices_stochastic(small)
             vg = count_face_vertices_stochastic(grown)
             assert vs <= vg
+
+
+class TestPatternBuiltOnce:
+    """A pattern is checked as it is parsed, and no face function builds
+    another Matrix from it."""
+
+    @pytest.mark.parametrize("action", ["count", "support"])
+    @pytest.mark.parametrize("centro", [False, True], ids=["plain", "centro"])
+    def test_cli_builds_one_matrix(self, run_cli, monkeypatch, action, centro):
+        built = []
+        init = Matrix.__init__
+
+        def counting(self, rows):
+            built.append(type(self))
+            init(self, rows)
+
+        monkeypatch.setattr(Matrix, "__init__", counting)
+        argv = ["face", action, *(["--centro"] if centro else []), "--json"]
+        code, out, err = run_cli(argv, "3 3\n1 1 0\n1 0 1\n0 1 1\n")
+        assert (code, err) == (0, "")
+        assert built == [Matrix]
+
+    def test_pattern_shares_the_matrix_rows(self):
+        a = Matrix([[1, 0], [1, 1]])
+        p = FacePattern(a)
+        assert p.entries is a.entries and p.shape == a.shape
+        assert FacePattern(p).entries is a.entries
+
+
+def enumerate_face_vertices_centro(pattern):
+    return enumerate_face_vertices(pattern, centro=True)
+
+
+NOT_ZERO_ONE = "a face pattern must have entries 0 and 1 only"
+FACE_FUNCTIONS = [
+    FacePattern,
+    has_row_support_stochastic,
+    has_row_support_centro,
+    count_face_vertices_stochastic,
+    count_face_vertices_centro,
+    enumerate_face_vertices,
+    enumerate_face_vertices_centro,
+]
+# the first is neither centrosymmetric nor supported in every row, so the
+# 0/1 check must come first for PatternError to be the error raised
+NOT_ZERO_ONE_ROWS = [[[2, 0, 1], [0, 0, 0]], [["1/2", 1], [1, "1/2"]]]
+
+
+class TestNotZeroOne:
+    @pytest.mark.parametrize("rows", NOT_ZERO_ONE_ROWS, ids=["2x3", "halves"])
+    @pytest.mark.parametrize("fn", FACE_FUNCTIONS, ids=lambda fn: fn.__name__)
+    @pytest.mark.parametrize("wrap", [Matrix, list], ids=["matrix", "rows"])
+    def test_same_error_everywhere(self, rows, fn, wrap):
+        with pytest.raises(PatternError) as info:
+            fn(wrap(rows))
+        assert str(info.value) == NOT_ZERO_ONE
+
+    @pytest.mark.parametrize("rows", NOT_ZERO_ONE_ROWS, ids=["2x3", "halves"])
+    @pytest.mark.parametrize("enumerate_extreme",
+                             [enumerate_extreme_stochastic, enumerate_extreme_centro],
+                             ids=["plain", "centro"])
+    def test_global_enumerators_with_a_pattern(self, rows, enumerate_extreme):
+        pattern = Matrix(rows)
+        with pytest.raises(PatternError) as info:
+            enumerate_extreme(*pattern.shape, pattern=pattern)
+        assert str(info.value) == NOT_ZERO_ONE
