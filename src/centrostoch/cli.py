@@ -150,8 +150,7 @@ class _Rows(dict):
 
 def _print_json(doc: dict) -> None:
     """print(json.dumps(doc, indent=2)) for every JSON document the CLI
-    writes, where each listed extreme point is held as its vertex
-    (`_Vertex`) rather than as nested lists of cells.
+    writes, with each listed extreme point held as its vertex (`_Vertex`).
 
     In that layout a row's text depends only on its nesting, so each
     distinct row is rendered once per nesting by `_Rows`, and the document

@@ -13,8 +13,7 @@ peel (mark each row's smallest positive entry, leftmost on ties, peel, and
 renormalise), because a marked entry stays the smallest of its row until it
 is used up. Everything else in the module is bookkeeping on the column
 tuples: pairing terms with their half-turn rotations for the
-centrosymmetric polytope, and splitting the pairs that are not yet extreme
-by one tuple rule, which `split_noncentrosymmetric` wraps for its own type.
+centrosymmetric polytope, and splitting the pairs that are not yet extreme.
 The terms reach `ConvexCombination` as vertices, never as dense matrices.
 """
 
@@ -94,13 +93,6 @@ def _check_centro_stochastic(a: Matrix) -> None:
         raise NotCentrosymmetricError("input must be centrosymmetric")
 
 
-def _halves(cols: tuple[int, ...], n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    # Q1 + Q2 = R + R^pi for an even-length R: each top row's two unit entries,
-    # the leftmost in Q1, bottom halves mirrored; both are R when R = R^pi
-    top, bottom = cols[: len(cols) // 2], _rotated(cols, n)
-    return _mirrored(tuple(map(min, top, bottom)), n), _mirrored(tuple(map(max, top, bottom)), n)
-
-
 def split_noncentrosymmetric(
     r: RectPermMatrix,
 ) -> tuple[RectPermMatrix, RectPermMatrix]:
@@ -116,7 +108,10 @@ def split_noncentrosymmetric(
         raise SplitError("splitting needs an even number of rows")
     if r.is_centrosymmetric():
         raise SplitError("input is already centrosymmetric")
-    first, second = (RectPermMatrix(q, r.ncols) for q in _halves(r.row_to_col, r.ncols))
+    cols, n = r.row_to_col, r.ncols
+    # each top row's two unit entries, the leftmost first
+    tops = [sorted(pair) for pair in zip(cols[: r.nrows // 2], _rotated(cols, n))]
+    first, second = (RectPermMatrix(_mirrored(top, n), n) for top in zip(*tops))
     return first, second
 
 
@@ -137,6 +132,11 @@ def decompose_centrosymmetric(a: Matrix) -> ConvexCombination:
     terms: list[tuple[Fraction, _Vertex]] = []
     for coeff, cols in _greedy_terms(a):
         center = cols[half] if m % 2 else None
-        pair = dict.fromkeys(_halves(cols[:half] + cols[m - half :], n))
+        trimmed = cols[:half] + cols[m - half :]
+        pair = (
+            [trimmed]
+            if trimmed == _rotated(trimmed, n)
+            else [q.row_to_col for q in split_noncentrosymmetric(RectPermMatrix(trimmed, n))]
+        )
         terms.extend((coeff / len(pair), _vertex(q, n, center)) for q in pair)
     return ConvexCombination(terms)

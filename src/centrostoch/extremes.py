@@ -100,9 +100,16 @@ def _column_choices(
     else:
         if pattern.shape != (m, n):
             raise ShapeError(f"the pattern is {pattern.nrows} x {pattern.ncols}, not {m} x {n}")
-        if not pattern.is_zero_one():
-            raise PatternError("a face pattern must have entries 0 and 1 only")
-        supports = [[j for j, x in enumerate(row, 1) if x == 1] for row in pattern.entries]
+        # each row's support, refusing any entry other than 0 and 1 on the way
+        supports = []
+        for row in pattern.entries:
+            support = []
+            for j, x in enumerate(row, 1):
+                if x == 1:
+                    support.append(j)
+                elif x != 0:
+                    raise PatternError("a face pattern must have entries 0 and 1 only")
+            supports.append(support)
         if centro and not is_centrosymmetric(pattern):
             raise NotCentrosymmetricError(
                 "the face needs a centrosymmetric pattern; meet it with its rotation first"

@@ -25,6 +25,8 @@ from centrostoch import (
     rotate_pi,
     split_noncentrosymmetric,
 )
+import centrostoch.decompose as decompose_module
+import greedy_reference
 from greedy_reference import (
     decompose_centro_halves,
     reference_decompose_centrosymmetric,
@@ -260,25 +262,46 @@ class TestDecomposeCentrosymmetric:
             decompose_centrosymmetric(Matrix([[1, 0], [1, 0]]))
 
 
-class TestCentroSplitsWithoutRectPerm:
-    """The centrosymmetric engine splits column tuples and never builds a
-    RectPermMatrix; its terms are the reference's, in order."""
+class TestCentroSplitRoute:
+    """The centrosymmetric engine splits each pair that is not yet extreme
+    through `split_noncentrosymmetric`, once per split, as the reference
+    does; its terms are the reference's, in order."""
 
     @pytest.mark.parametrize(
         "m, n",
         [(1, 1), (1, 4), (2, 1), (2, 2), (2, 5), (3, 1), (3, 4), (4, 3), (5, 5), (6, 4), (7, 2),
          (8, 7)],
     )
-    def test_terms_equal_the_reference(self, monkeypatch, m, n):
+    def test_terms_and_splits_equal_the_reference(self, monkeypatch, m, n):
         rng = random.Random(1000 * m + n)
         inputs = [random_centro_stochastic(rng, m, n) for _ in range(6)]
-        expected = [list(reference_decompose_centrosymmetric(a)) for a in inputs]
+        calls = {"library": 0, "reference": 0}
 
-        def refuse(self, *args):
-            raise AssertionError("the centrosymmetric engine built a RectPermMatrix")
+        def counted(key):
+            def split(r):
+                calls[key] += 1
+                return split_noncentrosymmetric(r)
+            return split
 
-        monkeypatch.setattr(RectPermMatrix, "__init__", refuse)
-        assert [list(decompose_centrosymmetric(a)) for a in inputs] == expected
+        monkeypatch.setattr(decompose_module, "split_noncentrosymmetric", counted("library"))
+        monkeypatch.setattr(greedy_reference, "split_noncentrosymmetric", counted("reference"))
+        for a in inputs:
+            assert list(decompose_centrosymmetric(a)) == list(reference_decompose_centrosymmetric(a))
+        assert calls["library"] == calls["reference"]
+
+    def test_each_non_extreme_pair_is_split(self, monkeypatch):
+        # both greedy terms of the uniform 2 x 2, (1, 1) and (2, 2), are
+        # not centrosymmetric; both split into the two permutations
+        seen = []
+
+        def split(r):
+            seen.append(r)
+            return split_noncentrosymmetric(r)
+
+        monkeypatch.setattr(decompose_module, "split_noncentrosymmetric", split)
+        comb = decompose_centrosymmetric(Matrix([[Fraction(1, 2)] * 2] * 2))
+        assert seen == [RectPermMatrix([1, 1], 2), RectPermMatrix([2, 2], 2)]
+        assert len(comb) == 2
 
 
 class TestPropertiesOnEveryShape:
