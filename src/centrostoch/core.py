@@ -17,10 +17,18 @@ the dense Matrix of a term only when the terms are iterated. `_vertex_of`
 reads the vertex back off a Matrix; it is the one statement of what an
 extreme point looks like, and the extremality predicates and the CLI both
 read it.
+
+The dense Matrix of an extreme point (`_unit_matrix`, behind the
+enumerators, `RectPermMatrix.to_matrix` and the basis builders) is built
+from cached unit and centre rows that all such matrices share, and carries
+its vertex, so `_vertex_of` hands it back without reading an entry.
+`rank_of_family` certifies full rank in arithmetic modulo a prime and falls
+back to exact elimination only when that certificate fails.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -114,9 +122,14 @@ class Matrix:
     Rows are given as any iterable of iterables of Fraction-convertible
     values (ints, Fractions, strings like ``'7/10'``); floats raise
     TypeError. Entry access is 1-based via :meth:`at`.
+
+    Equality and hashing read the entries alone. An extreme point built by
+    `_unit_matrix` shares its rows with every other such matrix and carries
+    its vertex in the private `_key` slot (None on any other matrix), so
+    `_vertex_of` reads it back in O(1).
     """
 
-    __slots__ = ("nrows", "ncols", "entries")
+    __slots__ = ("nrows", "ncols", "entries", "_key")
 
     def __init__(self, rows: Iterable[Iterable]) -> None:
         data = tuple(tuple(_to_rational(x) for x in row) for row in rows)
@@ -128,6 +141,7 @@ class Matrix:
         object.__setattr__(self, "nrows", len(data))
         object.__setattr__(self, "ncols", width)
         object.__setattr__(self, "entries", data)
+        object.__setattr__(self, "_key", None)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("Matrix is immutable")
@@ -221,11 +235,39 @@ class Matrix:
         return f"{type(self).__name__}([{rows}])"
 
 
+def _trusted(rows: tuple[tuple[Fraction, ...], ...], ncols: int, key=None) -> Matrix:
+    """The Matrix of `rows`, which must already be a nonempty tuple of
+    `ncols`-long tuples of Fractions; nothing is checked or converted.
+
+    `key`, when given, must be the canonical vertex (`_vertex`) of exactly
+    these entries.
+    """
+    a = object.__new__(Matrix)
+    object.__setattr__(a, "nrows", len(rows))
+    object.__setattr__(a, "ncols", ncols)
+    object.__setattr__(a, "entries", rows)
+    object.__setattr__(a, "_key", key)
+    return a
+
+
 def rotate_pi(a: Matrix) -> Matrix:
     """Half-turn rotation: entry (i, j) moves to (m+1-i, n+1-j)."""
     return Matrix(tuple(row[::-1] for row in a.entries[::-1]))
 
 
+# Rows are immutable tuples, so every extreme point shares them. The caches
+# are bounded, so at most _ROW_CACHE rows of the widest n in use stay alive.
+_ROW_CACHE = 256
+
+
+@functools.lru_cache(maxsize=_ROW_CACHE)
+def _unit_row(n: int, c: int) -> tuple[Fraction, ...]:
+    """The n-long row with 1 in column c (1-based) and 0 elsewhere."""
+    zero = Fraction(0)
+    return (zero,) * (c - 1) + (Fraction(1),) + (zero,) * (n - c)
+
+
+@functools.lru_cache(maxsize=_ROW_CACHE)
 def _center_row(n: int, j: int) -> tuple[Fraction, ...]:
     """Admissible centre row of an odd-row centrosymmetric extreme point.
 
@@ -233,11 +275,10 @@ def _center_row(n: int, j: int) -> tuple[Fraction, ...]:
     columns j and n+1-j: the centre row of (R + R^pi) / 2 when R puts its
     centre 1 in column j.
     """
-    row = [Fraction(0)] * n
     if j == n + 1 - j:
-        row[j - 1] = Fraction(1)
-    else:
-        row[j - 1] = row[n - j] = _HALF
+        return _unit_row(n, j)
+    row = [Fraction(0)] * n
+    row[j - 1] = row[n - j] = _HALF
     return tuple(row)
 
 
@@ -247,13 +288,14 @@ def _unit_matrix(cols: Sequence[int], n: int, center: int | None = None) -> Matr
     Columns are 1-based. With `center` given, the admissible centre row
     `_center_row(n, center)` is inserted as the middle row, so an even-length
     tuple becomes an odd-row extreme point of the centrosymmetric polytope.
-    This is the one place where column tuples become dense rows.
+    This is the one place where column tuples become dense rows: shared
+    cached rows, O(m) to build, and the matrix carries its canonical vertex.
     """
-    zero, one = Fraction(0), Fraction(1)
-    rows = [(zero,) * (c - 1) + (one,) + (zero,) * (n - c) for c in cols]
-    if center is not None:
-        rows.insert(len(rows) // 2, _center_row(n, center))
-    return Matrix(rows)
+    key = _vertex(cols, n, center)
+    rows = [_unit_row(n, c) for c in key.cols]
+    if key.center is not None:
+        rows.insert(len(rows) // 2, _center_row(n, key.center))
+    return _trusted(tuple(rows), n, key)
 
 
 def _unit_column(row: Sequence[Fraction]) -> int | None:
@@ -303,7 +345,13 @@ def _vertex(cols: Sequence[int], n: int, center: int | None = None) -> _Vertex:
 
 
 def _vertex_of(a: Matrix) -> _Vertex | None:
-    """The key of `a` when it is a matrix `_unit_matrix` builds, else None."""
+    """The key of `a` when it is a matrix `_unit_matrix` builds, else None.
+
+    A matrix `_unit_matrix` built carries its key, which is returned as it
+    is; any other matrix has its key read off its entries.
+    """
+    if a._key is not None:
+        return a._key
     cols = [_unit_column(row) for row in a.entries]
     if None not in cols:
         return _Vertex(tuple(cols), a.ncols, None)
@@ -365,6 +413,15 @@ class RectPermMatrix:
         object.__setattr__(self, "nrows", len(cols))
         object.__setattr__(self, "ncols", ncols)
         object.__setattr__(self, "row_to_col", cols)
+
+    @classmethod
+    def _trusted(cls, cols: tuple[int, ...], ncols: int) -> "RectPermMatrix":
+        """The instance for a nonempty tuple of ints in 1..ncols, unchecked."""
+        r = object.__new__(cls)
+        object.__setattr__(r, "nrows", len(cols))
+        object.__setattr__(r, "ncols", ncols)
+        object.__setattr__(r, "row_to_col", cols)
+        return r
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("RectPermMatrix is immutable")
@@ -544,10 +601,77 @@ def _rank(rows: list[list[Fraction]]) -> int:
     return pivots
 
 
+# a prime: a family of full rank modulo it has full rank over the rationals
+_P = (1 << 61) - 1
+
+
+def _residues(mats: list[Matrix]) -> list[list[int]] | None:
+    """Each matrix flattened row-major with its entries mapped to Z/p, the
+    numerator times the inverse of the denominator; None when some
+    denominator is divisible by p.
+
+    Every row is mapped once, however many matrices share it (extreme
+    points share their rows), and every denominator is inverted once.
+    """
+    inverses = {1: 1}
+    mapped: dict[int, list[int]] = {}  # id of a row of `mats` -> its residues
+    out = []
+    for mat in mats:
+        vector: list[int] = []
+        for row in mat.entries:
+            residues = mapped.get(id(row))
+            if residues is None:
+                residues = mapped[id(row)] = []
+                for x in row:
+                    d = x.denominator
+                    inverse = inverses.get(d)
+                    if inverse is None:
+                        if d % _P == 0:
+                            return None
+                        inverse = inverses[d] = pow(d, -1, _P)
+                    residues.append(x.numerator * inverse % _P)
+            vector += residues
+        out.append(vector)
+    return out
+
+
+def _rank_mod_p(rows: list[list[int]]) -> int:
+    """Rank of a list of vectors over Z/p by Gaussian elimination.
+
+    Mutates its argument; callers pass throwaway copies. Columns left of
+    the current one are never read again, so only the rest is updated.
+    """
+    nrows = len(rows)
+    pivots = 0
+    for col in range(len(rows[0])):
+        pivot_row = next((r for r in range(pivots, nrows) if rows[r][col]), None)
+        if pivot_row is None:
+            continue
+        rows[pivots], rows[pivot_row] = rows[pivot_row], rows[pivots]
+        source = rows[pivots][col:]
+        inverse = pow(source[0], -1, _P)
+        for r in range(pivots + 1, nrows):
+            target = rows[r]
+            factor = target[col]
+            if factor:
+                factor = factor * inverse % _P
+                target[col:] = [(t - factor * x) % _P for t, x in zip(target[col:], source)]
+        pivots += 1
+        if pivots == nrows:
+            break
+    return pivots
+
+
 def rank_of_family(family: Iterable[Matrix]) -> int:
     """Exact rank of a family of equally shaped matrices, flattened row-major.
 
     The empty family has rank 0. Shapes must agree.
+
+    Full rank is certified modulo the prime p = 2^61 - 1: each entry maps to
+    Z/p, and the rank mod p is at most the rank over the rationals, so a
+    rank mod p of min(family size, m * n) is the answer. Any smaller rank
+    mod p, or a denominator divisible by p, falls back to exact Fraction
+    elimination.
     """
     mats = list(family)
     if not mats:
@@ -556,5 +680,8 @@ def rank_of_family(family: Iterable[Matrix]) -> int:
     for mat in mats:
         if mat.shape != shape:
             raise ShapeError(f"shape mismatch: {shape} vs {mat.shape}")
-    vectors = [[x for row in mat.entries for x in row] for mat in mats]
-    return _rank(vectors)
+    full = min(len(mats), shape[0] * shape[1])
+    residues = _residues(mats)
+    if residues is not None and _rank_mod_p(residues) == full:
+        return full
+    return _rank([[x for row in mat.entries for x in row] for mat in mats])

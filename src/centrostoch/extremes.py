@@ -32,6 +32,7 @@ from centrostoch.core import (
     PatternError,
     RectPermMatrix,
     ShapeError,
+    _as_int,
     _mirrored,
     _rank,
     _rotated,
@@ -145,8 +146,10 @@ def enumerate_extreme_stochastic(
     lexicographic order of the column assignments. Raises
     EnumerationCapError up front when the count exceeds `cap`.
     """
+    n = _as_int(n)  # refuses a bool or float count, as RectPermMatrix would
     choices = _column_choices(m, n, pattern, centro=False)
-    return (RectPermMatrix(cols, n) for cols in _product(choices, cap))
+    # every column comes from range(1, n + 1) or a checked support
+    return (RectPermMatrix._trusted(cols, n) for cols in _product(choices, cap))
 
 
 def enumerate_extreme_centro(

@@ -9,6 +9,8 @@ Writing then reading a matrix reproduces it bit-for-bit.
 A token's text fixes its value, so each distinct token of an input is
 parsed and checked once, at its first occurrence; only tokens that parse
 are remembered, so an error names the first line where a bad token occurs.
+The checked rows of Fractions become the Matrix as they are, with no second
+conversion.
 
 A decimal exponent (``1e-3``) may not exceed 4300 in absolute value, the
 interpreter's default limit on the digits of an int read from a string;
@@ -28,7 +30,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from centrostoch.core import Matrix
+from centrostoch.core import Matrix, _trusted
 
 __all__ = ["SmxError", "parse_matrix", "format_matrix"]
 
@@ -109,10 +111,11 @@ def parse_matrix(text: str) -> Matrix:
             if value is None:
                 value = values[token] = _rational(token, number)
             row.append(value)
-        rows.append(row)
+        rows.append(tuple(row))
     for number, _ in lines:
         raise SmxError(f"line {number}: data after the final row")
-    return Matrix(rows)
+    # the rows are checked Fractions of width ncols: nothing to convert
+    return _trusted(tuple(rows), ncols)
 
 
 def format_matrix(a: Matrix) -> str:

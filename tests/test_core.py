@@ -9,16 +9,27 @@ from hypothesis import strategies as st
 
 from centrostoch import (
     ConvexCombination,
+    FacePattern,
     Matrix,
     PatternError,
     RectPermMatrix,
     ShapeError,
+    basis_centro_even,
+    basis_centro_odd,
+    basis_rect,
+    basis_square,
+    core,
+    enumerate_extreme_centro,
+    enumerate_extreme_stochastic,
+    enumerate_face_vertices,
     is_centrosymmetric,
+    is_extreme_oracle,
     is_stochastic,
     rank_of_family,
     rotate_pi,
 )
-from centrostoch.core import _unit_matrix, _vertex
+from centrostoch.core import _rank, _unit_matrix, _vertex, _vertex_of
+from matrixgen import pattern_or_rotation, random_stochastic, random_supported_pattern
 
 rationals = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
 
@@ -374,3 +385,174 @@ class TestRank:
         fam = [a for a in fams if a.shape == shape]
         rank = rank_of_family(fam)
         assert 0 <= rank <= min(len(fam), shape[0] * shape[1])
+
+
+def exact_rank(family):
+    # the exact Fraction elimination alone, on a row-major copy
+    return _rank([[x for row in a.entries for x in row] for a in family])
+
+
+def refuse(*args):
+    raise AssertionError("this route must not run")
+
+
+P = (1 << 61) - 1
+
+
+class TestRankCertificate:
+    """rank_of_family certifies full rank modulo 2^61 - 1 and otherwise
+    answers by exact elimination; either way it equals the exact rank."""
+
+    SHAPES = [(1, 1), (1, 4), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2)]
+    ENTRIES = {
+        "small": lambda rng: Fraction(rng.randint(0, 3), rng.randint(1, 3)),
+        "negative": lambda rng: Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
+        "huge": lambda rng: Fraction(rng.randint(-(10**40), 10**40), rng.randint(1, 10**30)),
+    }
+
+    @pytest.mark.parametrize("kind", list(ENTRIES))
+    @pytest.mark.parametrize("m, n", SHAPES)
+    def test_random_families_equal_the_exact_rank(self, kind, m, n):
+        rng = random.Random(f"{kind}/{m}/{n}")
+        entry = self.ENTRIES[kind]
+        for _ in range(25):
+            size = rng.randint(1, m * n + 2)
+            family = [Matrix([[entry(rng) for _ in range(n)] for _ in range(m)]) for _ in range(size)]
+            assert rank_of_family(family) == exact_rank(family)
+
+    @pytest.mark.parametrize("kind", list(ENTRIES))
+    @pytest.mark.parametrize("m, n", SHAPES)
+    def test_low_rank_families_equal_the_exact_rank(self, kind, m, n):
+        # every member a combination of a few generators: deficient whenever
+        # the family outnumbers them
+        rng = random.Random(f"low/{kind}/{m}/{n}")
+        entry = self.ENTRIES[kind]
+        for _ in range(10):
+            gens = [Matrix([[entry(rng) for _ in range(n)] for _ in range(m)])
+                    for _ in range(rng.randint(1, max(1, m * n - 1)))]
+            family = []
+            for _ in range(len(gens) + rng.randint(0, 3)):
+                acc = Matrix.zeros(m, n)
+                for g in gens:
+                    acc = acc + g * Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                family.append(acc)
+            assert rank_of_family(family) == exact_rank(family)
+
+    def test_a_repeated_member(self):
+        family = basis_rect(3, 4)
+        assert rank_of_family(family) == len(family)
+        assert rank_of_family(family + [family[2]]) == len(family)
+
+    @pytest.mark.parametrize("m, n", [(1, 2), (2, 3), (3, 3), (4, 2)])
+    def test_a_basis_and_one_more_stochastic_matrix(self, m, n):
+        family = basis_rect(m, n) + [random_stochastic(random.Random(m * n), m, n)]
+        assert rank_of_family(family) == len(family) - 1 == exact_rank(family)
+
+    def test_the_zero_matrix_adds_no_rank(self):
+        assert rank_of_family([Matrix.zeros(3, 2), Matrix([[1, 0], [0, 0], [0, 1]])]) == 1
+
+    def test_a_full_rank_family_is_certified_without_exact_elimination(self, monkeypatch):
+        monkeypatch.setattr(core, "_rank", refuse)
+        for family in (basis_square(5), basis_rect(4, 3), basis_centro_odd(5, 4)):
+            assert rank_of_family(family) == len(family)
+
+    def test_a_denominator_divisible_by_p_takes_the_exact_route(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(core, "_rank_mod_p", refuse)
+        monkeypatch.setattr(core, "_rank", lambda rows: calls.append(rows) or _rank(rows))
+        family = [Matrix([[Fraction(1, P), 1]]), Matrix([[Fraction(3, 2 * P), 0]])]
+        assert rank_of_family(family) == 2
+        assert len(calls) == 1
+
+    def test_a_numerator_divisible_by_p_is_not_lost(self):
+        # P and 2P vanish mod p; only the exact route sees their rank
+        assert rank_of_family([Matrix([[P, 0]]), Matrix([[0, 2 * P]])]) == 2
+        assert rank_of_family([Matrix([[Fraction(P, 3)]])]) == 1
+
+    @pytest.mark.parametrize("m, n", [(1, 3), (2, 2), (3, 3), (4, 3)])
+    def test_the_oracle_stays_exact(self, monkeypatch, m, n):
+        monkeypatch.setattr(core, "_rank_mod_p", refuse)
+        rng = random.Random(31 * m + n)
+        for a in enumerate_extreme_centro(m, n):
+            assert is_extreme_oracle(a, centro=True)
+            assert is_extreme_oracle(a) == (_vertex_of(a).center is None)
+        for _ in range(20):
+            a = random_stochastic(rng, m, n)
+            assert is_extreme_oracle(a) == (a.nnz() == m)
+
+
+def assert_carries_its_vertex(a):
+    # `a` is a Matrix built from its vertex: equal to the same entries built
+    # plainly, with the vertex read back the key-less way, and immutable
+    plain = Matrix(a.entries)
+    assert plain._key is None
+    assert a == plain and hash(a) == hash(plain)
+    assert a._key is not None
+    assert _vertex_of(a) == _vertex_of(plain)
+    for name in ("nrows", "ncols", "entries", "_key"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+
+
+class TestCarriedVertex:
+    """Every extreme point built from its vertex carries the canonical
+    vertex that its entries read back to."""
+
+    SHAPES = [(1, 1), (1, 4), (2, 1), (2, 3), (3, 1), (3, 3), (3, 4), (4, 2), (5, 3), (4, 5)]
+
+    @pytest.mark.parametrize("m, n", SHAPES)
+    def test_enumerated_points(self, m, n):
+        for a in enumerate_extreme_centro(m, n):
+            assert_carries_its_vertex(a)
+        for r in enumerate_extreme_stochastic(m, n):
+            assert_carries_its_vertex(r.to_matrix())
+
+    @pytest.mark.parametrize("m, n", SHAPES)
+    def test_face_vertices(self, m, n):
+        rng = random.Random(97 * m + n)
+        for _ in range(4):
+            pattern = random_supported_pattern(rng, m, n)
+            centro = pattern_or_rotation(pattern)
+            for a in enumerate_extreme_centro(m, n, pattern=centro):
+                assert_carries_its_vertex(a)
+            for r in enumerate_extreme_stochastic(m, n, pattern=pattern):
+                assert_carries_its_vertex(r.to_matrix())
+            for a in enumerate_face_vertices(pattern):
+                assert_carries_its_vertex(a)
+            for a in enumerate_face_vertices(centro, centro=True):
+                assert_carries_its_vertex(a)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("m", [1, 3, 5])
+    def test_every_centre_column(self, m, n):
+        # centre columns j and n+1-j give one matrix and one vertex; for odd
+        # n the middle column's centre row is a unit row
+        rng = random.Random(m * n)
+        top = tuple(rng.randint(1, n) for _ in range(m // 2))
+        cols = top + tuple(n + 1 - c for c in reversed(top))
+        for j in range(1, n + 1):
+            a = _unit_matrix(cols, n, j)
+            assert_carries_its_vertex(a)
+            assert a == _unit_matrix(cols, n, n + 1 - j)
+            assert _vertex_of(a) == _vertex_of(_unit_matrix(cols, n, n + 1 - j))
+
+    @pytest.mark.parametrize(
+        "family",
+        [basis_square(2), basis_square(3), basis_square(4), basis_rect(1, 2), basis_rect(3, 4),
+         basis_rect(4, 3), basis_centro_even(2, 2), basis_centro_even(4, 5),
+         basis_centro_even(6, 4), basis_centro_odd(3, 2), basis_centro_odd(3, 5),
+         basis_centro_odd(5, 4)],
+        ids=lambda family: f"{len(family)}x{family[0].nrows}x{family[0].ncols}",
+    )
+    def test_basis_members(self, family):
+        for a in family:
+            assert_carries_its_vertex(a)
+
+    def test_a_face_pattern_adopts_the_key_with_the_rows(self):
+        a = _unit_matrix((2, 1, 2), 2)
+        p = FacePattern(a)
+        assert p.entries is a.entries and _vertex_of(p) == _vertex_of(Matrix(a.entries))
+
+    def test_the_rows_are_shared(self):
+        a, b = _unit_matrix((1, 3), 3, 1), _unit_matrix((2, 3), 3, 3)
+        assert a.entries[1] is b.entries[1] and a.entries[2] is b.entries[2]

@@ -174,6 +174,28 @@ class TestEnumerateStochastic:
         with pytest.raises(ShapeError):
             enumerate_extreme_stochastic(0, 3)
 
+    @pytest.mark.parametrize("n", [True, 2.0])
+    def test_bool_and_float_column_counts_refused(self, n):
+        with pytest.raises(TypeError):
+            list(enumerate_extreme_stochastic(2, n))
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (2, 3), (3, 2)])
+    def test_items_equal_the_checked_constructor(self, m, n):
+        # the enumerator builds its items unchecked; each is the instance the
+        # public constructor makes from the same columns, plain ints included
+        rng = random.Random(m * n)
+        pattern = Matrix([[1 if j == 1 or rng.random() < 0.5 else 0 for j in range(1, n + 1)]
+                          for _ in range(m)])
+        for items in (enumerate_extreme_stochastic(m, n),
+                      enumerate_extreme_stochastic(m, n, pattern=pattern)):
+            for r in items:
+                checked = RectPermMatrix(list(r.row_to_col), n)
+                assert r == checked and hash(r) == hash(checked)
+                assert (r.nrows, r.ncols, r.row_to_col) == (checked.nrows, checked.ncols, checked.row_to_col)
+                assert type(r.ncols) is int and all(type(c) is int for c in r.row_to_col)
+                with pytest.raises(AttributeError):
+                    r.ncols = n
+
 
 class TestEnumerateCentro:
     def test_even_counts(self):

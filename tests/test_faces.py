@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from centrostoch import (
     is_extreme_centro,
     is_extreme_stochastic,
 )
+from centrostoch import core
 from face_reference import reference_row_support_centro
 from matrixgen import pattern_or_rotation, random_pattern, random_supported_pattern
 
@@ -222,14 +224,25 @@ class TestPatternBuiltOnce:
     @pytest.mark.parametrize("action", ["count", "support"])
     @pytest.mark.parametrize("centro", [False, True], ids=["plain", "centro"])
     def test_cli_builds_one_matrix(self, run_cli, monkeypatch, action, centro):
+        # a Matrix is built by its constructor, or by core._trusted from rows
+        # that are already checked Fractions (as the parse does): count both
         built = []
         init = Matrix.__init__
+        trusted = core._trusted
 
         def counting(self, rows):
             built.append(type(self))
             init(self, rows)
 
+        def counting_trusted(*args):
+            a = trusted(*args)
+            built.append(type(a))
+            return a
+
         monkeypatch.setattr(Matrix, "__init__", counting)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("centrostoch") and getattr(module, "_trusted", None) is trusted:
+                monkeypatch.setattr(module, "_trusted", counting_trusted)
         argv = ["face", action, *(["--centro"] if centro else []), "--json"]
         code, out, err = run_cli(argv, "3 3\n1 1 0\n1 0 1\n0 1 1\n")
         assert (code, err) == (0, "")

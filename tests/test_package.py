@@ -171,3 +171,70 @@ def test_benchmark_trace_sites_exist(monkeypatch):
     finally:
         recorder.uninstall()
     assert [getattr(owner, attr) for owner, attr in sites] == originals
+
+
+def counted(monkeypatch, owner, attr, calls, lazy=False):
+    # replace owner.attr by a wrapper that appends each call's arguments to
+    # `calls`, and for a lazy enumerator each item it yields as well
+    fn = getattr(owner, attr)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        if not lazy:
+            return fn(*args, **kwargs)
+        return (calls.append(item) or item for item in fn(*args, **kwargs))
+
+    monkeypatch.setattr(owner, attr, wrapper)
+
+
+class TestBenchmarkTraceRoute:
+    """The census commands reach the library through the names the
+    benchmark's tracer counts at: a route that bypassed them would read
+    `faces.candidates` or `extremes.enumerated` as 0, and `core.rank.cells`
+    reads the size and shape of the list of matrices `rank_of_family` is
+    given."""
+
+    PATTERN = "3 3\n1 1 0\n1 1 1\n0 1 1\n"
+
+    @pytest.mark.parametrize("centro", [False, True], ids=["plain", "centro"])
+    def test_face_vertices_consumes_the_faces_enumerator(self, run_cli, monkeypatch, centro):
+        calls = []
+        name = "enumerate_extreme_centro" if centro else "enumerate_extreme_stochastic"
+        counted(monkeypatch, faces, name, calls, lazy=True)
+        argv = ["face", "vertices", "--json", *(["--centro"] if centro else [])]
+        code, out, err = run_cli(argv, self.PATTERN)
+        assert (code, err) == (0, "")
+        count = json.loads(out)["count"]
+        assert count == (4 if centro else 12)
+        assert len(calls) == 1 + count
+
+    @pytest.mark.parametrize("centro", [False, True], ids=["plain", "centro"])
+    def test_enumerate_calls_the_cli_enumerator(self, run_cli, monkeypatch, centro):
+        calls = []
+        name = "enumerate_extreme_centro" if centro else "enumerate_extreme_stochastic"
+        counted(monkeypatch, cli, name, calls, lazy=True)
+        argv = ["enumerate", "--extremes", "--m", "3", "--n", "3", "--json"]
+        code, out, err = run_cli(argv + (["--centro"] if centro else []), "")
+        assert (code, err) == (0, "")
+        count = json.loads(out)["count"]
+        assert count == (6 if centro else 27)
+        assert len(calls) == 1 + count
+
+    @pytest.mark.parametrize(
+        "family, argv, size",
+        [("basis_square", ["--set", "square", "--n", "3"], 7),
+         ("basis_rect", ["--set", "rect", "--m", "2", "--n", "3"], 5),
+         ("basis_centro_even", ["--set", "centro-even", "--m", "4", "--n", "3"], 5),
+         ("basis_centro_odd", ["--set", "centro-odd", "--m", "3", "--n", "3"], 4)],
+    )
+    def test_basis_verify_ranks_a_list_of_matrices(self, run_cli, monkeypatch, family, argv, size):
+        built, ranked = [], []
+        counted(monkeypatch, cli, family, built)
+        counted(monkeypatch, cli, "rank_of_family", ranked)
+        code, out, err = run_cli(["basis", *argv, "--verify"], "")
+        assert (code, err) == (0, "")
+        assert out.endswith(f"rank={size} independent=true\n")
+        assert len(built) == len(ranked) == 1
+        (members,) = ranked[0]
+        assert type(members) is list and len(members) == size
+        assert all(isinstance(a, core.Matrix) for a in members)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from centrostoch import Matrix, SmxError, format_matrix, parse_matrix, smx
+from centrostoch import Matrix, SmxError, core, format_matrix, parse_matrix, smx
 
 rationals = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 17))
 
@@ -157,6 +157,34 @@ class TestDistinctTokens:
             expected = tuple(tuple(Fraction(token) for token in line) for line in lines)
             assert a.entries == expected
             assert all(type(x) is Fraction for row in a.entries for x in row)
+
+
+class TestTrustedParse:
+    """The parsed rows are already checked Fractions, so they become the
+    Matrix as they are: no entry is converted a second time."""
+
+    def test_no_entry_is_converted_again(self, monkeypatch):
+        converted = []
+        real = core._to_rational
+        monkeypatch.setattr(core, "_to_rational", lambda x: converted.append(x) or real(x))
+        a = parse_matrix("3 4\n1/2 0 1/2 0\n3/10 0 0 7/10\n2/5 1/5 2/5 0\n")
+        assert converted == []
+        assert a.shape == (3, 4) and a.at(2, 4) == Fraction(7, 10)
+
+    def test_the_result_is_the_plain_matrix(self):
+        rng = random.Random(4099)
+        pool = ["0", "1", "-3", "1/2", "2/4", "0.5", "-7/3", "1e-3", "99999999999/7"]
+        for _ in range(100):
+            m, n = rng.randint(1, 5), rng.randint(1, 5)
+            lines = [[rng.choice(pool) for _ in range(n)] for _ in range(m)]
+            a = parse_matrix(f"{m} {n}\n" + "".join(" ".join(line) + "\n" for line in lines))
+            b = Matrix(lines)
+            assert a == b and hash(a) == hash(b)
+            assert a.shape == b.shape and type(a) is Matrix
+            assert a._key is None
+            assert all(type(row) is tuple for row in a.entries)
+            with pytest.raises(AttributeError):
+                a.entries = b.entries
 
 
 class TestFormat:
