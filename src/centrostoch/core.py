@@ -31,6 +31,7 @@ from __future__ import annotations
 import functools
 import operator
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 __all__ = [
@@ -145,6 +146,11 @@ class Matrix:
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("Matrix is immutable")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor; a carried vertex
+        # is derived from the entries, so it is read off them again
+        return (type(self), (self.entries,))
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "Matrix":
@@ -370,11 +376,21 @@ def _dense(key: _Vertex | Matrix) -> Matrix:
 
 
 def is_stochastic(a: Matrix) -> bool:
-    """True iff every entry is nonnegative and every row sums to exactly 1."""
+    """True iff every entry is nonnegative and every row sums to exactly 1.
+
+    Each row is checked on ints over d, the lcm of its own denominators:
+    it fails when some numerator is negative or when the numerators scaled
+    to d do not sum to d. No Fraction is compared or added.
+    """
     for row in a.entries:
-        if any(x < 0 for x in row):
-            return False
-        if sum(row) != 1:
+        d = lcm(*[x.denominator for x in row])
+        total = 0
+        for x in row:
+            num = x.numerator
+            if num < 0:
+                return False
+            total += num * (d // x.denominator)
+        if total != d:
             return False
     return True
 
@@ -425,6 +441,9 @@ class RectPermMatrix:
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("RectPermMatrix is immutable")
+
+    def __reduce__(self):
+        return (RectPermMatrix, (self.row_to_col, self.ncols))
 
     @classmethod
     def from_matrix(cls, a: Matrix) -> "RectPermMatrix":
@@ -489,7 +508,9 @@ class ConvexCombination:
                 key = _vertex_of(term) or term
             else:
                 raise TypeError("terms must pair a coefficient with a Matrix")
-            merged[key] = merged.get(key, 0) + _to_rational(coeff)
+            coeff = _to_rational(coeff)
+            previous = merged.get(key)
+            merged[key] = coeff if previous is None else previous + coeff
         if not merged:
             raise ShapeError("a convex combination needs at least one term")
         shapes = {
@@ -513,6 +534,9 @@ class ConvexCombination:
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("ConvexCombination is immutable")
+
+    def __reduce__(self):
+        return (ConvexCombination, (tuple(zip(self._coeffs, self._keys)),))
 
     @property
     def terms(self) -> tuple[tuple[Fraction, Matrix], ...]:

@@ -11,17 +11,32 @@ exactly as many terms as distinct breakpoints. This is the north-west-corner
 rule on sorted rows, and it yields exactly the terms of the classic greedy
 peel (mark each row's smallest positive entry, leftmost on ties, peel, and
 renormalise), because a marked entry stays the smallest of its row until it
-is used up. Everything else in the module is bookkeeping on the column
-tuples: pairing terms with their half-turn rotations for the
-centrosymmetric polytope, and splitting the pairs that are not yet extreme.
-The terms reach `ConvexCombination` as vertices, never as dense matrices.
+is used up.
+
+The sweep runs on ints. Each row works over the lcm of its own
+denominators, so its entries and cumulative sums are ints over that lcm,
+and each inner sum is one event that switches one row to its next column.
+Events are sorted by the float of s / d, which is correctly rounded and so
+in the exact order up to ties; a run of equal floats, which may hold
+distinct exact values, is sorted again by cross-multiplying. Each distinct
+breakpoint builds one Fraction, its term's coefficient, and no event builds
+one. There is deliberately no lcm shared by all rows: on rows with
+unrelated 30-bit denominators it grows to tens of thousands of bits and
+makes the sweep an order of magnitude slower than Fraction arithmetic.
+
+Everything else in the module is bookkeeping on the column tuples: pairing
+terms with their half-turn rotations for the centrosymmetric polytope, and
+splitting the pairs that are not yet extreme. The terms reach
+`ConvexCombination` as vertices, never as dense matrices.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
-from itertools import accumulate
+from functools import cmp_to_key
+from itertools import groupby
+from math import lcm
+from operator import itemgetter
 
 from centrostoch.core import (
     ConvexCombination,
@@ -47,24 +62,45 @@ __all__ = [
     "decompose_centrosymmetric",
 ]
 
+# orders two events (float, s, d, ...) by their exact value s / d
+_EXACT = cmp_to_key(lambda x, y: x[1] * y[2] - y[1] * x[2])
+
 
 def _greedy_terms(a: Matrix) -> list[tuple[Fraction, tuple[int, ...]]]:
-    # callers have checked that `a` is stochastic, so every row's sums end
-    # at exactly 1; the entry covering the cell that ends at the k-th
-    # breakpoint is the first whose cumulative sum reaches it. The bisects
-    # run on the sums' ranks among the breakpoints: comparing two ints is
-    # far cheaper than comparing two Fractions.
-    rows = [sorted((x, j) for j, x in enumerate(row, 1) if x > 0) for row in a.entries]
-    sums = [list(accumulate(x for x, _ in row)) for row in rows]
-    points = sorted(set().union(*sums))
-    rank = {point: k for k, point in enumerate(points)}
-    ranks = [[rank[s] for s in row_sums] for row_sums in sums]
+    # callers have checked that `a` is stochastic. Row i works over d, the
+    # lcm of its own denominators (never over one lcm of all rows, see the
+    # module docstring): its positive entries become ints, and each inner
+    # cumulative sum s is one event (s / d, s, d, i, column it switches to)
+    events = []
+    cols = []
+    for i, row in enumerate(a.entries):
+        d = lcm(*[x.denominator for x in row if x])
+        ranked = sorted(
+            [(x.numerator * (d // x.denominator), j) for j, x in enumerate(row, 1) if x]
+        )
+        cols.append(ranked[0][1])
+        s = 0
+        for (v, _), (_, c) in zip(ranked, ranked[1:]):
+            s += v
+            events.append((s / d, s, d, i, c))
+    # int / int is correctly rounded, so sorting by the floats alone puts
+    # the events in exact order up to runs of equal floats; such a run may
+    # hold distinct exact values, so it is sorted again, exactly. Each
+    # distinct breakpoint ends one cell: its term takes the columns in
+    # force before it, then the rows that end there switch.
+    events.sort(key=itemgetter(0))
     terms: list[tuple[Fraction, tuple[int, ...]]] = []
-    previous = Fraction(0)
-    for k, point in enumerate(points):
-        cols = tuple(row[bisect_left(r, k)][1] for row, r in zip(rows, ranks))
-        terms.append((point - previous, cols))
-        previous = point
+    ps, pd = 0, 1  # the previous breakpoint, ps / pd
+    for _, run in groupby(events, itemgetter(0)):
+        run = list(run)
+        if len(run) > 1:
+            run.sort(key=_EXACT)
+        for _, s, d, i, c in run:
+            if s * pd != ps * d:
+                terms.append((Fraction(s * pd - ps * d, d * pd), tuple(cols)))
+                ps, pd = s, d
+            cols[i] = c
+    terms.append((Fraction(pd - ps, pd), tuple(cols)))
     return terms
 
 
@@ -111,7 +147,7 @@ def split_noncentrosymmetric(
     cols, n = r.row_to_col, r.ncols
     # each top row's two unit entries, the leftmost first
     tops = [sorted(pair) for pair in zip(cols[: r.nrows // 2], _rotated(cols, n))]
-    first, second = (RectPermMatrix(_mirrored(top, n), n) for top in zip(*tops))
+    first, second = (RectPermMatrix._trusted(_mirrored(top, n), n) for top in zip(*tops))
     return first, second
 
 
@@ -132,11 +168,13 @@ def decompose_centrosymmetric(a: Matrix) -> ConvexCombination:
     terms: list[tuple[Fraction, _Vertex]] = []
     for coeff, cols in _greedy_terms(a):
         center = cols[half] if m % 2 else None
+        # columns the sweep read off a checked matrix, so trusted below
         trimmed = cols[:half] + cols[m - half :]
         pair = (
             [trimmed]
             if trimmed == _rotated(trimmed, n)
-            else [q.row_to_col for q in split_noncentrosymmetric(RectPermMatrix(trimmed, n))]
+            else [q.row_to_col
+                  for q in split_noncentrosymmetric(RectPermMatrix._trusted(trimmed, n))]
         )
         terms.extend((coeff / len(pair), _vertex(q, n, center)) for q in pair)
     return ConvexCombination(terms)

@@ -1,5 +1,7 @@
 """Core value types: exact matrices, row patterns, convex combinations, rank."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -19,6 +21,7 @@ from centrostoch import (
     basis_rect,
     basis_square,
     core,
+    decompose_centrosymmetric,
     enumerate_extreme_centro,
     enumerate_extreme_stochastic,
     enumerate_face_vertices,
@@ -29,7 +32,13 @@ from centrostoch import (
     rotate_pi,
 )
 from centrostoch.core import _rank, _unit_matrix, _vertex, _vertex_of
-from matrixgen import pattern_or_rotation, random_stochastic, random_supported_pattern
+from matrixgen import (
+    pattern_or_rotation,
+    random_stochastic,
+    random_stochastic_row,
+    random_supported_pattern,
+)
+from stochastic_reference import reference_is_stochastic
 
 rationals = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
 
@@ -176,6 +185,55 @@ class TestPredicates:
         assert is_stochastic(Matrix([[1, 0], ["1/2", "1/2"]]))
         assert not is_stochastic(Matrix([[1, 1]]))
         assert not is_stochastic(Matrix([["3/2", "-1/2"]]))
+
+    def test_stochastic_equals_the_fraction_reference(self):
+        # rows checked on ints over their own lcm against the plain Fraction
+        # route: negative entries, rows off 1 by 2^-200, huge numerators and
+        # denominators, m = 1 and n = 1
+        rng = random.Random(611)
+        tiny = Fraction(1, 2**200)
+
+        def huge_row(n):
+            # unrelated 100-300-bit denominators; the last entry closes the
+            # row, and is negative when the others overshoot
+            row = [Fraction(rng.getrandbits(rng.randint(100, 300)),
+                            rng.getrandbits(rng.randint(100, 300)) | 1) for _ in range(n - 1)]
+            return row + [1 - sum(row)]
+
+        def bad_row(n):
+            row = huge_row(n) if rng.random() < 0.3 else random_stochastic_row(rng, n, 10**30)
+            j = rng.randrange(n)
+            kind = rng.randrange(3)
+            if kind == 0:
+                row[j] += rng.choice((tiny, -tiny))
+            elif kind == 1 and n > 1:
+                # a negative entry, the row still summing to 1
+                k = (j + 1) % n
+                shift = row[j] + rng.choice((tiny, Fraction(1, 3), Fraction(7)))
+                row[j] -= shift
+                row[k] += shift
+            else:
+                row[j] = -row[j] if row[j] else -tiny
+            return row
+
+        seen = set()
+        for _ in range(300):
+            m, n = rng.choice((1, 2, 3, 5)), rng.choice((1, 2, 3, 6))
+            good = rng.random() < 0.5
+            rows = []
+            for _ in range(m):
+                kind = rng.randrange(4) if good else rng.randrange(5)
+                if kind == 4:
+                    rows.append(bad_row(n))
+                elif kind == 3:
+                    rows.append(huge_row(n))
+                else:
+                    rows.append(random_stochastic_row(rng, n, rng.choice((3, 10**6, 10**40))))
+            a = Matrix(rows)
+            expected = reference_is_stochastic(a)
+            assert is_stochastic(a) == expected, a
+            seen.add(expected)
+        assert seen == {True, False}
 
     def test_centrosymmetric(self):
         s = Matrix([[1, 0, 0, 0], [0, "1/2", "1/2", 0], [0, 0, 0, 1]])
@@ -556,3 +614,58 @@ class TestCarriedVertex:
     def test_the_rows_are_shared(self):
         a, b = _unit_matrix((1, 3), 3, 1), _unit_matrix((2, 3), 3, 3)
         assert a.entries[1] is b.entries[1] and a.entries[2] is b.entries[2]
+
+
+def round_trips(x):
+    return [pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)]
+
+
+class TestPickleAndCopy:
+    """pickle, copy.copy and copy.deepcopy rebuild each immutable value
+    through its constructor: equal, hash-equal, of the same type, still
+    immutable, and with the same vertex."""
+
+    MATRICES = [
+        Matrix([[1, "-1/2"], ["3/7", 0]]),
+        _unit_matrix((2, 1, 2), 3),
+        _unit_matrix((1, 3), 3, 3),
+        _unit_matrix((1, 3), 3, 2),
+        RectPermMatrix([3, 1], 4).to_matrix(),
+    ]
+
+    PATTERNS = [FacePattern(MATRICES[1]), FacePattern(MATRICES[4]), FacePattern([[1, 0], [1, 1]])]
+
+    @pytest.mark.parametrize("a", MATRICES + PATTERNS, ids=repr)
+    def test_matrix_and_face_pattern(self, a):
+        for b in round_trips(a):
+            assert type(b) is type(a)
+            assert b == a and hash(b) == hash(a)
+            assert _vertex_of(b) == _vertex_of(a)
+            with pytest.raises(AttributeError):
+                b.entries = ()
+
+    def test_rect_perm_matrix(self):
+        r = RectPermMatrix([2, 1, 2], 3)
+        for b in round_trips(r):
+            assert type(b) is RectPermMatrix
+            assert b == r and hash(b) == hash(r)
+            with pytest.raises(AttributeError):
+                b.row_to_col = ()
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (3, 4), (4, 3), (5, 5)])
+    def test_convex_combination(self, m, n):
+        # odd m puts centre columns in the vertex keys; a hand-made term
+        # that is not an extreme point is keyed by its Matrix
+        rng = random.Random(m * 10 + n)
+        a = Matrix([[Fraction(1, n)] * n] * m)
+        combs = [decompose_centrosymmetric(a),
+                 ConvexCombination([("1/3", a), ("2/3", random_stochastic(rng, m, n))])]
+        for comb in combs:
+            for b in round_trips(comb):
+                assert type(b) is ConvexCombination
+                pairs = tuple(b._vertex_terms())
+                assert pairs == tuple(comb._vertex_terms())
+                assert hash(pairs) == hash(tuple(comb._vertex_terms()))
+                assert list(b) == list(comb) and b.combine() == comb.combine()
+                with pytest.raises(AttributeError):
+                    b.terms = ()

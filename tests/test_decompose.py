@@ -3,6 +3,7 @@
 import itertools
 import random
 import sys
+from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import accumulate
 
@@ -31,6 +32,7 @@ from greedy_reference import (
     decompose_centro_halves,
     reference_decompose_centrosymmetric,
     reference_decompose_stochastic,
+    reference_greedy_terms,
     reference_split,
 )
 from matrixgen import random_centro_stochastic, random_stochastic
@@ -363,3 +365,151 @@ class TestTermsStayVertices:
         terms = list(comb)
         assert len(calls) == size == len(terms)
         assert list(comb) == terms and len(calls) == size
+
+
+def inner_sums(row):
+    # a row's breakpoints before 1: cumulative sums of its sorted positive entries
+    return list(accumulate(sorted(x for x in row if x > 0)))[:-1]
+
+
+def collided_events(a):
+    # events (inner breakpoints, one per row that has it) whose float is
+    # shared with another event
+    floats = [float(s) for row in a.entries for s in inner_sums(row)]
+    counts = Counter(floats)
+    return sum(1 for f in floats if counts[f] > 1)
+
+
+def float_collisions(a):
+    # floats that stand for more than one distinct exact breakpoint
+    exact = defaultdict(set)
+    for row in a.entries:
+        for s in inner_sums(row):
+            exact[float(s)].add(s)
+    return [f for f, values in exact.items() if len(values) > 1]
+
+
+def centro_from(top, center=None):
+    # top rows, their half-turn below, and for odd m an averaged centre row
+    n = len(top[0]) if top else len(center)
+    rows = [list(r) for r in top]
+    if center is not None:
+        rows.append([(center[j] + center[n - 1 - j]) / 2 for j in range(n)])
+    rows.extend(r[::-1] for r in reversed(top))
+    return Matrix(rows)
+
+
+def colliding_row(rng, n, eps):
+    # two or three positive entries whose smallest sits a few eps from a
+    # simple rational (or from 0 when eps underflows), so that breakpoints
+    # of different rows are distinct but equal as floats
+    if eps < Fraction(1, 2**1074):
+        x = rng.randint(1, 4) * eps
+    else:
+        x = rng.choice((Fraction(1, 3), Fraction(1, 5), Fraction(2, 7))) + rng.randint(-4, 4) * eps
+    parts = [x, 1 - x]
+    if n > 2 and rng.random() < 0.5:
+        y = rng.choice((Fraction(1, 5), Fraction(1, 3))) + rng.randint(-2, 2) * eps
+        if x + y < 1:
+            parts = [x, y, 1 - x - y]
+    row = [Fraction(0)] * n
+    for col, part in zip(rng.sample(range(n), len(parts)), parts):
+        row[col] = part
+    return row
+
+
+def small_weight_row(rng, n):
+    weights = [rng.choice((0, 0, 1, 2, 3)) for _ in range(n)]
+    if not any(weights):
+        weights = [1] * n
+    return [Fraction(w, sum(weights)) for w in weights]
+
+
+def row_over(rng, n, d):
+    # a stochastic row over the denominator d, its support 1..5 columns
+    k = rng.randint(1, min(n, 5))
+    cuts = sorted(rng.sample(range(1, d), k - 1))
+    row = [Fraction(0)] * n
+    for col, a, b in zip(rng.sample(range(n), k), [0] + cuts, cuts + [d]):
+        row[col] = Fraction(b - a, d)
+    return row
+
+
+def thirty_bit_rows(rng, count, n):
+    return [row_over(rng, n, rng.getrandbits(30) | 1 << 29) for _ in range(count)]
+
+
+class TestEventSweep:
+    """The integer event sweep gives the peel loop's terms, in order, where
+    floats collide, on ties, on edge shapes and on unrelated row lcms, and
+    builds no Fraction per event."""
+
+    EPSILONS = (Fraction(1, 2**60), Fraction(1, 2**80), Fraction(1, 2**1100))
+
+    def colliding_inputs(self):
+        rng = random.Random(1409)
+        inputs = []
+        for eps in self.EPSILONS:
+            for _ in range(12):
+                m, n = rng.randint(1, 8), rng.randint(2, 6)
+                inputs.append(Matrix([colliding_row(rng, n, eps) for _ in range(m)]))
+                top = [colliding_row(rng, n, eps) for _ in range(m // 2)]
+                inputs.append(centro_from(top, colliding_row(rng, n, eps) if m % 2 else None))
+        return inputs
+
+    def tie_inputs(self):
+        rng = random.Random(1410)
+        inputs = []
+        for m, n in itertools.product(range(1, 7), range(1, 6)):
+            inputs.append(Matrix([small_weight_row(rng, n) for _ in range(m)]))
+            top = [small_weight_row(rng, n) for _ in range(m // 2)]
+            inputs.append(centro_from(top, small_weight_row(rng, n) if m % 2 else None))
+        return inputs
+
+    def thirty_bit_inputs(self):
+        rng = random.Random(1411)
+        return [Matrix(thirty_bit_rows(rng, 30, 30)), centro_from(thirty_bit_rows(rng, 15, 30))]
+
+    def assert_equals_reference(self, a):
+        expected = [(c, r.row_to_col) for c, r in reference_greedy_terms(a)]
+        assert decompose_module._greedy_terms(a) == expected
+        assert list(decompose_stochastic(a)) == list(reference_decompose_stochastic(a))
+        if is_centrosymmetric(a):
+            assert list(decompose_centrosymmetric(a)) == list(reference_decompose_centrosymmetric(a))
+
+    def test_colliding_floats(self):
+        inputs = self.colliding_inputs()
+        collisions = [f for a in inputs for f in float_collisions(a)]
+        # the inputs do collide, at 0.0 (underflow) and elsewhere
+        assert 0.0 in collisions and len(set(collisions)) > 5
+        assert sum(is_centrosymmetric(a) and float_collisions(a) != [] for a in inputs) > 5
+        for a in inputs:
+            self.assert_equals_reference(a)
+
+    def test_small_weights_and_edge_shapes(self):
+        # m = 1, n = 1, odd and even m; many equal breakpoints across rows
+        for a in self.tie_inputs():
+            self.assert_equals_reference(a)
+
+    def test_unrelated_thirty_bit_row_denominators(self):
+        for a in self.thirty_bit_inputs():
+            self.assert_equals_reference(a)
+
+    def test_no_fraction_per_event(self, monkeypatch):
+        # every Fraction built while the sweep runs (through Python 3.11,
+        # Fraction arithmetic builds its results through __new__ too): at
+        # most one per term, plus one per event whose float collides
+        new = Fraction.__new__
+        built = []
+
+        def counting(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        inputs = self.colliding_inputs() + self.tie_inputs() + self.thirty_bit_inputs()
+        for a in inputs:
+            built.clear()
+            monkeypatch.setattr(Fraction, "__new__", counting)
+            terms = decompose_module._greedy_terms(a)
+            monkeypatch.undo()
+            assert len(built) <= len(terms) + collided_events(a), a.shape
