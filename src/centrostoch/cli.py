@@ -23,6 +23,8 @@ import argparse
 import functools
 import json
 import sys
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii as _quoted
 
 from centrostoch.bases import (
     basis_centro_even,
@@ -107,83 +109,121 @@ def _matrix_json(mat: Matrix) -> list[list[str]]:
 
 
 class _Rows(dict):
-    """(column, centre) -> a rendered row of a listed n-column extreme point,
-    built on first use: a text line, or with `pad` (a newline and the row's
-    indent) the row's JSON text in the indent=2 layout, from that newline to
-    its closing bracket.
+    """The rendered rows of listed n-column extreme points: centre -> the
+    `_CentreRows` of the vertices with that centre (None for none), built
+    on first use.
 
-    A vertex's matrix has a unit row with its 1 in `column` per entry of
-    its column tuple and, when its `centre` is not None, the centre row
-    (`column` None) with 1/2 in columns centre and n+1-centre. In text those
-    two columns are three characters wide in every row of the matrix and
-    the others one, so a row renders the same whatever rows surround it.
+    A vertex's matrix has a unit row per entry of its column tuple and,
+    when its centre is not None, the centre row in the middle. With `pad`
+    (a newline and a row's indent) a row is its JSON text in the indent=2
+    layout, from that newline to its closing bracket; without, it is a text
+    line.
     """
 
     def __init__(self, n: int, pad: str | None = None) -> None:
         super().__init__()
         self.n, self.pad = n, pad
 
-    def __missing__(self, key: tuple[int | None, int | None]) -> str:
-        column, centre = key
-        cells = ["0"] * self.n
-        if column is None:
-            cells[centre - 1] = cells[self.n - centre] = "1/2"
-        else:
-            cells[column - 1] = "1"
-        if self.pad is not None:
-            inner = self.pad + "  "
-            text = f"{self.pad}[{inner}{(',' + inner).join(map(json.dumps, cells))}{self.pad}]"
-        else:
-            if centre is not None:
-                for k in (centre - 1, self.n - centre):
-                    cells[k] = cells[k].rjust(3)
-            text = " ".join(cells)
-        self[key] = text
-        return text
+    def __missing__(self, centre: int | None) -> _CentreRows:
+        rows = self[centre] = _CentreRows(self.n, self.pad, centre)
+        return rows
 
     def matrix(self, vertex: _Vertex) -> list[str]:
-        rows = [self[c, vertex.center] for c in vertex.cols]
+        """The rendered rows of the vertex's matrix, top to bottom."""
+        rows = self[vertex.center]
+        lines = list(map(rows.__getitem__, vertex.cols))
         if vertex.center is not None:
-            rows.insert(len(rows) // 2, self[None, vertex.center])
-        return rows
+            lines.insert(len(lines) // 2, rows[None])
+        return lines
+
+
+class _CentreRows(dict):
+    """column -> the rendered unit row with its 1 in `column`, and None ->
+    the centre row, 1/2 in columns centre and n+1-centre, of the matrices
+    whose centre is `centre`; each is built on first use.
+
+    In text the two centre columns are three characters wide in every row
+    of such a matrix and the others one, so a row renders the same whatever
+    rows surround it.
+    """
+
+    def __init__(self, n: int, pad: str | None, centre: int | None) -> None:
+        super().__init__()
+        self.n, self.pad, self.centre = n, pad, centre
+
+    def __missing__(self, column: int | None) -> str:
+        # the cells as JSON strings, or as text
+        zero, one, half = ('"0"', '"1"', '"1/2"') if self.pad is not None else ("0", "1", "1/2")
+        cells = [zero] * self.n
+        if column is None:
+            cells[self.centre - 1] = cells[self.n - self.centre] = half
+        else:
+            cells[column - 1] = one
+        if self.pad is not None:
+            inner = self.pad + "  "
+            text = f"{self.pad}[{inner}{(',' + inner).join(cells)}{self.pad}]"
+        else:
+            if self.centre is not None:
+                for k in (self.centre - 1, self.n - self.centre):
+                    cells[k] = cells[k].rjust(3)
+            text = " ".join(cells)
+        self[column] = text
+        return text
 
 
 def _print_json(doc: dict) -> None:
     """print(json.dumps(doc, indent=2)) for every JSON document the CLI
     writes, with each listed extreme point held as its vertex (`_Vertex`).
 
-    In that layout a row's text depends only on its nesting, so each
-    distinct row is rendered once per nesting by `_Rows`, and the document
-    is one join of shared fragments. Keys and other values are written by
-    json.dumps. Every fragment is rendered before anything is written, so a
-    failure leaves stdout empty.
+    The document is built of dicts with str keys, lists, str, int, bool,
+    None and vertices; the writer dispatches on each value's exact type. In
+    the indent=2 layout a row's text depends only on its nesting, so each
+    distinct row is rendered once per nesting by `_Rows`, and each key's
+    line head (indent, quoted key, ": ") once per nesting; the document is
+    one join of these shared fragments, with strings written by
+    `encode_basestring_ascii` and other scalars by json.dumps. Every
+    fragment is rendered before anything is written, so a failure leaves
+    stdout empty.
     """
     out: list[str] = []
-    caches: dict[tuple[int, str], _Rows] = {}
+    caches: dict[tuple[int, str], _Rows] = {}  # (n, pad of the matrix) -> its rows
+    heads: dict[str, dict[str, str]] = {}  # indent -> key -> its line head
 
     def put(value, pad: str) -> None:
         # append value's text; pad is a newline and the indent of its line
-        if isinstance(value, _Vertex):
-            form = (value.ncols, pad + "  ")
-            rows = caches.get(form)
+        kind = type(value)
+        if kind is str:
+            out.append(_quoted(value))
+        elif kind is _Vertex:
+            rows = caches.get((value.ncols, pad))
             if rows is None:
-                rows = caches[form] = _Rows(*form)
+                rows = caches[value.ncols, pad] = _Rows(value.ncols, pad + "  ")
             out.append("[")
-            for row in rows.matrix(value):
-                out.extend((row, ","))
+            # each row then a comma; the last comma becomes the bracket
+            out.extend(chain.from_iterable(zip(rows.matrix(value), repeat(","))))
             out[-1] = pad + "]"
-        elif isinstance(value, (dict, list)) and value:
+        elif kind is dict and value:
             inner = pad + "  "
-            is_dict = isinstance(value, dict)
-            out.append("{" if is_dict else "[")
-            for item in value.items() if is_dict else value:
-                out.append(inner)
-                if is_dict:
-                    key, item = item
-                    out.append(json.dumps(key) + ": ")
+            names = heads.get(inner)
+            if names is None:
+                names = heads[inner] = {}
+            out.append("{")
+            for key, item in value.items():
+                head = names.get(key)
+                if head is None:
+                    head = names[key] = f"{inner}{json.dumps(key)}: "
+                out.append(head)
                 put(item, inner)
                 out.append(",")
-            out[-1] = pad + ("}" if is_dict else "]")
+            out[-1] = pad + "}"
+        elif kind is list and value:
+            inner = pad + "  "
+            out.append("[")
+            for item in value:
+                out.append(inner)
+                put(item, inner)
+                out.append(",")
+            out[-1] = pad + "]"
         else:
             out.append(json.dumps(value))
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 import functools
 import operator
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 __all__ = [
@@ -488,7 +488,13 @@ class ConvexCombination:
     Terms are (coefficient, matrix) pairs. Construction merges repeated
     matrices by adding their coefficients (first occurrence fixes the order),
     then requires every merged coefficient to lie in (0, 1] and the total to
-    be exactly 1.
+    be exactly 1. Both checks run on ints: a coefficient n/d needs
+    0 < n <= d, and the total is a numerator and denominator reduced after
+    each addition, as Fraction addition reduces them; a Fraction is built
+    only for an error message. The partial sums of a greedy decomposition
+    are its breakpoints, so that total stays as small as its terms. (One
+    common denominator of all coefficients would not: their lcm grows with
+    every unrelated denominator.)
 
     A term that is an extreme point, whether given as a Matrix or (by the
     decompositions) as its vertex, is keyed by its vertex: merging hashes a
@@ -520,13 +526,23 @@ class ConvexCombination:
         }
         if len(shapes) != 1:
             raise ShapeError(f"terms mix shapes: {sorted(shapes)}")
-        total = Fraction(0)
+        # on ints: the exact total tn / td, reduced after each step as
+        # Fraction addition reduces it
+        tn, td = 0, 1
         for coeff in merged.values():
-            if not 0 < coeff <= 1:
+            n, d = coeff.numerator, coeff.denominator
+            if not 0 < n <= d:
                 raise ValueError(f"coefficient {coeff} outside (0, 1]")
-            total += coeff
-        if total != 1:
-            raise ValueError(f"coefficients sum to {total}, not 1")
+            g = gcd(td, d)
+            if g == 1:
+                tn, td = tn * d + n * td, td * d
+            else:
+                s = td // g
+                t = tn * (d // g) + n * s
+                g2 = gcd(t, g)
+                tn, td = t // g2, s * (d // g2)
+        if tn != td:
+            raise ValueError(f"coefficients sum to {Fraction(tn, td)}, not 1")
         object.__setattr__(self, "_keys", tuple(merged))
         object.__setattr__(self, "_shape", shapes.pop())
         object.__setattr__(self, "_coeffs", tuple(merged.values()))

@@ -170,11 +170,11 @@ def decompose_centrosymmetric(a: Matrix) -> ConvexCombination:
         center = cols[half] if m % 2 else None
         # columns the sweep read off a checked matrix, so trusted below
         trimmed = cols[:half] + cols[m - half :]
-        pair = (
-            [trimmed]
-            if trimmed == _rotated(trimmed, n)
-            else [q.row_to_col
-                  for q in split_noncentrosymmetric(RectPermMatrix._trusted(trimmed, n))]
-        )
-        terms.extend((coeff / len(pair), _vertex(q, n, center)) for q in pair)
+        if trimmed == _rotated(trimmed, n):
+            terms.append((coeff, _vertex(trimmed, n, center)))
+        else:
+            # the pair splits into two halves that share its weight
+            share = coeff / 2
+            halves = split_noncentrosymmetric(RectPermMatrix._trusted(trimmed, n))
+            terms.extend((share, _vertex(q.row_to_col, n, center)) for q in halves)
     return ConvexCombination(terms)

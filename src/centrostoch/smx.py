@@ -9,7 +9,11 @@ Writing then reading a matrix reproduces it bit-for-bit.
 A token's text fixes its value, so each distinct token of an input is
 parsed and checked once, at its first occurrence; only tokens that parse
 are remembered, so an error names the first line where a bad token occurs.
-The checked rows of Fractions become the Matrix as they are, with no second
+A token ``a`` or ``a/b`` of ASCII digits, as `format_matrix` writes every
+nonnegative entry, is read as the two ints Fraction's string parser would
+read, without that parser or the exponent check; any other token takes the
+string parser. Both routes give the same value and the same error. The
+checked rows of Fractions become the Matrix as they are, with no second
 conversion.
 
 A decimal exponent (``1e-3``) may not exceed 4300 in absolute value, the
@@ -60,7 +64,10 @@ def _data_lines(text: str):
 
 def _rational(token: str, number: int) -> Fraction:
     # the value of an entry token on line `number`
-    exponent = _EXPONENT.search(token)
+    numerator, slash, denominator = token.partition("/")
+    # `a` or `a/b` in ASCII digits: the two ints Fraction(token) would read
+    digits = token.isascii() and numerator.isdigit() and (not slash or denominator.isdigit())
+    exponent = None if digits else _EXPONENT.search(token)
     if exponent:
         try:
             too_large = abs(int(exponent[1])) > _MAX_EXPONENT
@@ -69,7 +76,10 @@ def _rational(token: str, number: int) -> Fraction:
         if too_large:
             raise SmxError(f"line {number}: exponent outside -{_MAX_EXPONENT}..{_MAX_EXPONENT}")
     try:
-        return Fraction(token)
+        if not digits:
+            return Fraction(token)
+        value = int(numerator)
+        return Fraction(value, int(denominator)) if slash else Fraction(value)
     except (ValueError, ZeroDivisionError):
         raise SmxError(f"line {number}: bad rational {_quote(token)}") from None
 

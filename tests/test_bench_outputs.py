@@ -1,0 +1,59 @@
+"""Byte guard of the benchmark's outputs.
+
+Builds the op lists of the three perfbench workloads in process, runs each
+op through `cli.run_command`, and hashes the standard output of the ops in
+order, as perfbench/run.py judges a pass. The digests are the published
+`stdout_sha256` of the default seed and the held-out seed; a change that
+alters any byte of a listing, a refusal or a report changes them. A full
+`perfbench/run.py --workload all --seconds 0` checks the same bytes in
+about 18 s; this takes about half a second per seed. Nothing under
+perfbench/ is written.
+"""
+
+import hashlib
+import io
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from centrostoch import cli
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+DIGESTS = {
+    20260819: {
+        "stoch-decompose": "faa67b2df5c414d11a2534761f950d9b32abc11b88a64141a92ab6206a0f17f1",
+        "centro-decompose": "1cae6fff00a53ee5b9749b830ca7c642feaa3deaf6414eb9d402714a7010878a",
+        "census": "f9bd1ab97b11aee3401a19c218381a198b86cb906cc4fd8451287b064487b8a7",
+    },
+    4099: {
+        "stoch-decompose": "cc5de5c4cea8c351f023769981052c23091d8e9b51ea6dc6d6d8c14cfb228a33",
+        "centro-decompose": "be34d09d5884364af583a24e589329e0a78281fabbc5129db607af162f0e3ebe",
+        "census": "2f4a44bda5612e433e8567c4aa32c30bb29e97296ecbd17e600fedb4da1b0c0f",
+    },
+}
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    return workloads
+
+
+@pytest.mark.parametrize("workload", ["stoch-decompose", "centro-decompose", "census"])
+@pytest.mark.parametrize("seed", sorted(DIGESTS))
+def test_outputs_hash_to_the_published_digest(workloads, tmp_path, seed, workload):
+    ops, _ = workloads.build(workload, seed, tmp_path)
+    digest = hashlib.sha256()
+    for op in ops:
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = cli.run_command(list(op.argv))
+        assert code == op.expect_rc, op.label
+        digest.update(out.getvalue().encode())
+    assert digest.hexdigest() == DIGESTS[seed][workload]

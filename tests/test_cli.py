@@ -35,8 +35,8 @@ from centrostoch import (
     rank_of_family,
     rotate_pi,
 )
-from centrostoch.cli import _print_json, build_parser
-from centrostoch.core import _unit_matrix, _vertex
+from centrostoch.cli import _CentreRows, _print_json, build_parser
+from centrostoch.core import _unit_matrix, _vertex, _Vertex
 from matrixgen import random_centro_stochastic, random_stochastic
 
 S_TEXT = "3 4\n1 0 0 0\n0 1/2 1/2 0\n0 0 0 1\n"
@@ -463,6 +463,81 @@ class TestJsonFragments:
 
         _print_json(doc)
         assert capsys.readouterr().out == json.dumps(dense(doc), indent=2) + "\n"
+
+
+# keys and strings that json.dumps escapes: quotes, backslashes, control
+# characters, non-ASCII text (one needing a surrogate pair) and line separators
+JSON_TEXTS = ["", "count", 'say "hi"', "back\\slash", "tab\tnew\nline", "\x00\x1f\x7f",
+              "caf\u00e9", "\u20acuro", "\U0001f600", "\u2028\u2029", "/"]
+
+
+def random_vertex(rng):
+    m, n = rng.randint(1, 5), rng.randint(1, 5)
+    center = rng.randint(1, n) if m % 2 and rng.random() < 0.7 else None
+    cols = tuple(rng.randint(1, n) for _ in range(m - (center is not None)))
+    return _vertex(cols, n, center)
+
+
+def random_document(rng, depth=0):
+    # leaves are strings, ints, bools, None, vertices and empty containers;
+    # below depth 3 a value may be a dict or a list of 1 to 4 values
+    kind = rng.randrange(9 if depth < 3 else 7)
+    if kind == 0:
+        return rng.choice(JSON_TEXTS)
+    if kind == 1:
+        return rng.choice([0, -1, 7, 10**30, -(10**30)])
+    if kind == 2:
+        return rng.choice([True, False, None])
+    if kind in (3, 4):
+        return random_vertex(rng)
+    if kind == 5:
+        return {}
+    if kind == 6:
+        return []
+    if kind == 7:
+        keys = rng.sample(JSON_TEXTS, rng.randint(1, 4))
+        return {key: random_document(rng, depth + 1) for key in keys}
+    return [random_document(rng, depth + 1) for _ in range(rng.randint(1, 4))]
+
+
+def dense_document(value):
+    # the document with each vertex replaced by its matrix's cells
+    if type(value) is _Vertex:
+        return reference_cells(_unit_matrix(*value))
+    if type(value) is dict:
+        return {key: dense_document(item) for key, item in value.items()}
+    if type(value) is list:
+        return [dense_document(item) for item in value]
+    return value
+
+
+class TestWriterOnRandomDocuments:
+    """`_print_json` writes what json.dumps(indent=2) writes for the same
+    document with each vertex written out as its matrix."""
+
+    def test_seeded_documents(self, capsys):
+        rng = random.Random(5150)
+        # a centre-row vertex (odd m) at two nestings, then random documents
+        docs = [{"m": _vertex((2, 3), 3, 1), "list": [[_vertex((1, 1, 2, 2), 4, 2)]]}]
+        docs += [{key: random_document(rng) for key in rng.sample(JSON_TEXTS, rng.randint(0, 5))}
+                 for _ in range(400)]
+        for doc in docs:
+            _print_json(doc)
+            assert capsys.readouterr().out == json.dumps(dense_document(doc), indent=2) + "\n"
+
+
+class TestRowsOnFirstUse:
+    def test_only_the_rows_a_listing_uses_are_rendered(self, run_cli, monkeypatch):
+        rendered = []
+        real = _CentreRows.__missing__
+        monkeypatch.setattr(_CentreRows, "__missing__",
+                            lambda rows, column: rendered.append(column) or real(rows, column))
+        n = 100000
+        text = f"1 {n}\n" + "0 " * (n - 1) + "1\n"
+        for flags in ([], ["--json"]):
+            code, out, err = run_cli(["decompose", *flags], text)
+            assert (code, err) == (0, "")
+        assert rendered == [n, n]
 
 
 class TestSmallJsonDocuments:

@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from centrostoch import (
     basis_square,
     core,
     decompose_centrosymmetric,
+    decompose_stochastic,
     enumerate_extreme_centro,
     enumerate_extreme_stochastic,
     enumerate_face_vertices,
@@ -32,6 +34,7 @@ from centrostoch import (
     rotate_pi,
 )
 from centrostoch.core import _rank, _unit_matrix, _vertex, _vertex_of
+from convex_reference import reference_check, reference_merge
 from matrixgen import (
     pattern_or_rotation,
     random_stochastic,
@@ -335,6 +338,118 @@ class TestConvexCombination:
         assert list(comb) == [(Fraction(1), Matrix([[1]]))]
         with pytest.raises(AttributeError):
             comb.terms = ()
+
+
+TINY = Fraction(1, 2**200)
+
+
+def random_partition(rng, count, bits):
+    # `count` positive coefficients summing to 1, over denominators of
+    # about `bits` bits
+    weights = [rng.getrandbits(bits) + 1 for _ in range(count)]
+    total = sum(weights)
+    return [Fraction(w, total) for w in weights]
+
+
+def spelled(rng, coeff):
+    # the coefficient as a Fraction, its str, or an int when it is one
+    if coeff.denominator == 1 and rng.random() < 0.5:
+        return int(coeff)
+    return str(coeff) if rng.random() < 0.3 else coeff
+
+
+def coefficient_case(rng):
+    """A seeded term list, valid or broken in one of the ways the checks
+    must name: a 0, negative or 1 + 2^-200 coefficient, merged repeats above
+    1, or a total off by 2^-200."""
+    m, n = rng.randint(1, 4), rng.randint(1, 4)
+    pool = []
+    for _ in range(rng.randint(1, 4)):
+        cols = tuple(rng.randint(1, n) for _ in range(m - m % 2))
+        vertex = _vertex(cols, n, rng.randint(1, n) if m % 2 else None)
+        pool.append(vertex if rng.random() < 0.7 else _unit_matrix(*vertex))
+    if rng.random() < 0.4:  # a term that is not an extreme point
+        pool.append(Matrix([[Fraction(1, n)] * n] * m))
+    keys = [rng.choice(pool) for _ in range(rng.randint(1, 6))]
+    coeffs = random_partition(rng, len(keys), rng.choice([4, 30, 300]))
+    kind = rng.choice(["valid", "zero", "negative", "above-one", "repeats-above-one",
+                       "total-above", "total-below"])
+    last = len(keys) - 1
+    if kind == "zero":
+        coeffs[rng.randint(0, last)] = Fraction(0)
+    elif kind == "negative":
+        coeffs[rng.randint(0, last)] *= -1
+    elif kind == "above-one":
+        coeffs[rng.randint(0, last)] = 1 + TINY
+    elif kind == "repeats-above-one":
+        keys += [keys[0], keys[0]]
+        coeffs += [Fraction(3, 4), Fraction(1, 2)]
+    elif kind == "total-above":
+        coeffs[last] += TINY
+    elif kind == "total-below":
+        coeffs[last] -= TINY
+    return [(spelled(rng, c), key) for c, key in zip(coeffs, keys)]
+
+
+def outcome(build):
+    try:
+        return build()
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestCoefficientChecks:
+    """The checks on ints accept and refuse exactly as the Fraction route in
+    tests/convex_reference.py, with the same ValueError text."""
+
+    def test_equal_the_reference(self):
+        rng = random.Random(2**200 + 1)
+        seen = Counter()
+        for _ in range(1500):
+            terms = coefficient_case(rng)
+
+            def library():
+                return tuple(ConvexCombination(terms)._vertex_terms())
+
+            def reference():
+                merged = reference_merge(terms)
+                reference_check(merged.values())
+                return tuple((c, key) for key, c in merged.items())
+
+            got, expected = outcome(library), outcome(reference)
+            assert got == expected
+            if type(got) is str:
+                seen[got.split()[0]] += 1
+            else:
+                seen["accepted"] += 1
+                assert all(type(c) is Fraction for c, _ in got)
+        # both messages occur, and so do valid combinations
+        assert min(seen["coefficient"], seen["coefficients"], seen["accepted"]) > 150
+
+    def test_total_is_checked_on_the_reduced_sum(self):
+        # 1/6 + 1/3 + 1/2: the running total reduces to 1/2, then to 1
+        comb = ConvexCombination([("1/6", _vertex((1,), 3)), ("1/3", _vertex((2,), 3)),
+                                  ("1/2", _vertex((3,), 3))])
+        assert [c for c, _ in comb._vertex_terms()] == [Fraction(1, 6), Fraction(1, 3),
+                                                       Fraction(1, 2)]
+        with pytest.raises(ValueError, match=r"^coefficients sum to 5/6, not 1$"):
+            ConvexCombination([("1/6", _vertex((1,), 3)), ("2/3", _vertex((2,), 3))])
+
+    def test_decomposition_terms_need_no_fraction_arithmetic(self, monkeypatch):
+        rng = random.Random(85)
+        term_lists = [list(decompose_stochastic(random_stochastic(rng, m, n, 10**6))
+                           ._vertex_terms())
+                      for m, n in [(1, 1), (1, 5), (3, 3), (6, 4), (9, 9), (12, 7)]]
+        calls = Counter()
+        for name in ("__add__", "__radd__", "__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
+            def counting(self, other, real=getattr(Fraction, name), name=name):
+                calls[name] += 1
+                return real(self, other)
+
+            monkeypatch.setattr(Fraction, name, counting)
+        for terms in term_lists:
+            assert len(ConvexCombination(terms)) == len(terms)
+        assert not calls
 
 
 class TestVertexKeys:

@@ -305,6 +305,30 @@ class TestCentroSplitRoute:
         assert seen == [RectPermMatrix([1, 1], 2), RectPermMatrix([2, 2], 2)]
         assert len(comb) == 2
 
+    def test_only_split_pairs_divide_their_coefficient(self, monkeypatch):
+        # small weights make ties within rows, and so pairs that split
+        rng = random.Random(726)
+        inputs = [random_centro_stochastic(rng, m, n, max_weight)
+                  for m, n in [(1, 4), (2, 5), (3, 3), (4, 4), (5, 6), (8, 5), (9, 8)]
+                  for max_weight in (2, 9, 10**6)]
+        calls = Counter()
+
+        def split(r):
+            calls["split"] += 1
+            return split_noncentrosymmetric(r)
+
+        def divide(self, other, real=Fraction.__truediv__):
+            calls["divide"] += 1
+            return real(self, other)
+
+        monkeypatch.setattr(decompose_module, "split_noncentrosymmetric", split)
+        monkeypatch.setattr(Fraction, "__truediv__", divide)
+        combs = [decompose_centrosymmetric(a) for a in inputs]
+        monkeypatch.undo()
+        assert calls["split"] > 0 and calls["divide"] <= calls["split"]
+        for a, comb in zip(inputs, combs):
+            assert list(comb) == list(reference_decompose_centrosymmetric(a))
+
 
 class TestPropertiesOnEveryShape:
     # every example draws one matrix of each shape 1..8 x 1..8, so each run

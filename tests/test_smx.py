@@ -130,18 +130,16 @@ class TestDistinctTokens:
         assert str(info.value) == message
 
     def test_each_distinct_token_is_parsed_once(self, monkeypatch):
-        parsed, searched = [], []
-        real_fraction, real_exponent = smx.Fraction, smx._EXPONENT
+        parsed = []
+        real_rational = smx._rational
 
-        class CountingExponent:
-            def search(self, token):
-                searched.append(token)
-                return real_exponent.search(token)
+        def counting(token, number):
+            parsed.append(token)
+            return real_rational(token, number)
 
-        monkeypatch.setattr(smx, "Fraction", lambda token: parsed.append(token) or real_fraction(token))
-        monkeypatch.setattr(smx, "_EXPONENT", CountingExponent())
+        monkeypatch.setattr(smx, "_rational", counting)
         a = parse_matrix("60 4\n" + "1 0 1/2 5e-1\n" * 60)
-        assert sorted(parsed) == sorted(searched) == ["0", "1", "1/2", "5e-1"]
+        assert sorted(parsed) == ["0", "1", "1/2", "5e-1"]
         assert a.entries == ((1, 0, Fraction(1, 2), Fraction(1, 2)),) * 60
 
     def test_values_equal_the_token_by_token_parse(self):
@@ -157,6 +155,52 @@ class TestDistinctTokens:
             expected = tuple(tuple(Fraction(token) for token in line) for line in lines)
             assert a.entries == expected
             assert all(type(x) is Fraction for row in a.entries for x in row)
+
+
+def fraction_outcome(token, number):
+    # the value or SMX error text of the Fraction(token) route
+    try:
+        return Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        return f"line {number}: bad rational {smx._quote(token)}"
+
+
+def parsed_outcome(text):
+    try:
+        return parse_matrix(text).entries[1][0]
+    except SmxError as exc:
+        return str(exc)
+
+
+class TestDigitTokens:
+    """A token `a` or `a/b` of ASCII digits is read as ints, skipping the
+    string parser; every token keeps the value, type and error of
+    Fraction(token)."""
+
+    LONG = "7" * 4301  # one digit beyond the int-from-str limit
+
+    @pytest.mark.parametrize(
+        "token",
+        ["007/010", "0", "0/5", "0/0", "5/0", LONG, f"1/{LONG}",
+         "١/٢", "²", "+1/2", "1/-2", "1//2", "/2", "2/", "1_0/3"],
+        ids=["leading-zeros", "zero", "zero-over-five", "zero-over-zero", "five-over-zero",
+             "long-numerator", "long-denominator", "arabic-indic", "superscript", "plus",
+             "minus-denominator", "double-slash", "no-numerator", "no-denominator",
+             "underscore"],
+    )
+    def test_equals_fraction_of_the_token(self, token):
+        expected = fraction_outcome(token, 4)
+        got = parsed_outcome(f"2 1\n# the token is on line 4\n1\n{token}\n")
+        assert got == expected
+        assert type(got) is type(expected)
+
+    def test_random_digit_and_slash_strings(self):
+        rng = random.Random(4301)
+        for _ in range(3000):
+            token = "".join(rng.choice("0123456789/") for _ in range(rng.randint(1, 7)))
+            expected = fraction_outcome(token, 5)
+            got = parsed_outcome(f"2 1\n1\n\n\n{token}\n")
+            assert got == expected and type(got) is type(expected), token
 
 
 class TestTrustedParse:
