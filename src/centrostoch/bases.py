@@ -11,7 +11,7 @@ dimension count together with exact linear independence.
 
 from __future__ import annotations
 
-from centrostoch.core import Matrix, ShapeError, _mirrored, _unit_matrix, rank_of_family
+from centrostoch.core import Matrix, ShapeError, _as_int, _mirrored, _unit_matrix, rank_of_family
 
 __all__ = [
     "renumber_position",
@@ -31,6 +31,7 @@ def renumber_position(i: int, j: int, side: int) -> int:
     one wrapped diagonal after another, so any side - 1 consecutive numbers
     land in pairwise distinct rows and columns.
     """
+    i, j, side = _as_int(i), _as_int(j), _as_int(side)
     if side < 1:
         raise ShapeError("grid side must be positive")
     if not (1 <= i <= side and 1 <= j <= side):
@@ -69,6 +70,7 @@ def basis_square(n: int) -> list[Matrix]:
     blocks, followed by the n all-ones column matrices: n^2 - n + 1 matrices
     in all. Requires n >= 2.
     """
+    n = _as_int(n)
     if n < 2:
         raise ShapeError("the square family needs n >= 2")
     side = n - 1
@@ -100,6 +102,7 @@ def basis_rect(m: int, n: int) -> list[Matrix]:
     in column j+1) ordered with j outermost, then the all-ones column matrix
     C_n: m(n-1) + 1 matrices. Requires m >= 1 and n >= 2.
     """
+    m, n = _as_int(m), _as_int(n)
     return [_unit_matrix(cols, n) for cols in _rect_columns(m, n)]
 
 
@@ -109,8 +112,11 @@ def basis_centro_even(m: int, n: int) -> list[Matrix]:
     Each element stacks a rectangular basis matrix for the top m/2 rows on
     its half-turn rotation. Requires even m >= 2 and n >= 2.
     """
+    m, n = _as_int(m), _as_int(n)
     if m < 2 or m % 2 != 0:
         raise ShapeError("the even centrosymmetric family needs even m >= 2")
+    if n < 2:
+        raise ShapeError("the even centrosymmetric family needs n >= 2")
     return [_unit_matrix(_mirrored(top, n), n) for top in _rect_columns(m // 2, n)]
 
 
@@ -122,6 +128,7 @@ def basis_centro_odd(m: int, n: int) -> list[Matrix]:
     per non-central mirror pair of columns, built from all-ones columns with
     the matching half-half center row. Requires odd m >= 3 and n >= 2.
     """
+    m, n = _as_int(m), _as_int(n)
     if m < 3 or m % 2 == 0:
         raise ShapeError("the odd centrosymmetric family needs odd m >= 3")
     if n < 2:
@@ -141,6 +148,7 @@ def basis_centro_odd(m: int, n: int) -> list[Matrix]:
 
 def verify_basis(family, expected_dim: int) -> bool:
     """Check a claimed basis: expected_dim + 1 matrices, full exact rank."""
+    expected_dim = _as_int(expected_dim)
     mats = list(family)
     count = len(mats)
     return count == expected_dim + 1 and rank_of_family(mats) == count

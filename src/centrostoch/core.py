@@ -22,8 +22,9 @@ The dense Matrix of an extreme point (`_unit_matrix`, behind the
 enumerators, `RectPermMatrix.to_matrix` and the basis builders) is built
 from cached unit and centre rows that all such matrices share, and carries
 its vertex, so `_vertex_of` hands it back without reading an entry.
-`rank_of_family` certifies full rank in arithmetic modulo a prime and falls
-back to exact elimination only when that certificate fails.
+`rank_of_family` scales each matrix to ints and eliminates them without
+division, keeping each row primitive, so the rank is exact and no Fraction
+is built.
 """
 
 from __future__ import annotations
@@ -154,10 +155,12 @@ class Matrix:
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "Matrix":
+        nrows, ncols = _as_int(nrows), _as_int(ncols)
         return cls([[0] * ncols for _ in range(nrows)])
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
+        n = _as_int(n)
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @property
@@ -166,12 +169,14 @@ class Matrix:
 
     def at(self, i: int, j: int) -> Fraction:
         """Entry in row i, column j, both 1-based."""
+        i, j = _as_int(i), _as_int(j)
         if not (1 <= i <= self.nrows and 1 <= j <= self.ncols):
             raise IndexError(f"position ({i}, {j}) outside {self.nrows} x {self.ncols}")
         return self.entries[i - 1][j - 1]
 
     def row(self, i: int) -> tuple[Fraction, ...]:
         """Row i as a tuple, 1-based."""
+        i = _as_int(i)
         if not 1 <= i <= self.nrows:
             raise IndexError(f"row {i} outside 1..{self.nrows}")
         return self.entries[i - 1]
@@ -607,76 +612,32 @@ class ConvexCombination:
         return f"ConvexCombination([{inner}])"
 
 
-def _rank(rows: list[list[Fraction]]) -> int:
-    """Rank of a list of coordinate vectors by exact Gaussian elimination.
+def _integer_rows(mats: list[Matrix]) -> list[list[int]]:
+    """Each matrix flattened row-major and scaled to ints by the lcm of its
+    denominators, which leaves the rank of the family unchanged.
 
-    Mutates its argument; callers pass throwaway copies.
+    Every row is scaled once, however many matrices share it (extreme
+    points share their rows): its lcm and its numerators over that lcm are
+    kept, and a matrix whose lcm is larger multiplies them up.
     """
-    if not rows:
-        return 0
-    nrows = len(rows)
-    ncols = len(rows[0])
-    pivots = 0
-    for col in range(ncols):
-        pivot_row = None
-        for r in range(pivots, nrows):
-            if rows[r][col] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        rows[pivots], rows[pivot_row] = rows[pivot_row], rows[pivots]
-        pivot = rows[pivots][col]
-        for r in range(pivots + 1, nrows):
-            factor = rows[r][col]
-            if factor:
-                ratio = factor / pivot
-                target = rows[r]
-                source = rows[pivots]
-                for c in range(col, ncols):
-                    target[c] -= source[c] * ratio
-        pivots += 1
-        if pivots == nrows:
-            break
-    return pivots
-
-
-# a prime: a family of full rank modulo it has full rank over the rationals
-_P = (1 << 61) - 1
-
-
-def _residues(mats: list[Matrix]) -> list[list[int]] | None:
-    """Each matrix flattened row-major with its entries mapped to Z/p, the
-    numerator times the inverse of the denominator; None when some
-    denominator is divisible by p.
-
-    Every row is mapped once, however many matrices share it (extreme
-    points share their rows), and every denominator is inverted once.
-    """
-    inverses = {1: 1}
-    mapped: dict[int, list[int]] = {}  # id of a row of `mats` -> its residues
+    scaled: dict[int, tuple[int, list[int]]] = {}  # id of a row of `mats` -> (lcm, ints)
     out = []
     for mat in mats:
-        vector: list[int] = []
+        parts = []
         for row in mat.entries:
-            residues = mapped.get(id(row))
-            if residues is None:
-                residues = mapped[id(row)] = []
-                for x in row:
-                    d = x.denominator
-                    inverse = inverses.get(d)
-                    if inverse is None:
-                        if d % _P == 0:
-                            return None
-                        inverse = inverses[d] = pow(d, -1, _P)
-                    residues.append(x.numerator * inverse % _P)
-            vector += residues
-        out.append(vector)
+            part = scaled.get(id(row))
+            if part is None:
+                d = lcm(*[x.denominator for x in row])
+                part = scaled[id(row)] = (d, [x.numerator * (d // x.denominator) for x in row])
+            parts.append(part)
+        d = lcm(*[rd for rd, _ in parts])
+        out.append([x * (d // rd) for rd, ints in parts for x in ints])
     return out
 
 
-def _rank_mod_p(rows: list[list[int]]) -> int:
-    """Rank of a list of vectors over Z/p by Gaussian elimination.
+def _rank(rows: list[list[int]]) -> int:
+    """Rank of a nonempty list of int vectors over the rationals, by
+    elimination without division.
 
     Mutates its argument; callers pass throwaway copies. Columns left of
     the current one are never read again, so only the rest is updated.
@@ -689,29 +650,30 @@ def _rank_mod_p(rows: list[list[int]]) -> int:
             continue
         rows[pivots], rows[pivot_row] = rows[pivot_row], rows[pivots]
         source = rows[pivots][col:]
-        inverse = pow(source[0], -1, _P)
+        pivot = source[0]
         for r in range(pivots + 1, nrows):
             target = rows[r]
             factor = target[col]
             if factor:
-                factor = factor * inverse % _P
-                target[col:] = [(t - factor * x) % _P for t, x in zip(target[col:], source)]
+                g = gcd(pivot, factor)
+                a, b = pivot // g, factor // g
+                new = [a * t - b * x for t, x in zip(target[col:], source)]
+                # a primitive row is proportional to the row of minors it
+                # stands for, so its entries never exceed those minors
+                g = gcd(*new)
+                target[col:] = [x // g for x in new] if g > 1 else new
         pivots += 1
-        if pivots == nrows:
-            break
     return pivots
 
 
 def rank_of_family(family: Iterable[Matrix]) -> int:
     """Exact rank of a family of equally shaped matrices, flattened row-major.
 
-    The empty family has rank 0. Shapes must agree.
-
-    Full rank is certified modulo the prime p = 2^61 - 1: each entry maps to
-    Z/p, and the rank mod p is at most the rank over the rationals, so a
-    rank mod p of min(family size, m * n) is the answer. Any smaller rank
-    mod p, or a denominator divisible by p, falls back to exact Fraction
-    elimination.
+    The empty family has rank 0. Shapes must agree. Each matrix is scaled
+    to ints by the lcm of its denominators, and the int vectors are
+    eliminated without division, each row kept primitive (its entries
+    share no common factor), so no Fraction is built and no entry grows
+    past the minors of the family.
     """
     mats = list(family)
     if not mats:
@@ -720,8 +682,4 @@ def rank_of_family(family: Iterable[Matrix]) -> int:
     for mat in mats:
         if mat.shape != shape:
             raise ShapeError(f"shape mismatch: {shape} vs {mat.shape}")
-    full = min(len(mats), shape[0] * shape[1])
-    residues = _residues(mats)
-    if residues is not None and _rank_mod_p(residues) == full:
-        return full
-    return _rank([[x for row in mat.entries for x in row] for mat in mats])
+    return _rank(_integer_rows(mats))

@@ -19,7 +19,6 @@ the size of the same product.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from centrostoch.core import (
@@ -146,7 +145,7 @@ def enumerate_extreme_stochastic(
     lexicographic order of the column assignments. Raises
     EnumerationCapError up front when the count exceeds `cap`.
     """
-    n = _as_int(n)  # refuses a bool or float count, as RectPermMatrix would
+    m, n = _as_int(m), _as_int(n)
     choices = _column_choices(m, n, pattern, centro=False)
     # every column comes from range(1, n + 1) or a checked support
     return (RectPermMatrix._trusted(cols, n) for cols in _product(choices, cap))
@@ -163,6 +162,7 @@ def enumerate_extreme_centro(
     m the center row cycles fastest. Raises EnumerationCapError up front
     when the count exceeds `cap`.
     """
+    m, n = _as_int(m), _as_int(n)
     half = m // 2
     choices = _column_choices(m, n, pattern, centro=True)
     return (
@@ -187,15 +187,14 @@ def is_extreme_oracle(a: Matrix, centro: bool = False) -> bool:
         raise NotCentrosymmetricError("oracle input must be centrosymmetric")
     m, n = a.shape
     support = sorted(a.support())
-    one, zero = Fraction(1), Fraction(0)
     # one zero-row-sum constraint per row (is_stochastic leaves none empty)
-    rows = [[one if r == i else zero for r, _ in support] for i in range(1, m + 1)]
+    rows = [[1 if r == i else 0 for r, _ in support] for i in range(1, m + 1)]
     if centro:
         index = {pos: k for k, pos in enumerate(support)}
         for k, (i, j) in enumerate(support):
             mirror = index[(m + 1 - i, n + 1 - j)]
             if k < mirror:
-                row = [zero] * len(support)
-                row[k], row[mirror] = one, -one
+                row = [0] * len(support)
+                row[k], row[mirror] = 1, -1
                 rows.append(row)
     return _rank(rows) == len(support)

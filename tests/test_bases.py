@@ -182,6 +182,10 @@ class TestCentroEvenFamily:
         with pytest.raises(ShapeError):
             basis_centro_even(3, 3)
 
+    def test_rejects_one_column_in_its_own_words(self):
+        with pytest.raises(ShapeError, match="^the even centrosymmetric family needs n >= 2$"):
+            basis_centro_even(2, 1)
+
 
 class TestCentroOddFamily:
     def test_golden_five_by_four(self):

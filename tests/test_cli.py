@@ -730,6 +730,11 @@ class TestBasis:
         code, out, err = run_cli(["basis", "--set", "square", "--n", "1"])
         assert code == 1
 
+    def test_centro_even_one_column_names_its_family(self, run_cli):
+        code, out, err = run_cli(["basis", "--set", "centro-even", "--m", "2", "--n", "1"])
+        assert (code, out) == (1, "")
+        assert err == "error: the even centrosymmetric family needs n >= 2\n"
+
 
 class TestGraph:
     def test_edges_and_fill(self, run_cli):

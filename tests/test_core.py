@@ -21,7 +21,6 @@ from centrostoch import (
     basis_centro_odd,
     basis_rect,
     basis_square,
-    core,
     decompose_centrosymmetric,
     decompose_stochastic,
     enumerate_extreme_centro,
@@ -31,9 +30,11 @@ from centrostoch import (
     is_extreme_oracle,
     is_stochastic,
     rank_of_family,
+    renumber_position,
     rotate_pi,
+    verify_basis,
 )
-from centrostoch.core import _rank, _unit_matrix, _vertex, _vertex_of
+from centrostoch.core import _unit_matrix, _vertex, _vertex_of
 from convex_reference import reference_check, reference_merge
 from matrixgen import (
     pattern_or_rotation,
@@ -41,6 +42,7 @@ from matrixgen import (
     random_stochastic_row,
     random_supported_pattern,
 )
+from rank_reference import reference_rank as exact_rank
 from stochastic_reference import reference_is_stochastic
 
 rationals = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
@@ -560,21 +562,14 @@ class TestRank:
         assert 0 <= rank <= min(len(fam), shape[0] * shape[1])
 
 
-def exact_rank(family):
-    # the exact Fraction elimination alone, on a row-major copy
-    return _rank([[x for row in a.entries for x in row] for a in family])
-
-
-def refuse(*args):
-    raise AssertionError("this route must not run")
-
-
 P = (1 << 61) - 1
 
 
 class TestRankCertificate:
-    """rank_of_family certifies full rank modulo 2^61 - 1 and otherwise
-    answers by exact elimination; either way it equals the exact rank."""
+    """rank_of_family eliminates int vectors without division; on full,
+    deficient and repeated families, with small, negative and huge entries
+    and with denominators and numerators divisible by 2^61 - 1, it equals
+    the Fraction elimination of rank_reference."""
 
     SHAPES = [(1, 1), (1, 4), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2)]
     ENTRIES = {
@@ -624,27 +619,71 @@ class TestRankCertificate:
     def test_the_zero_matrix_adds_no_rank(self):
         assert rank_of_family([Matrix.zeros(3, 2), Matrix([[1, 0], [0, 0], [0, 1]])]) == 1
 
-    def test_a_full_rank_family_is_certified_without_exact_elimination(self, monkeypatch):
-        monkeypatch.setattr(core, "_rank", refuse)
-        for family in (basis_square(5), basis_rect(4, 3), basis_centro_odd(5, 4)):
-            assert rank_of_family(family) == len(family)
-
-    def test_a_denominator_divisible_by_p_takes_the_exact_route(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(core, "_rank_mod_p", refuse)
-        monkeypatch.setattr(core, "_rank", lambda rows: calls.append(rows) or _rank(rows))
+    def test_a_denominator_divisible_by_p_takes_the_exact_route(self):
         family = [Matrix([[Fraction(1, P), 1]]), Matrix([[Fraction(3, 2 * P), 0]])]
-        assert rank_of_family(family) == 2
-        assert len(calls) == 1
+        assert rank_of_family(family) == 2 == exact_rank(family)
 
     def test_a_numerator_divisible_by_p_is_not_lost(self):
         # P and 2P vanish mod p; only the exact route sees their rank
         assert rank_of_family([Matrix([[P, 0]]), Matrix([[0, 2 * P]])]) == 2
         assert rank_of_family([Matrix([[Fraction(P, 3)]])]) == 1
 
+    # each basis family at small shapes, with the extreme points of its polytope
+    DEFICIENT = [("square", n, n) for n in (2, 3, 4)] + [
+        ("rect", m, n) for m, n in [(1, 2), (2, 3), (3, 3), (4, 2)]
+    ] + [("centro-even", m, n) for m, n in [(2, 2), (2, 3), (4, 3)]] + [
+        ("centro-odd", m, n) for m, n in [(3, 2), (3, 3), (5, 3), (3, 4)]
+    ]
+
+    @staticmethod
+    def basis_and_points(name, m, n):
+        if name == "square":
+            return basis_square(n), [r.to_matrix() for r in enumerate_extreme_stochastic(n, n)]
+        if name == "rect":
+            return basis_rect(m, n), [r.to_matrix() for r in enumerate_extreme_stochastic(m, n)]
+        build = basis_centro_even if name == "centro-even" else basis_centro_odd
+        return build(m, n), list(enumerate_extreme_centro(m, n))
+
+    @pytest.mark.parametrize("name, m, n", DEFICIENT)
+    def test_a_basis_and_one_more_extreme_point(self, name, m, n):
+        basis, points = self.basis_and_points(name, m, n)
+        rng = random.Random(f"{name}/{m}/{n}")
+        for point in rng.sample(points, min(6, len(points))):
+            family = basis + [point]
+            rng.shuffle(family)
+            assert rank_of_family(family) == len(family) - 1 == exact_rank(family)
+
+    @pytest.mark.parametrize("name, m, n", DEFICIENT)
+    def test_a_basis_with_one_member_repeated(self, name, m, n):
+        basis, _ = self.basis_and_points(name, m, n)
+        for k in range(len(basis)):
+            family = basis[:]
+            family.insert(len(basis) - k, basis[k])
+            assert rank_of_family(family) == len(family) - 1 == exact_rank(family)
+
+    def test_no_fraction_arithmetic(self, monkeypatch):
+        # the rank and the oracle eliminate ints: no Fraction is subtracted,
+        # multiplied or divided, even on a deficient family
+        family = basis_rect(4, 4) + [RectPermMatrix([2, 4, 1, 3], 4).to_matrix()]
+        points = list(enumerate_extreme_centro(3, 3))
+        points.append(Matrix([[Fraction(1, 3)] * 3] * 3))
+        calls = Counter()
+        for name in ("__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
+            def counted(*args, _name=name, _original=getattr(Fraction, name)):
+                calls[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(Fraction, name, counted)
+        rank = rank_of_family(family)
+        verdicts = [(is_extreme_oracle(a), is_extreme_oracle(a, centro=True)) for a in points]
+        monkeypatch.undo()
+        assert calls == Counter()
+        assert rank == len(family) - 1
+        assert verdicts == [(_vertex_of(a).center is None, True) for a in points[:-1]] + [
+            (False, False)
+        ]
+
     @pytest.mark.parametrize("m, n", [(1, 3), (2, 2), (3, 3), (4, 3)])
-    def test_the_oracle_stays_exact(self, monkeypatch, m, n):
-        monkeypatch.setattr(core, "_rank_mod_p", refuse)
+    def test_the_oracle_stays_exact(self, m, n):
         rng = random.Random(31 * m + n)
         for a in enumerate_extreme_centro(m, n):
             assert is_extreme_oracle(a, centro=True)
@@ -652,6 +691,50 @@ class TestRankCertificate:
         for _ in range(20):
             a = random_stochastic(rng, m, n)
             assert is_extreme_oracle(a) == (a.nnz() == m)
+
+
+class TestSizesAreInts:
+    """Every public size, position and dimension goes through core._as_int,
+    so a float or a bool raises TypeError instead of standing for an int."""
+
+    # (call, an int the call accepts): the call is made with that int's
+    # float and with True in its place
+    CALLS = {
+        "zeros-rows": (lambda v: Matrix.zeros(v, 2), 2),
+        "zeros-cols": (lambda v: Matrix.zeros(2, v), 2),
+        "identity": (lambda v: Matrix.identity(v), 2),
+        "at-i": (lambda v: Matrix.identity(2).at(v, 1), 1),
+        "at-j": (lambda v: Matrix.identity(2).at(1, v), 1),
+        "row": (lambda v: Matrix.identity(2).row(v), 1),
+        "row-sum": (lambda v: Matrix.identity(2).row_sum(v), 1),
+        "square": (lambda v: basis_square(v), 2),
+        "rect-m": (lambda v: basis_rect(v, 3), 1),
+        "rect-n": (lambda v: basis_rect(2, v), 2),
+        "centro-even-m": (lambda v: basis_centro_even(v, 3), 2),
+        "centro-even-n": (lambda v: basis_centro_even(2, v), 2),
+        "centro-odd-m": (lambda v: basis_centro_odd(v, 3), 3),
+        "centro-odd-n": (lambda v: basis_centro_odd(3, v), 2),
+        "extreme-stochastic-m": (lambda v: list(enumerate_extreme_stochastic(v, 2)), 1),
+        "extreme-stochastic-n": (lambda v: list(enumerate_extreme_stochastic(2, v)), 2),
+        "extreme-centro-m": (lambda v: list(enumerate_extreme_centro(v, 3)), 1),
+        "extreme-centro-n": (lambda v: list(enumerate_extreme_centro(2, v)), 3),
+        "renumber-i": (lambda v: renumber_position(v, 1, 2), 1),
+        "renumber-j": (lambda v: renumber_position(1, v, 2), 1),
+        "renumber-side": (lambda v: renumber_position(1, 1, v), 2),
+        "verify-dim": (lambda v: verify_basis(basis_rect(2, 3), v), 4),
+    }
+
+    @pytest.mark.parametrize("name", list(CALLS))
+    def test_an_int_is_accepted(self, name):
+        call, value = self.CALLS[name]
+        call(value)
+
+    @pytest.mark.parametrize("kind", ["float", "bool"])
+    @pytest.mark.parametrize("name", list(CALLS))
+    def test_a_float_or_a_bool_is_refused(self, name, kind):
+        call, value = self.CALLS[name]
+        with pytest.raises(TypeError):
+            call(float(value) if kind == "float" else True)
 
 
 def assert_carries_its_vertex(a):
