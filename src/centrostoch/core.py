@@ -22,9 +22,9 @@ The dense Matrix of an extreme point (`_unit_matrix`, behind the
 enumerators, `RectPermMatrix.to_matrix` and the basis builders) is built
 from cached unit and centre rows that all such matrices share, and carries
 its vertex, so `_vertex_of` hands it back without reading an entry.
-`rank_of_family` scales each matrix to ints and eliminates them without
-division, keeping each row primitive, so the rank is exact and no Fraction
-is built.
+`_row_ints` is the one integer view of a row; `is_stochastic`, the greedy
+sweep in `decompose` and `rank_of_family` all read rows through it, and
+none of them compares or adds a Fraction.
 """
 
 from __future__ import annotations
@@ -111,6 +111,13 @@ def _to_rational(value) -> Fraction:
     return Fraction(value)
 
 
+def _rational_row(row: Iterable) -> tuple[Fraction, ...]:
+    # read by character, the string row "10" would pass for [1, 0]
+    if isinstance(row, (str, bytes, bytearray)):
+        raise TypeError(f"a row must be a sequence of entries, not {type(row).__name__} {row!r}")
+    return tuple(map(_to_rational, row))
+
+
 def _as_int(value) -> int:
     # an index or a count: like entries, floats and bools are refused, not rounded
     if isinstance(value, bool):
@@ -134,7 +141,7 @@ class Matrix:
     __slots__ = ("nrows", "ncols", "entries", "_key")
 
     def __init__(self, rows: Iterable[Iterable]) -> None:
-        data = tuple(tuple(_to_rational(x) for x in row) for row in rows)
+        data = tuple(map(_rational_row, rows))
         if not data or not data[0]:
             raise ShapeError("a matrix needs at least one row and one column")
         width = len(data[0])
@@ -380,35 +387,33 @@ def _dense(key: _Vertex | Matrix) -> Matrix:
     return key if isinstance(key, Matrix) else _unit_matrix(*key)
 
 
+def _row_ints(row: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(d, nums): d is the lcm of the row's own denominators and
+    nums[j] / d == row[j]. One lcm shared by all rows would not do: on rows
+    with unrelated 30-bit denominators it grows to tens of thousands of bits
+    and makes the greedy sweep slower than Fraction arithmetic tenfold."""
+    d = lcm(*[x.denominator for x in row])
+    return d, [x.numerator * (d // x.denominator) for x in row]
+
+
 def is_stochastic(a: Matrix) -> bool:
     """True iff every entry is nonnegative and every row sums to exactly 1.
 
-    Each row is checked on ints over d, the lcm of its own denominators:
-    it fails when some numerator is negative or when the numerators scaled
-    to d do not sum to d. No Fraction is compared or added.
+    Each row is checked on its `_row_ints` (d, nums): no num may be
+    negative, and the nums must sum to d.
     """
     for row in a.entries:
-        d = lcm(*[x.denominator for x in row])
-        total = 0
-        for x in row:
-            num = x.numerator
-            if num < 0:
-                return False
-            total += num * (d // x.denominator)
-        if total != d:
+        d, nums = _row_ints(row)
+        if min(nums) < 0 or sum(nums) != d:
             return False
     return True
 
 
 def is_centrosymmetric(a: Matrix) -> bool:
-    """True iff the matrix equals its half-turn rotation."""
-    m, n = a.shape
+    """True iff the matrix equals its half-turn rotation: row i is row
+    m+1-i reversed."""
     e = a.entries
-    for i in range((m + 1) // 2):
-        for j in range(n):
-            if e[i][j] != e[m - 1 - i][n - 1 - j]:
-                return False
-    return True
+    return all(e[i] == e[-1 - i][::-1] for i in range((a.nrows + 1) // 2))
 
 
 class RectPermMatrix:
@@ -616,19 +621,18 @@ def _integer_rows(mats: list[Matrix]) -> list[list[int]]:
     """Each matrix flattened row-major and scaled to ints by the lcm of its
     denominators, which leaves the rank of the family unchanged.
 
-    Every row is scaled once, however many matrices share it (extreme
-    points share their rows): its lcm and its numerators over that lcm are
-    kept, and a matrix whose lcm is larger multiplies them up.
+    Every row's `_row_ints` is taken once, however many matrices share the
+    row (extreme points share their rows), and a matrix whose lcm is larger
+    multiplies them up.
     """
-    scaled: dict[int, tuple[int, list[int]]] = {}  # id of a row of `mats` -> (lcm, ints)
+    scaled: dict[int, tuple[int, list[int]]] = {}  # id of a row of `mats` -> its _row_ints
     out = []
     for mat in mats:
         parts = []
         for row in mat.entries:
             part = scaled.get(id(row))
             if part is None:
-                d = lcm(*[x.denominator for x in row])
-                part = scaled[id(row)] = (d, [x.numerator * (d // x.denominator) for x in row])
+                part = scaled[id(row)] = _row_ints(row)
             parts.append(part)
         d = lcm(*[rd for rd, _ in parts])
         out.append([x * (d // rd) for rd, ints in parts for x in ints])
@@ -670,10 +674,10 @@ def rank_of_family(family: Iterable[Matrix]) -> int:
     """Exact rank of a family of equally shaped matrices, flattened row-major.
 
     The empty family has rank 0. Shapes must agree. Each matrix is scaled
-    to ints by the lcm of its denominators, and the int vectors are
-    eliminated without division, each row kept primitive (its entries
-    share no common factor), so no Fraction is built and no entry grows
-    past the minors of the family.
+    to ints from its rows' `_row_ints`, and the int vectors are eliminated
+    without division, each row kept primitive (its entries share no common
+    factor), so no Fraction is built and no entry grows past the minors of
+    the family.
     """
     mats = list(family)
     if not mats:

@@ -13,16 +13,14 @@ peel (mark each row's smallest positive entry, leftmost on ties, peel, and
 renormalise), because a marked entry stays the smallest of its row until it
 is used up.
 
-The sweep runs on ints. Each row works over the lcm of its own
-denominators, so its entries and cumulative sums are ints over that lcm,
-and each inner sum is one event that switches one row to its next column.
-Events are sorted by the float of s / d, which is correctly rounded and so
-in the exact order up to ties; a run of equal floats, which may hold
-distinct exact values, is sorted again by cross-multiplying. Each distinct
+The sweep runs on ints. Each row is read through `core._row_ints`, as
+ints over its own d, so its cumulative sums are ints over d, and each inner
+sum is one event that switches one row to its next column. Events are
+sorted by the float of s / d, which is correctly rounded and so in the
+exact order up to ties; a run of equal floats, which may hold distinct
+exact values, is sorted again by cross-multiplying. Each distinct
 breakpoint builds one Fraction, its term's coefficient, and no event builds
-one. There is deliberately no lcm shared by all rows: on rows with
-unrelated 30-bit denominators it grows to tens of thousands of bits and
-makes the sweep an order of magnitude slower than Fraction arithmetic.
+one.
 
 Everything else in the module is bookkeeping on the column tuples: pairing
 terms with their half-turn rotations for the centrosymmetric polytope, and
@@ -35,7 +33,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import groupby
-from math import lcm
 from operator import itemgetter
 
 from centrostoch.core import (
@@ -47,6 +44,7 @@ from centrostoch.core import (
     SplitError,
     _mirrored,
     _rotated,
+    _row_ints,
     _vertex,
     _Vertex,
     is_centrosymmetric,
@@ -67,17 +65,14 @@ _EXACT = cmp_to_key(lambda x, y: x[1] * y[2] - y[1] * x[2])
 
 
 def _greedy_terms(a: Matrix) -> list[tuple[Fraction, tuple[int, ...]]]:
-    # callers have checked that `a` is stochastic. Row i works over d, the
-    # lcm of its own denominators (never over one lcm of all rows, see the
-    # module docstring): its positive entries become ints, and each inner
+    # callers have checked that `a` is stochastic. Row i works on its
+    # `_row_ints` (d, nums): its positive nums are ranked, and each inner
     # cumulative sum s is one event (s / d, s, d, i, column it switches to)
     events = []
     cols = []
     for i, row in enumerate(a.entries):
-        d = lcm(*[x.denominator for x in row if x])
-        ranked = sorted(
-            [(x.numerator * (d // x.denominator), j) for j, x in enumerate(row, 1) if x]
-        )
+        d, nums = _row_ints(row)
+        ranked = sorted([(v, j) for j, v in enumerate(nums, 1) if v])
         cols.append(ranked[0][1])
         s = 0
         for (v, _), (_, c) in zip(ranked, ranked[1:]):

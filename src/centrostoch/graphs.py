@@ -158,21 +158,20 @@ def fill(g: BipartiteGraph) -> Fraction:
 
 def _extreme_via_graph(a: Matrix, center: int | None = None) -> bool:
     # every row vertex has degree 1, except that row `center` may have
-    # degree 2, and the graph is a forest (the paper's statement; the degree
-    # rule already excludes cycles, which pass two rows of degree >= 2)
-    g = bipartite_of(a)
-    degrees = Counter(i for i, _ in g.edges)
+    # degree 2; no forest sweep is needed (see the callers' docstrings)
+    degrees = Counter(i for i, _ in bipartite_of(a).edges)
     return all(
         degrees[i] == 1 or (i == center and degrees[i] == 2)
-        for i in range(1, g.row_count + 1)
-    ) and is_forest(g)
+        for i in range(1, a.nrows + 1)
+    )
 
 
 def is_extreme_stochastic_via_graph(a: Matrix) -> bool:
     """Graph reading of extremality in the stochastic polytope.
 
     A stochastic matrix is extreme iff its graph is a forest and every row
-    vertex has degree 1. Raises NotStochasticError when `a` is not
+    vertex has degree 1; the degree rule alone decides, since a cycle passes
+    two rows of degree >= 2. Raises NotStochasticError when `a` is not
     row-stochastic.
     """
     if not is_stochastic(a):
@@ -185,9 +184,10 @@ def is_extreme_centro_via_graph(a: Matrix) -> bool:
 
     For an even row count the criterion matches the plain stochastic one;
     for an odd row count the center row vertex may have degree 1 or 2 while
-    all other row vertices have degree 1, and the graph must be a forest.
-    Raises NotStochasticError / NotCentrosymmetricError on inputs outside
-    the polytope.
+    all other row vertices have degree 1, and the graph must be a forest,
+    which the degree rule already ensures: a cycle passes two rows of
+    degree >= 2. Raises NotStochasticError / NotCentrosymmetricError on
+    inputs outside the polytope.
     """
     if not is_stochastic(a):
         raise NotStochasticError("graph test input must be row-stochastic")

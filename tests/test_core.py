@@ -1,6 +1,7 @@
 """Core value types: exact matrices, row patterns, convex combinations, rank."""
 
 import copy
+import math
 import pickle
 import random
 from collections import Counter
@@ -34,9 +35,10 @@ from centrostoch import (
     rotate_pi,
     verify_basis,
 )
-from centrostoch.core import _unit_matrix, _vertex, _vertex_of
+from centrostoch.core import _row_ints, _unit_matrix, _vertex, _vertex_of
 from convex_reference import reference_check, reference_merge
 from matrixgen import (
+    HALF,
     pattern_or_rotation,
     random_stochastic,
     random_stochastic_row,
@@ -74,6 +76,16 @@ class TestMatrixConstruction:
             Matrix([[True]])
         with pytest.raises(TypeError):
             Matrix([[1, False]])
+
+    @pytest.mark.parametrize(
+        "rows",
+        [["10", "01"], "1", [[1, 0], b"01"], [bytearray(b"1")], (r for r in ([1], "1"))],
+        ids=["str rows", "str", "bytes row", "bytearray row", "generator"],
+    )
+    def test_string_rows_refused(self, rows):
+        # read one character at a time, ["10", "01"] built the identity
+        with pytest.raises(TypeError, match="not"):
+            Matrix(rows)
 
     def test_ragged_rows_rejected(self):
         with pytest.raises(ShapeError):
@@ -154,6 +166,16 @@ class TestMatrixValueSemantics:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             Matrix([[1]]) + Matrix([[1, 2]])
+
+    def test_other_operands_are_not_implemented(self):
+        a = Matrix([[1]])
+        for method in (a.__add__, a.__sub__, a.__eq__):
+            assert method(1) is NotImplemented
+        assert a != 1
+        with pytest.raises(TypeError):
+            a + 1
+        with pytest.raises(TypeError):
+            a - 1
 
     def test_entrywise_min(self):
         a = Matrix([[1, 0], [0, 1]])
@@ -247,6 +269,95 @@ class TestPredicates:
         assert is_centrosymmetric(Matrix([["1/3", "1/3"], ["1/3", "1/3"]]))
 
 
+def equal_but_not_identical(x):
+    # a Fraction equal to x but built apart, as Fraction(2, 4) is to Fraction(1, 2)
+    y = Fraction(3 * x.numerator, 3 * x.denominator)
+    assert y == x and y is not x
+    return y
+
+
+def centro_cases(rng, m, n):
+    # seeded m x n matrices on both sides of the half-turn test: mirrored
+    # rows whose equal entries are shared or built apart, and the same with
+    # one entry changed
+    pool = [Fraction(0), Fraction(1), HALF, Fraction(1, 3), Fraction(-2, 7)]
+    rows = [[rng.choice(pool) for _ in range(n)] for _ in range(m)]
+    for i in range((m + 1) // 2):
+        for j in range(n):
+            x = rows[i][j]
+            rows[m - 1 - i][n - 1 - j] = x if rng.random() < 0.5 else equal_but_not_identical(x)
+    yield Matrix(rows)
+    i, j = rng.randrange(m), rng.randrange(n)
+    rows[i][j] += rng.choice((1, Fraction(1, 2**100)))
+    yield Matrix(rows)
+    yield Matrix([[rng.choice(pool) for _ in range(n)] for _ in range(m)])
+
+
+class TestCentrosymmetricIsTheDefinition:
+    """is_centrosymmetric(a) is a == rotate_pi(a): row i against row m+1-i
+    reversed, whole tuples at a time."""
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_seeded_matrices(self, m):
+        rng = random.Random(7100 + m)
+        seen = set()
+        for n in range(1, 8):
+            for _ in range(6):
+                for a in centro_cases(rng, m, n):
+                    expected = a == rotate_pi(a)
+                    assert is_centrosymmetric(a) == expected, a
+                    seen.add(expected)
+        assert seen == {True, False}
+
+    def test_shared_and_separately_built_halves(self):
+        assert Fraction(1, 2) is not Fraction(2, 4)
+        for a in (Matrix([[HALF, HALF]]), Matrix([[Fraction(1, 2), Fraction(2, 4)]]),
+                  Matrix([[1, "1/2"], ["2/4", 1]])):
+            assert is_centrosymmetric(a) and a == rotate_pi(a)
+        assert not is_centrosymmetric(Matrix([[HALF, Fraction(2, 3)]]))
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (2, 3), (3, 2), (3, 3), (4, 4), (5, 3), (6, 5)])
+    def test_face_patterns_and_unit_matrices(self, m, n):
+        rng = random.Random(31 * m + n)
+        for _ in range(8):
+            pattern = FacePattern(random_supported_pattern(rng, m, n))
+            cover = FacePattern(pattern_or_rotation(pattern))
+            for p in (pattern, cover, pattern.meet(pattern.rotate_pi())):
+                assert is_centrosymmetric(p) == (p == rotate_pi(p))
+            cols = tuple(rng.randint(1, n) for _ in range(m - m % 2))
+            mirrored = cols[: m // 2] + tuple(n + 1 - c for c in reversed(cols[: m // 2]))
+            center = rng.randint(1, n) if m % 2 else None
+            for a in (_unit_matrix(cols, n, center), _unit_matrix(mirrored, n, center)):
+                assert is_centrosymmetric(a) == (a == rotate_pi(a))
+            assert is_centrosymmetric(_unit_matrix(mirrored, n, center))
+
+
+class TestRowInts:
+    """`_row_ints(row)` is (d, nums) with d the lcm of the row's
+    denominators and nums[j] / d == row[j]."""
+
+    def test_seeded_rows(self):
+        rng = random.Random(1709)
+        for _ in range(400):
+            n = rng.randint(1, 8)
+            bits = rng.choice((3, 30, 100))
+            row = tuple(
+                Fraction(rng.randint(-(2**bits), 2**bits), rng.randint(1, 2**bits))
+                if rng.random() < 0.8 else Fraction(0)
+                for _ in range(n)
+            )
+            d, nums = _row_ints(row)
+            assert d == math.lcm(*[x.denominator for x in row])
+            assert len(nums) == n and all(type(v) is int for v in nums)
+            assert all(Fraction(v, d) == x for v, x in zip(nums, row))
+
+    def test_examples(self):
+        assert _row_ints((Fraction(1, 2), Fraction(-1, 3), Fraction(0))) == (6, [3, -2, 0])
+        assert _row_ints((Fraction(5),)) == (1, [5])
+        big = Fraction(2**100 + 1, 2**100)
+        assert _row_ints((big, Fraction(1, 3))) == (3 * 2**100, [3 * (2**100 + 1), 2**100])
+
+
 class TestRectPermMatrix:
     def test_to_matrix(self):
         r = RectPermMatrix([2, 1], 3)
@@ -271,6 +382,8 @@ class TestRectPermMatrix:
             RectPermMatrix([0], 2)
         with pytest.raises(ShapeError):
             RectPermMatrix([], 2)
+        with pytest.raises(ShapeError):
+            RectPermMatrix([1], 0)
 
     @pytest.mark.parametrize("cols", [[2.7, 1], [True, 2], [2.0]], ids=repr)
     def test_float_and_bool_columns_refused(self, cols):
@@ -296,6 +409,13 @@ class TestRectPermMatrix:
         r = RectPermMatrix([1], 1)
         with pytest.raises(AttributeError):
             r.ncols = 2
+
+    def test_shape_repr_and_equality(self):
+        r = RectPermMatrix([2, 1], 3)
+        assert r.shape == (2, 3)
+        assert repr(r) == "RectPermMatrix([2, 1], ncols=3)"
+        # a rectangular permutation matrix is not the Matrix it stands for
+        assert r.__eq__(r.to_matrix()) is NotImplemented and r != r.to_matrix()
 
 
 class TestConvexCombination:
@@ -340,6 +460,17 @@ class TestConvexCombination:
         assert list(comb) == [(Fraction(1), Matrix([[1]]))]
         with pytest.raises(AttributeError):
             comb.terms = ()
+
+    def test_a_term_must_be_a_matrix(self):
+        # a RectPermMatrix is the likely slip: pass its to_matrix()
+        with pytest.raises(TypeError, match="Matrix"):
+            ConvexCombination([(1, RectPermMatrix([1], 2))])
+
+    def test_repr(self):
+        comb = ConvexCombination([("1/3", Matrix([[1, 0]])), ("2/3", Matrix([[0, 1]]))])
+        assert repr(comb) == (
+            "ConvexCombination([(1/3, Matrix([[1, 0]])), (2/3, Matrix([[0, 1]]))])"
+        )
 
 
 TINY = Fraction(1, 2**200)

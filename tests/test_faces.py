@@ -41,6 +41,13 @@ class TestFacePattern:
         assert p.at(1, 1) == 1
         assert p.row_sum(1) == 1
 
+    def test_rejects_string_rows(self):
+        # read one character at a time, "11" passed for the row [1, 1]
+        with pytest.raises(TypeError):
+            FacePattern(["11", "01"])
+        with pytest.raises(TypeError):
+            count_face_vertices_stochastic(["111"])
+
     def test_rejects_other_entries(self):
         with pytest.raises(PatternError):
             FacePattern([["1/2", "1/2"]])

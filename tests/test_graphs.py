@@ -45,6 +45,8 @@ class TestBipartiteGraph:
         assert g.col_degree(3) == 0
         with pytest.raises(IndexError):
             g.row_degree(3)
+        with pytest.raises(IndexError):
+            g.col_degree(0)
 
     def test_value_semantics(self):
         g1 = BipartiteGraph(2, 2, [(1, 1), (2, 2)])
@@ -53,6 +55,8 @@ class TestBipartiteGraph:
         assert hash(g1) == hash(g2)
         with pytest.raises(AttributeError):
             g1.edges = frozenset()
+        assert g1.__eq__(g1.edges) is NotImplemented and g1 != g1.edges
+        assert repr(g2) == "BipartiteGraph(2, 2, [(1, 1), (2, 2)])"
 
     def test_of_matrix(self):
         s = Matrix([[1, 0, 0, 0], [0, "1/2", "1/2", 0], [0, 0, 0, 1]])
