@@ -25,6 +25,8 @@ its vertex, so `_vertex_of` hands it back without reading an entry.
 `_row_ints` is the one integer view of a row; `is_stochastic`, the greedy
 sweep in `decompose` and `rank_of_family` all read rows through it, and
 none of them compares or adds a Fraction.
+`Matrix(...)`, which converts and checks every entry, is for outside input;
+matrices derived from checked ones are assembled by `_trusted`.
 """
 
 from __future__ import annotations
@@ -216,10 +218,8 @@ class Matrix:
         """
         if self.shape != other.shape:
             raise ShapeError(f"shape mismatch: {self.shape} vs {other.shape}")
-        return Matrix(
-            tuple(op(a, b) for a, b in zip(ra, rb))
-            for ra, rb in zip(self.entries, other.entries)
-        )
+        rows = zip(self.entries, other.entries)
+        return _trusted(tuple(tuple(map(op, ra, rb)) for ra, rb in rows), self.ncols)
 
     def entrywise_min(self, other: "Matrix") -> "Matrix":
         return self._entrywise(other, min)
@@ -236,7 +236,7 @@ class Matrix:
 
     def __mul__(self, scalar) -> "Matrix":
         c = _to_rational(scalar)
-        return Matrix(tuple(x * c for x in row) for row in self.entries)
+        return _trusted(tuple(tuple(x * c for x in row) for row in self.entries), self.ncols)
 
     __rmul__ = __mul__
 
@@ -270,7 +270,7 @@ def _trusted(rows: tuple[tuple[Fraction, ...], ...], ncols: int, key=None) -> Ma
 
 def rotate_pi(a: Matrix) -> Matrix:
     """Half-turn rotation: entry (i, j) moves to (m+1-i, n+1-j)."""
-    return Matrix(tuple(row[::-1] for row in a.entries[::-1]))
+    return _trusted(tuple(row[::-1] for row in a.entries[::-1]), a.ncols)
 
 
 # Rows are immutable tuples, so every extreme point shares them. The caches
@@ -475,7 +475,7 @@ class RectPermMatrix:
         return _unit_matrix(self.row_to_col, self.ncols)
 
     def rotate_pi(self) -> "RectPermMatrix":
-        return RectPermMatrix(_rotated(self.row_to_col, self.ncols), self.ncols)
+        return RectPermMatrix._trusted(_rotated(self.row_to_col, self.ncols), self.ncols)
 
     def is_centrosymmetric(self) -> bool:
         return self.row_to_col == _rotated(self.row_to_col, self.ncols)
@@ -610,7 +610,7 @@ class ConvexCombination:
                 acc[half][n - key.center] += share
             for row, c in zip(rows, key.cols):
                 row[c - 1] += coeff
-        return Matrix(acc)
+        return _trusted(tuple(map(tuple, acc)), n)
 
     def __repr__(self) -> str:
         inner = ", ".join(f"({c}, {m!r})" for c, m in self.terms)

@@ -42,7 +42,6 @@ from centrostoch.core import (
     NotStochasticError,
     RectPermMatrix,
     SplitError,
-    _mirrored,
     _rotated,
     _row_ints,
     _vertex,
@@ -130,20 +129,22 @@ def split_noncentrosymmetric(
     """Split R + R^pi into two distinct centrosymmetric rectangular
     permutation matrices Q1 + Q2.
 
-    Each row of R + R^pi holds two unit entries (possibly stacked); row i of
-    Q1 takes the leftmost, row i of Q2 the other, for i in the top half, and
-    the bottom halves mirror. Requires an even number of rows and a
-    non-centrosymmetric R; raises SplitError otherwise.
+    Row i of R + R^pi holds two unit entries (possibly stacked), in columns
+    cols[i] and rot[i] of R's column tuple and its rotation's. Q1 takes
+    their min in the top half and their max in the bottom half, Q2 the
+    other entry of every row, so both are centrosymmetric. Requires an even
+    number of rows and a non-centrosymmetric R; raises SplitError otherwise.
     """
     if r.nrows % 2 != 0:
         raise SplitError("splitting needs an even number of rows")
-    if r.is_centrosymmetric():
-        raise SplitError("input is already centrosymmetric")
     cols, n = r.row_to_col, r.ncols
-    # each top row's two unit entries, the leftmost first
-    tops = [sorted(pair) for pair in zip(cols[: r.nrows // 2], _rotated(cols, n))]
-    first, second = (RectPermMatrix._trusted(_mirrored(top, n), n) for top in zip(*tops))
-    return first, second
+    rot = _rotated(cols, n)
+    if cols == rot:
+        raise SplitError("input is already centrosymmetric")
+    h = r.nrows // 2
+    low, high = tuple(map(min, cols, rot)), tuple(map(max, cols, rot))
+    q1, q2 = low[:h] + high[h:], high[:h] + low[h:]
+    return RectPermMatrix._trusted(q1, n), RectPermMatrix._trusted(q2, n)
 
 
 def decompose_centrosymmetric(a: Matrix) -> ConvexCombination:

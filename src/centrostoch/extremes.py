@@ -13,7 +13,8 @@ The enumerators walk one product: an extreme point picks a column in each
 free row (every row, or the top half under the half turn) and, for odd row
 count, one admissible centre row. Restricting each row to a (0,1) pattern's
 support yields the vertices of that pattern's face; `faces` counts them as
-the size of the same product.
+the size of the same product. `pattern=` asks `is_zero_one()`, free on a
+`FacePattern`; a plain Matrix is read for it and again for the supports.
 """
 
 from __future__ import annotations
@@ -100,16 +101,10 @@ def _column_choices(
     else:
         if pattern.shape != (m, n):
             raise ShapeError(f"the pattern is {pattern.nrows} x {pattern.ncols}, not {m} x {n}")
-        # each row's support, refusing any entry other than 0 and 1 on the way
-        supports = []
-        for row in pattern.entries:
-            support = []
-            for j, x in enumerate(row, 1):
-                if x == 1:
-                    support.append(j)
-                elif x != 0:
-                    raise PatternError("a face pattern must have entries 0 and 1 only")
-            supports.append(support)
+        # a FacePattern answers without reading; a plain Matrix reads its entries
+        if not pattern.is_zero_one():
+            raise PatternError("a face pattern must have entries 0 and 1 only")
+        supports = [[j for j, x in enumerate(row, 1) if x] for row in pattern.entries]
         if centro and not is_centrosymmetric(pattern):
             raise NotCentrosymmetricError(
                 "the face needs a centrosymmetric pattern; meet it with its rotation first"
@@ -117,13 +112,14 @@ def _column_choices(
         if not all(supports):
             raise NoRowSupportError("pattern has an all-zero row")
         rows = supports[:free]
-        centres = [j for j in centres if pattern.entries[m // 2][j - 1] == 1]
+        centres = [j for j in centres if pattern.entries[m // 2][j - 1]]
     return itertools.chain(rows, [centres]) if centro and m % 2 else rows
 
 
 def _product(choices: Iterable[Sequence[int]], cap: int) -> Iterator[tuple[int, ...]]:
     # multiply the sizes step by step and stop as soon as the cap is passed,
     # so a huge count is never built in full nor formatted as a decimal
+    cap = _as_int(cap)
     kept, total = [], 1
     for choice in choices:
         total *= len(choice)

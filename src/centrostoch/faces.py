@@ -4,8 +4,9 @@ A pattern B selects the face of matrices supported inside B. Its vertices
 pick one column from each free row's support (and, for odd row count, one
 admissible centre column), so a count is the product of the choice sizes
 and the enumerator is the global one restricted to B; both read the per-row
-choices from `extremes`. A pattern made from a `Matrix` shares its rows, and
-the usable centrosymmetric support B meet B-rotated is read off B's rows.
+choices from `extremes`. A pattern shares the rows of the `Matrix` it wraps
+and checks them for 0/1 once: its `is_zero_one()` reads nothing. The usable
+centrosymmetric support B meet B-rotated is read off B's rows.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from centrostoch.core import (
     DEFAULT_ENUMERATION_CAP,
     Matrix,
     PatternError,
+    _trusted,
     is_centrosymmetric,
 )
 from centrostoch.extremes import (
@@ -49,15 +51,18 @@ class FacePattern(Matrix):
     def __init__(self, rows) -> None:
         # a Matrix is immutable and already checked, so its slots are shared
         source = rows if isinstance(rows, Matrix) else Matrix(rows)
+        if not source.is_zero_one():
+            raise PatternError("a face pattern must have entries 0 and 1 only")
         for name in Matrix.__slots__:
             object.__setattr__(self, name, getattr(source, name))
-        if not self.is_zero_one():
-            raise PatternError("a face pattern must have entries 0 and 1 only")
+
+    def is_zero_one(self) -> bool:
+        return True  # construction refused every other entry, so none is read
 
     @property
     def matrix(self) -> Matrix:
         """The pattern as a plain Matrix."""
-        return Matrix(self.entries)
+        return _trusted(self.entries, self.ncols)
 
     def rotate_pi(self) -> "FacePattern":
         return FacePattern(super().rotate_pi())
@@ -70,13 +75,9 @@ class FacePattern(Matrix):
         return FacePattern(self.entrywise_min(other))
 
 
-def _coerce(pattern) -> FacePattern:
-    return pattern if isinstance(pattern, FacePattern) else FacePattern(pattern)
-
-
 def has_row_support_stochastic(pattern) -> bool:
     """True iff every row of the pattern contains a 1."""
-    return all(1 in row for row in _coerce(pattern).entries)
+    return all(1 in row for row in FacePattern(pattern).entries)
 
 
 def has_row_support_centro(pattern) -> bool:
@@ -85,7 +86,7 @@ def has_row_support_centro(pattern) -> bool:
     That is the support condition a centrosymmetric stochastic matrix can
     actually use, since its support is closed under the half turn.
     """
-    rows = _coerce(pattern).entries
+    rows = FacePattern(pattern).entries
     # row i of B meet B-rotated: the entrywise min of row i and row m+1-i reversed
     return all(1 in map(min, row, reversed(mirror)) for row, mirror in zip(rows, reversed(rows)))
 
@@ -93,7 +94,7 @@ def has_row_support_centro(pattern) -> bool:
 def _choice_sizes(pattern, centro: bool) -> list[int]:
     """The sizes of the face's per-row column choices, whose product is its
     vertex count; raises the counters' errors."""
-    b = _coerce(pattern)
+    b = FacePattern(pattern)
     return [len(choice) for choice in _column_choices(*b.shape, b, centro=centro)]
 
 
@@ -124,7 +125,7 @@ def enumerate_face_vertices(
     shape. Raises the counters' errors up front, and EnumerationCapError
     when the face's own vertex count exceeds `cap`.
     """
-    b = _coerce(pattern)
+    b = FacePattern(pattern)
     if centro:
         return enumerate_extreme_centro(*b.shape, cap=cap, pattern=b)
     plain = enumerate_extreme_stochastic(*b.shape, cap=cap, pattern=b)

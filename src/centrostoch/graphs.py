@@ -63,6 +63,9 @@ class BipartiteGraph:
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("BipartiteGraph is immutable")
 
+    def __reduce__(self):
+        return (BipartiteGraph, (self.row_count, self.col_count, self.edges))
+
     def sorted_edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.edges))
 

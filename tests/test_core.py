@@ -12,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from centrostoch import (
+    BipartiteGraph,
     ConvexCombination,
     FacePattern,
     Matrix,
@@ -35,6 +36,7 @@ from centrostoch import (
     rotate_pi,
     verify_basis,
 )
+from centrostoch import core
 from centrostoch.core import _row_ints, _unit_matrix, _vertex, _vertex_of
 from convex_reference import reference_check, reference_merge
 from matrixgen import (
@@ -853,6 +855,9 @@ class TestSizesAreInts:
         "renumber-j": (lambda v: renumber_position(1, v, 2), 1),
         "renumber-side": (lambda v: renumber_position(1, 1, v), 2),
         "verify-dim": (lambda v: verify_basis(basis_rect(2, 3), v), 4),
+        "extreme-stochastic-cap": (lambda v: list(enumerate_extreme_stochastic(2, 2, cap=v)), 4),
+        "extreme-centro-cap": (lambda v: list(enumerate_extreme_centro(2, 2, cap=v)), 2),
+        "face-vertices-cap": (lambda v: list(enumerate_face_vertices([[1, 1], [1, 1]], cap=v)), 4),
     }
 
     @pytest.mark.parametrize("name", list(CALLS))
@@ -866,6 +871,15 @@ class TestSizesAreInts:
         call, value = self.CALLS[name]
         with pytest.raises(TypeError):
             call(float(value) if kind == "float" else True)
+
+    @pytest.mark.parametrize("cap", [2.5, True], ids=["2.5", "True"])
+    @pytest.mark.parametrize("name", ["extreme-stochastic-cap", "extreme-centro-cap",
+                                      "face-vertices-cap"])
+    def test_a_cap_that_is_no_count_is_refused(self, name, cap):
+        # compared as given, cap=4.5 would let a face of 4 vertices through
+        # and cap=True would read "exceeds the cap of True"
+        with pytest.raises(TypeError):
+            self.CALLS[name][0](cap)
 
 
 def assert_carries_its_vertex(a):
@@ -981,6 +995,14 @@ class TestPickleAndCopy:
             with pytest.raises(AttributeError):
                 b.row_to_col = ()
 
+    def test_bipartite_graph(self):
+        g = BipartiteGraph(2, 2, [(1, 1), (2, 2)])
+        for b in round_trips(g):
+            assert type(b) is BipartiteGraph
+            assert b == g and hash(b) == hash(g)
+            with pytest.raises(AttributeError):
+                b.edges = frozenset()
+
     @pytest.mark.parametrize("m, n", [(1, 1), (3, 4), (4, 3), (5, 5)])
     def test_convex_combination(self, m, n):
         # odd m puts centre columns in the vertex keys; a hand-made term
@@ -998,3 +1020,44 @@ class TestPickleAndCopy:
                 assert list(b) == list(comb) and b.combine() == comb.combine()
                 with pytest.raises(AttributeError):
                     b.terms = ()
+
+
+class TestDerivedMatrices:
+    """A matrix derived from checked ones is a plain Matrix of exact
+    Fractions, equal and hash-equal to the constructor's matrix of the same
+    rows, and none of its entries is converted again."""
+
+    A = Matrix([["1/2", "1/2", 0], [0, "1/3", "2/3"]])
+    B = Matrix([["1/4", 0, "3/4"], [1, 0, 0]])
+    P = FacePattern([[1, 0, 1], [0, 1, 1]])
+    DERIVE = {
+        "rotate_pi": lambda a, b, p: rotate_pi(a),
+        "method_rotate_pi": lambda a, b, p: a.rotate_pi(),
+        "entrywise_min": lambda a, b, p: a.entrywise_min(b),
+        "add": lambda a, b, p: a + b,
+        "sub": lambda a, b, p: a - b,
+        "mul": lambda a, b, p: a * 3,
+        "rmul": lambda a, b, p: Fraction(1, 3) * a,
+        "combine": lambda a, b, p: ConvexCombination([("1/3", a), ("2/3", b)]).combine(),
+        "combine_vertices": lambda a, b, p: decompose_stochastic(a).combine(),
+        "pattern_matrix": lambda a, b, p: p.matrix,
+    }
+
+    @pytest.mark.parametrize("name", DERIVE)
+    def test_plain_matrix_of_fractions(self, name):
+        d = self.DERIVE[name](self.A, self.B, self.P)
+        assert type(d) is Matrix
+        assert all(type(x) is Fraction for row in d.entries for x in row)
+        rebuilt = Matrix([list(row) for row in d.entries])
+        assert d == rebuilt and hash(d) == hash(rebuilt)
+        assert d.shape == rebuilt.shape and d.entries == rebuilt.entries
+
+    @pytest.mark.parametrize("name", DERIVE)
+    def test_no_entry_is_converted_again(self, monkeypatch, name):
+        expected = self.DERIVE[name](self.A, self.B, self.P)
+
+        def refuse(row):
+            raise AssertionError("a derived matrix converted its entries again")
+
+        monkeypatch.setattr(core, "_rational_row", refuse)
+        assert self.DERIVE[name](self.A, self.B, self.P) == expected

@@ -261,6 +261,35 @@ class TestPatternBuiltOnce:
         assert p.entries is a.entries and p.shape == a.shape
         assert FacePattern(p).entries is a.entries
 
+    def test_pattern_answers_is_zero_one_without_reading(self, monkeypatch):
+        p = FacePattern([[1, 0], [1, 1]])
+
+        def refuse(self):
+            raise AssertionError("the 0/1 check read the entries again")
+
+        monkeypatch.setattr(Matrix, "is_zero_one", refuse)
+        assert p.is_zero_one()
+
+    def test_wrapping_a_pattern_again_checks_nothing(self, monkeypatch):
+        p = FacePattern([[1, 0], [1, 1]])
+        calls = []
+        monkeypatch.setattr(Matrix, "is_zero_one", lambda self: calls.append(self) or True)
+        q = FacePattern(p)
+        assert calls == [] and q == p and q.entries is p.entries
+
+    @pytest.mark.parametrize("centro", [False, True], ids=["plain", "centro"])
+    def test_face_functions_check_a_pattern_once(self, monkeypatch, centro):
+        # every face function wraps its argument; only the plain Matrix is read
+        a = Matrix([[1, 1, 0], [0, 1, 0], [0, 1, 1]])
+        check = Matrix.is_zero_one
+        calls = []
+        monkeypatch.setattr(Matrix, "is_zero_one", lambda self: calls.append(self) or check(self))
+        p = FacePattern(a)
+        count = count_face_vertices_centro if centro else count_face_vertices_stochastic
+        assert count(p) == len(list(enumerate_face_vertices(p, centro=centro)))
+        assert has_row_support_stochastic(p) and has_row_support_centro(p)
+        assert len(calls) == 1 and calls[0] is a
+
 
 def enumerate_face_vertices_centro(pattern):
     return enumerate_face_vertices(pattern, centro=True)

@@ -238,3 +238,34 @@ class TestBenchmarkTraceRoute:
         (members,) = ranked[0]
         assert type(members) is list and len(members) == size
         assert all(isinstance(a, core.Matrix) for a in members)
+
+
+FAILING_PROPERTY_FILE = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_a_failing_property_test_is_reported(tmp_path):
+    # under the project's warning filters a failing Hypothesis test is a
+    # plain failure, and the rest of the session still runs
+    (tmp_path / "test_two.py").write_text(FAILING_PROPERTY_FILE)
+    repo = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(repo / "pyproject.toml"), "--rootdir", str(repo), "test_two.py"],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        timeout=120,
+    )
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout
