@@ -12,6 +12,8 @@ JSON that rendered row is its finished `json.dumps(indent=2)` text at the
 nesting the command puts it, so a listing is one join of cached fragments
 in exactly that layout. The same writer, `_print_json`, prints the small
 documents of `check`, `graph`, `face count`, `face support` and `normalize`.
+Every printed number, a face count included, goes through `_text`, the one
+place that refuses a number too long to print.
 
 `run_command` builds the argument parser on its first call and reuses it for
 the rest of the process; importing this module builds none.
@@ -53,7 +55,6 @@ from centrostoch.extremes import (
 )
 from centrostoch.faces import (
     FacePattern,
-    _choice_sizes,
     count_face_vertices_centro,
     count_face_vertices_stochastic,
     enumerate_face_vertices,
@@ -71,37 +72,18 @@ def _word(value) -> str:
     return ("true" if value else "false") if isinstance(value, bool) else str(value)
 
 
-_TOO_LONG = "the result has a number too long to print"
-
-
 def _text(value, render=str):
     """render(value): the printed text of a number or of a matrix's entries.
 
     Every number the CLI prints goes through here. str() refuses an int with
-    more digits than the interpreter's int-to-str limit with ValueError;
-    that becomes CentrostochError, so the command exits 1 with one error
-    line instead of a traceback.
+    more digits than the interpreter's int-to-str limit with ValueError,
+    before converting it; that becomes CentrostochError, so the command
+    exits 1 with one error line instead of a traceback.
     """
     try:
         return render(value)
     except ValueError:
-        raise CentrostochError(_TOO_LONG) from None
-
-
-def _refuse_long_product(factors: list[int]) -> None:
-    """Refuse as `_text` would, before multiplying, a product of positive
-    ints that provably has more digits than str() converts.
-
-    Each factor f is at least 2^(bit length - 1), and 2^L has at least
-    floor(L * 0.30102) + 1 decimal digits. Products this bound cannot place
-    beyond the limit are left to be built and given to `_text`, so exactly
-    the same products are refused, the huge ones without a quadratic-time
-    multiplication.
-    """
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    bits = sum(f.bit_length() - 1 for f in factors)
-    if limit and bits * 30102 // 100000 + 1 > limit:
-        raise CentrostochError(_TOO_LONG)
+        raise CentrostochError("the result has a number too long to print") from None
 
 
 def _matrix_json(mat: Matrix) -> list[list[str]]:
@@ -383,7 +365,6 @@ def _cmd_face(ns) -> int:
     if ns.action == "support":
         return _print_report({"row_support": supported(pattern)}, ns.json)
     if ns.action == "count":
-        _refuse_long_product(_choice_sizes(pattern, ns.centro))
         count = counter(pattern)
         text = _text(count)
         if ns.json:

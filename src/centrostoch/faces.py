@@ -4,13 +4,16 @@ A pattern B selects the face of matrices supported inside B. Its vertices
 pick one column from each free row's support (and, for odd row count, one
 admissible centre column), so a count is the product of the choice sizes
 and the enumerator is the global one restricted to B; both read the per-row
-choices from `extremes`. A pattern shares the rows of the `Matrix` it wraps
-and checks them for 0/1 once: its `is_zero_one()` reads nothing. The usable
-centrosymmetric support B meet B-rotated is read off B's rows.
+choices from `extremes`. A count walks them once and multiplies each
+distinct size raised to its multiplicity, not one row at a time. A pattern
+shares the rows of the `Matrix` it wraps and checks them for 0/1 once: its
+`is_zero_one()` reads nothing. The usable centrosymmetric support B meet
+B-rotated is read off B's rows.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from math import prod
 from typing import Iterator
 
@@ -70,9 +73,10 @@ class FacePattern(Matrix):
     def is_centrosymmetric(self) -> bool:
         return is_centrosymmetric(self)
 
-    def meet(self, other: "FacePattern") -> "FacePattern":
-        """Entrywise minimum with another pattern."""
-        return FacePattern(self.entrywise_min(other))
+    def meet(self, other) -> "FacePattern":
+        """Entrywise minimum with another pattern (a FacePattern, a Matrix
+        or rows); raises PatternError when `other` is not (0,1)."""
+        return FacePattern(self.entrywise_min(FacePattern(other)))
 
 
 def has_row_support_stochastic(pattern) -> bool:
@@ -91,17 +95,23 @@ def has_row_support_centro(pattern) -> bool:
     return all(1 in map(min, row, reversed(mirror)) for row, mirror in zip(rows, reversed(rows)))
 
 
-def _choice_sizes(pattern, centro: bool) -> list[int]:
-    """The sizes of the face's per-row column choices, whose product is its
-    vertex count; raises the counters' errors."""
+def _count(pattern, centro: bool) -> int:
+    """The face's vertex count, the product of its per-row choice sizes;
+    raises the counters' errors.
+
+    Equal sizes are grouped into powers, so the product takes one
+    multiplication per distinct size instead of one per row.
+    """
     b = FacePattern(pattern)
-    return [len(choice) for choice in _column_choices(*b.shape, b, centro=centro)]
+    sizes = Counter(len(choice) for choice in _column_choices(*b.shape, b, centro=centro))
+    return prod(size**k for size, k in sizes.items())
 
 
 def count_face_vertices_stochastic(pattern) -> int:
     """Number of extreme points supported inside the pattern: the product
-    of its row sums. Raises NoRowSupportError when some row is all zero."""
-    return prod(_choice_sizes(pattern, centro=False))
+    of its row sums, worked out as powers of the distinct sums. Raises
+    NoRowSupportError when some row is all zero."""
+    return _count(pattern, centro=False)
 
 
 def count_face_vertices_centro(pattern) -> int:
@@ -111,9 +121,10 @@ def count_face_vertices_centro(pattern) -> int:
     The pattern must itself be centrosymmetric (normalize with B meet
     B-rotated first otherwise). The count is the product of the top-half
     row sums, times ceil(c / 2) for the center row sum c when the row count
-    is odd. Raises NotCentrosymmetricError / NoRowSupportError.
+    is odd, worked out as powers of the distinct factors. Raises
+    NotCentrosymmetricError / NoRowSupportError.
     """
-    return prod(_choice_sizes(pattern, centro=True))
+    return _count(pattern, centro=True)
 
 
 def enumerate_face_vertices(

@@ -1,6 +1,7 @@
 """Face patterns: support conditions, closed-form counts, enumeration."""
 
 import itertools
+import math
 import random
 import sys
 from fractions import Fraction
@@ -62,6 +63,20 @@ class TestFacePattern:
         assert p.meet(p.rotate_pi()).is_centrosymmetric()
         assert type(p.rotate_pi()) is FacePattern
         assert type(p.meet(p)) is FacePattern
+
+    @pytest.mark.parametrize("other", [[[1, 1], [1, 0]], Matrix([[1, 1], [1, 0]])],
+                             ids=["rows", "matrix"])
+    def test_meet_takes_what_face_functions_take(self, other):
+        met = FacePattern([[1, 1], [0, 1]]).meet(other)
+        assert type(met) is FacePattern
+        assert met == FacePattern([[1, 1], [0, 0]])
+
+    @pytest.mark.parametrize("other", [[[2, 0], [0, 0]], Matrix([[2, 1], [1, 1]])],
+                             ids=["rows", "matrix"])
+    def test_meet_refuses_a_non_zero_one_other(self, other):
+        # the minimum is 0/1 here, so only a check of `other` itself refuses
+        with pytest.raises(PatternError):
+            FacePattern([[1, 0], [0, 0]]).meet(other)
 
     def test_value_semantics(self):
         assert FacePattern([[1, 0]]) == FacePattern(Matrix([[1, 0]]))
@@ -142,6 +157,58 @@ class TestCounts:
     def test_centro_requires_support(self):
         with pytest.raises(NoRowSupportError):
             count_face_vertices_centro(FacePattern([[0, 0], [0, 0]]))
+
+
+def _rows_with_sums(rng, sums, n):
+    # one n-column (0,1) row per sum, its ones in random columns
+    rows = []
+    for s in sums:
+        ones = set(rng.sample(range(n), s))
+        rows.append([int(j in ones) for j in range(n)])
+    return rows
+
+
+# (m, n, distinct): many rows sharing few row sums, or (top-half) row sums
+# all different, at odd and even m
+COUNT_CASES = [
+    (3000, 4, False),
+    (2999, 4, False),
+    (1, 5, False),
+    (60, 60, True),
+    (59, 60, True),
+    (61, 61, True),
+]
+
+
+class TestCountsAreExactProducts:
+    """The counts equal the paper's products, multiplied out row by row."""
+
+    @pytest.mark.parametrize("m, n, distinct", COUNT_CASES,
+                             ids=lambda case: str(case).lower())
+    def test_stochastic_is_the_product_of_the_row_sums(self, m, n, distinct):
+        rng = random.Random(m * 1000 + n)
+        sums = rng.sample(range(1, n + 1), m) if distinct else [
+            rng.randint(1, n) for _ in range(m)]
+        rows = _rows_with_sums(rng, sums, n)
+        assert count_face_vertices_stochastic(FacePattern(rows)) == math.prod(sums)
+
+    @pytest.mark.parametrize("m, n, distinct", COUNT_CASES,
+                             ids=lambda case: str(case).lower())
+    def test_centro_is_the_top_half_product_times_half_the_centre(self, m, n, distinct):
+        rng = random.Random(m * 1000 + n + 1)
+        half = m // 2
+        sums = rng.sample(range(1, n + 1), half) if distinct else [
+            rng.randint(1, n) for _ in range(half)]
+        top = _rows_with_sums(rng, sums, n)
+        rows = top + [row[::-1] for row in reversed(top)]
+        expected = math.prod(sums)
+        if m % 2:
+            # a centrosymmetric centre row: a random nonzero row or its reversal
+            row = _rows_with_sums(rng, [rng.randint(1, n)], n)[0]
+            centre = [max(a, b) for a, b in zip(row, reversed(row))]
+            rows.insert(half, centre)
+            expected *= -(-sum(centre) // 2)
+        assert count_face_vertices_centro(FacePattern(rows)) == expected
 
 
 class TestEnumeration:
@@ -254,6 +321,19 @@ class TestPatternBuiltOnce:
         code, out, err = run_cli(argv, "3 3\n1 1 0\n1 0 1\n0 1 1\n")
         assert (code, err) == (0, "")
         assert built == [Matrix]
+
+    @pytest.mark.parametrize("centro", [False, True], ids=["plain", "centro"])
+    def test_cli_count_walks_the_pattern_once(self, run_cli, monkeypatch, centro):
+        import centrostoch.faces as faces
+
+        walks = []
+        choices = faces._column_choices
+        monkeypatch.setattr(faces, "_column_choices",
+                            lambda *a, **k: walks.append(a) or choices(*a, **k))
+        argv = ["face", "count", *(["--centro"] if centro else [])]
+        code, out, err = run_cli(argv, "3 3\n1 1 0\n1 0 1\n0 1 1\n")
+        assert (code, out, err) == (0, "2\n" if centro else "8\n", "")
+        assert len(walks) == 1
 
     def test_pattern_shares_the_matrix_rows(self):
         a = Matrix([[1, 0], [1, 1]])
