@@ -11,7 +11,7 @@ dimension count together with exact linear independence.
 
 from __future__ import annotations
 
-from centrostoch.core import Matrix, ShapeError, _as_int, _mirrored, _unit_matrix, rank_of_family
+from centrostoch.core import Matrix, ShapeError, _as_int, _rotated, _unit_matrix, rank_of_family
 
 __all__ = [
     "renumber_position",
@@ -117,7 +117,7 @@ def basis_centro_even(m: int, n: int) -> list[Matrix]:
         raise ShapeError("the even centrosymmetric family needs even m >= 2")
     if n < 2:
         raise ShapeError("the even centrosymmetric family needs n >= 2")
-    return [_unit_matrix(_mirrored(top, n), n) for top in _rect_columns(m // 2, n)]
+    return [_unit_matrix(top + _rotated(top, n), n) for top in _rect_columns(m // 2, n)]
 
 
 def basis_centro_odd(m: int, n: int) -> list[Matrix]:
@@ -136,11 +136,11 @@ def basis_centro_odd(m: int, n: int) -> list[Matrix]:
     half = (m - 1) // 2
     fixed_center = (n + 1) // 2
     family = [
-        _unit_matrix(_mirrored(top, n), n, fixed_center)
+        _unit_matrix(top + _rotated(top, n), n, fixed_center)
         for top in _rect_columns(half, n)
     ]
     family.extend(
-        _unit_matrix(_mirrored((n + 1 - i,) * half, n), n, i)
+        _unit_matrix((n + 1 - i,) * half + (i,) * half, n, i)
         for i in range(1, (n + 1) // 2)
     )
     return family

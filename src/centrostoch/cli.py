@@ -38,7 +38,6 @@ from centrostoch.core import (
     DEFAULT_ENUMERATION_CAP,
     CentrostochError,
     Matrix,
-    _vertex,
     _vertex_of,
     _Vertex,
     is_centrosymmetric,
@@ -293,7 +292,7 @@ def _cmd_enumerate(ns) -> int:
         vertices = list(map(_vertex_of, enumerate_extreme_centro(ns.m, ns.n, cap=ns.cap)))
     else:
         plain = enumerate_extreme_stochastic(ns.m, ns.n, cap=ns.cap)
-        vertices = [_vertex(r.row_to_col, ns.n) for r in plain]
+        vertices = [_Vertex(r.row_to_col, ns.n, None) for r in plain]
     return _print_listing(vertices, ns.n, ns.json, {"count": len(vertices)})
 
 
@@ -399,13 +398,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", metavar="FILE", help="read SMX text from FILE instead of stdin")
         p.add_argument("--json", action="store_true", help="emit JSON")
 
-    def with_cap(p):
+    def with_cap(p, also=""):
         p.add_argument(
             "--cap",
             type=int,
             default=DEFAULT_ENUMERATION_CAP,
             metavar="N",
-            help="refuse enumerations longer than N",
+            help="refuse enumerations longer than N" + also,
         )
 
     p_check = sub.add_parser("check", help="report the structural predicates of a matrix")
@@ -423,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--m", type=int, required=True, help="row count")
     p_enum.add_argument("--n", type=int, required=True, help="column count")
     p_enum.add_argument("--json", action="store_true", help="emit JSON")
-    with_cap(p_enum)
+    with_cap(p_enum, ", or over more than N free rows (m, or ceil(m/2) with --centro)")
     p_enum.set_defaults(handler=_cmd_enumerate)
 
     p_basis = sub.add_parser("basis", help="emit a basis family")

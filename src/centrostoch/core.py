@@ -12,16 +12,17 @@ storage is ordinary 0-based tuples.
 
 Extreme points travel as column tuples. A convex combination keys each term
 that is an extreme point by its vertex (column tuple, column count and
-canonical centre column), merges and recombines on those keys, and builds
-the dense Matrix of a term only when the terms are iterated. `_vertex_of`
-reads the vertex back off a Matrix; it is the one statement of what an
-extreme point looks like, and the extremality predicates and the CLI both
-read it.
+canonical centre column), merges and recombines on those keys, and hands
+out a term's Matrix, holding only that vertex, when the terms are iterated.
+`_vertex_of` reads the vertex back off a Matrix; it is the one statement of
+what an extreme point looks like, and the extremality predicates and the
+CLI both read it.
 
-The dense Matrix of an extreme point (`_unit_matrix`, behind the
-enumerators, `RectPermMatrix.to_matrix` and the basis builders) is built
-from cached unit and centre rows that all such matrices share, and carries
-its vertex, so `_vertex_of` hands it back without reading an entry.
+The Matrix of an extreme point (`_unit_matrix`: enumerated points, basis
+members, `to_matrix`, combination terms) is made in O(1) and holds only its
+vertex. Its rows are built from the vertex on the first read of `entries`,
+from cached rows that all such matrices share, so a listing that prints
+from the vertex builds none.
 `_row_ints` is the one integer view of a row; `is_stochastic`, the greedy
 sweep in `decompose` and `rank_of_family` all read rows through it, and
 none of them compares or adds a Fraction.
@@ -135,9 +136,10 @@ class Matrix:
     TypeError. Entry access is 1-based via :meth:`at`.
 
     Equality and hashing read the entries alone. An extreme point built by
-    `_unit_matrix` shares its rows with every other such matrix and carries
-    its vertex in the private `_key` slot (None on any other matrix), so
-    `_vertex_of` reads it back in O(1).
+    `_unit_matrix` holds its vertex in the private `_key` slot (None on any
+    other matrix), so `_vertex_of` reads it back in O(1), and leaves
+    `entries` unset until it is first read; its rows are then built from
+    the vertex and shared with every other such matrix.
     """
 
     __slots__ = ("nrows", "ncols", "entries", "_key")
@@ -156,6 +158,21 @@ class Matrix:
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("Matrix is immutable")
+
+    def __getattr__(self, name: str):
+        # runs only when normal lookup fails, so only on an extreme point's
+        # unset `entries`: its rows are built from the vertex, once
+        if name != "entries":
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}", name=name, obj=self
+            )
+        key = self._key
+        rows = [_unit_row(key.ncols, c) for c in key.cols]
+        if key.center is not None:
+            rows.insert(len(rows) // 2, _center_row(key.ncols, key.center))
+        rows = tuple(rows)
+        object.__setattr__(self, "entries", rows)
+        return rows
 
     def __reduce__(self):
         # pickle and copy rebuild through the constructor; a carried vertex
@@ -253,18 +270,14 @@ class Matrix:
         return f"{type(self).__name__}([{rows}])"
 
 
-def _trusted(rows: tuple[tuple[Fraction, ...], ...], ncols: int, key=None) -> Matrix:
+def _trusted(rows: tuple[tuple[Fraction, ...], ...], ncols: int) -> Matrix:
     """The Matrix of `rows`, which must already be a nonempty tuple of
-    `ncols`-long tuples of Fractions; nothing is checked or converted.
-
-    `key`, when given, must be the canonical vertex (`_vertex`) of exactly
-    these entries.
-    """
+    `ncols`-long tuples of Fractions; nothing is checked or converted."""
     a = object.__new__(Matrix)
     object.__setattr__(a, "nrows", len(rows))
     object.__setattr__(a, "ncols", ncols)
     object.__setattr__(a, "entries", rows)
-    object.__setattr__(a, "_key", key)
+    object.__setattr__(a, "_key", None)
     return a
 
 
@@ -306,14 +319,19 @@ def _unit_matrix(cols: Sequence[int], n: int, center: int | None = None) -> Matr
     Columns are 1-based. With `center` given, the admissible centre row
     `_center_row(n, center)` is inserted as the middle row, so an even-length
     tuple becomes an odd-row extreme point of the centrosymmetric polytope.
-    This is the one place where column tuples become dense rows: shared
-    cached rows, O(m) to build, and the matrix carries its canonical vertex.
+    The matrix holds only its canonical vertex (`_keyed`).
     """
-    key = _vertex(cols, n, center)
-    rows = [_unit_row(n, c) for c in key.cols]
-    if key.center is not None:
-        rows.insert(len(rows) // 2, _center_row(n, key.center))
-    return _trusted(tuple(rows), n, key)
+    return _keyed(_vertex(cols, n, center))
+
+
+def _keyed(key: _Vertex) -> Matrix:
+    """The Matrix of the canonical vertex `key` in O(1): its rows are built
+    from the key on the first read of `entries` (`Matrix.__getattr__`)."""
+    a = object.__new__(Matrix)
+    object.__setattr__(a, "nrows", len(key.cols) + (key.center is not None))
+    object.__setattr__(a, "ncols", key.ncols)
+    object.__setattr__(a, "_key", key)
+    return a
 
 
 def _unit_column(row: Sequence[Fraction]) -> int | None:
@@ -327,11 +345,6 @@ def _unit_column(row: Sequence[Fraction]) -> int | None:
 def _rotated(cols: Sequence[int], n: int) -> tuple[int, ...]:
     """Column tuple of the half-turn rotation of `_unit_matrix(cols, n)`."""
     return tuple(n + 1 - c for c in reversed(cols))
-
-
-def _mirrored(top: Sequence[int], n: int) -> tuple[int, ...]:
-    """Column tuple `top` followed by its half-turn rotation's columns."""
-    return tuple(top) + _rotated(top, n)
 
 
 class _Vertex(NamedTuple):
@@ -380,11 +393,6 @@ def _vertex_of(a: Matrix) -> _Vertex | None:
         if row == _center_row(a.ncols, j):
             return _Vertex(tuple(cols[:half] + cols[half + 1 :]), a.ncols, j)
     return None
-
-
-def _dense(key: _Vertex | Matrix) -> Matrix:
-    """The Matrix of a merge key: a vertex's `_unit_matrix`, or the Matrix itself."""
-    return key if isinstance(key, Matrix) else _unit_matrix(*key)
 
 
 def _row_ints(row: Sequence[Fraction]) -> tuple[int, list[int]]:
@@ -472,7 +480,7 @@ class RectPermMatrix:
         return (self.nrows, self.ncols)
 
     def to_matrix(self) -> Matrix:
-        return _unit_matrix(self.row_to_col, self.ncols)
+        return _keyed(_Vertex(self.row_to_col, self.ncols, None))
 
     def rotate_pi(self) -> "RectPermMatrix":
         return RectPermMatrix._trusted(_rotated(self.row_to_col, self.ncols), self.ncols)
@@ -509,8 +517,9 @@ class ConvexCombination:
     A term that is an extreme point, whether given as a Matrix or (by the
     decompositions) as its vertex, is keyed by its vertex: merging hashes a
     few ints instead of every entry, and `combine()` adds each coefficient
-    into one cell per row. The dense matrices are built once, on the first
-    access to `terms` or the first iteration.
+    into one cell per row. The term matrices are made once, on the first
+    access to `terms` or the first iteration; a vertex's matrix holds only
+    the vertex until its entries are read.
     """
 
     __slots__ = ("_coeffs", "_keys", "_shape", "_terms")
@@ -568,9 +577,11 @@ class ConvexCombination:
     def terms(self) -> tuple[tuple[Fraction, Matrix], ...]:
         """The merged (coefficient, Matrix) pairs, in first-occurrence order."""
         if self._terms is None:
-            object.__setattr__(
-                self, "_terms", tuple(zip(self._coeffs, map(_dense, self._keys)))
+            terms = tuple(
+                (c, key if isinstance(key, Matrix) else _keyed(key))
+                for c, key in zip(self._coeffs, self._keys)
             )
+            object.__setattr__(self, "_terms", terms)
         return self._terms
 
     def _vertex_terms(self) -> Iterator[tuple[Fraction, _Vertex | Matrix]]:

@@ -15,10 +15,15 @@ count, one admissible centre row. Restricting each row to a (0,1) pattern's
 support yields the vertices of that pattern's face; `faces` counts them as
 the size of the same product. `pattern=` asks `is_zero_one()`, free on a
 `FacePattern`; a plain Matrix is read for it and again for the supports.
+One private generator, `_vertices`, walks it for both polytopes and yields
+vertex keys (`core._Vertex`), so no enumerator builds a dense row. Without
+a pattern nothing read from input bounds the rows, so `cap` bounds the
+number of free rows as well as the count.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterable, Iterator, Sequence
 
@@ -33,11 +38,11 @@ from centrostoch.core import (
     RectPermMatrix,
     ShapeError,
     _as_int,
-    _mirrored,
+    _keyed,
     _rank,
     _rotated,
-    _unit_matrix,
     _vertex_of,
+    _Vertex,
     is_centrosymmetric,
     is_stochastic,
 )
@@ -73,6 +78,10 @@ def is_extreme_centro(a: Matrix) -> bool:
     """
     vertex = _vertex_of(a)
     return vertex is not None and vertex.cols == _rotated(vertex.cols, vertex.ncols)
+
+
+# _Vertex._make without its length check: a key from a (cols, ncols, center) tuple
+_new_vertex = functools.partial(tuple.__new__, _Vertex)
 
 
 def _check_sizes(m: int, n: int) -> None:
@@ -116,10 +125,22 @@ def _column_choices(
     return itertools.chain(rows, [centres]) if centro and m % 2 else rows
 
 
-def _product(choices: Iterable[Sequence[int]], cap: int) -> Iterator[tuple[int, ...]]:
+def _vertices(
+    m: int, n: int, cap: int, pattern: Matrix | None, centro: bool
+) -> Iterator[_Vertex]:
+    """The canonical keys of the extreme points inside `pattern` (all when
+    None), lazily, in the enumerators' order. Raises `_column_choices`'
+    errors, then EnumerationCapError when, without a pattern, the free rows
+    outnumber `cap`, or when the count exceeds it; all up front.
+    """
+    m, n = _as_int(m), _as_int(n)
+    choices = _column_choices(m, n, pattern, centro)
+    cap = _as_int(cap)
+    rows = m - m // 2 if centro else m  # the centro top half and centre row
+    if pattern is None and rows > cap:
+        raise EnumerationCapError(f"{rows} free rows exceed the cap of {cap}")
     # multiply the sizes step by step and stop as soon as the cap is passed,
     # so a huge count is never built in full nor formatted as a decimal
-    cap = _as_int(cap)
     kept, total = [], 1
     for choice in choices:
         total *= len(choice)
@@ -128,7 +149,27 @@ def _product(choices: Iterable[Sequence[int]], cap: int) -> Iterator[tuple[int, 
                 f"the number of extreme points exceeds the cap of {cap}"
             )
         kept.append(choice)
-    return itertools.product(*kept)
+    if not centro:
+        columns = itertools.product(*kept)
+        return map(_new_vertex, zip(columns, itertools.repeat(n), itertools.repeat(None)))
+    return _mirrored_keys(kept, m, n)
+
+
+def _mirrored_keys(kept: list[Sequence[int]], m: int, n: int) -> Iterator[_Vertex]:
+    # picks of the top half (then the centre, for odd m) in lockstep with
+    # picks of its mirrored columns n + 1 - c, whose reversal is the bottom
+    # half. A centre j <= n + 1 - j is canonical; the middle one joins cols.
+    half = m // 2
+    mirrored = [[n + 1 - c for c in choice] for choice in kept[:half]]
+    pairs = zip(itertools.product(*kept), itertools.product(*mirrored, *kept[half:]))
+    for pick, mirror in pairs:
+        if m % 2 == 0:
+            yield _new_vertex((pick + mirror[::-1], n, None))
+        # mirror[-2::-1]: the mirrored top half reversed, without the centre
+        elif 2 * pick[half] == n + 1:
+            yield _new_vertex((pick + mirror[-2::-1], n, None))
+        else:
+            yield _new_vertex((pick[:half] + mirror[-2::-1], n, pick[half]))
 
 
 def enumerate_extreme_stochastic(
@@ -139,12 +180,12 @@ def enumerate_extreme_stochastic(
     With a (0,1) `pattern` only those supported inside it: the vertices of
     its face, one column from each row's support. Output is in
     lexicographic order of the column assignments. Raises
-    EnumerationCapError up front when the count exceeds `cap`.
+    EnumerationCapError up front when the count exceeds `cap`, or, without
+    a pattern, when m does.
     """
-    m, n = _as_int(m), _as_int(n)
-    choices = _column_choices(m, n, pattern, centro=False)
     # every column comes from range(1, n + 1) or a checked support
-    return (RectPermMatrix._trusted(cols, n) for cols in _product(choices, cap))
+    keys = _vertices(m, n, cap, pattern, centro=False)
+    return (RectPermMatrix._trusted(key.cols, key.ncols) for key in keys)
 
 
 def enumerate_extreme_centro(
@@ -155,16 +196,11 @@ def enumerate_extreme_centro(
     There are n^(m/2) for even m and ceil(n/2) * n^((m-1)/2) for odd m; with
     a centrosymmetric (0,1) `pattern` only those supported inside it, the
     vertices of its face. The top half runs lexicographically, and for odd
-    m the center row cycles fastest. Raises EnumerationCapError up front
-    when the count exceeds `cap`.
+    m the center row cycles fastest. Each point holds only its vertex until
+    its entries are read. Raises EnumerationCapError up front when the
+    count exceeds `cap`, or, without a pattern, when ceil(m/2) does.
     """
-    m, n = _as_int(m), _as_int(n)
-    half = m // 2
-    choices = _column_choices(m, n, pattern, centro=True)
-    return (
-        _unit_matrix(_mirrored(cols[:half], n), n, cols[half] if m % 2 else None)
-        for cols in _product(choices, cap)
-    )
+    return map(_keyed, _vertices(m, n, cap, pattern, centro=True))
 
 
 def is_extreme_oracle(a: Matrix, centro: bool = False) -> bool:

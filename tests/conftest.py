@@ -20,3 +20,25 @@ def run_cli(monkeypatch, capsys):
         return code, captured.out, captured.err
 
     return run
+
+
+@pytest.fixture
+def row_builds(monkeypatch):
+    """The vertices whose dense rows get built while the test runs, in order.
+
+    An extreme point's Matrix holds only its vertex until `entries` is first
+    read; that read is the one call of `Matrix.__getattr__` for `entries`,
+    and each such call is recorded here.
+    """
+    from centrostoch.core import Matrix
+
+    builds = []
+    build = Matrix.__getattr__
+
+    def counting(self, name):
+        if name == "entries":
+            builds.append(self._key)
+        return build(self, name)
+
+    monkeypatch.setattr(Matrix, "__getattr__", counting)
+    return builds

@@ -365,28 +365,30 @@ class TestListingRendering:
             assert (code, err) == (0, "")
             assert out == reference_listing_output(mats, bool(json_flag), tail, fields), (m, n)
 
-    def test_plain_enumerate_builds_no_dense_matrix(self, run_cli, monkeypatch):
-        from centrostoch.core import RectPermMatrix, _unit_matrix
+    LISTINGS = [
+        (["enumerate", "--extremes", "--m", "3", "--n", "4"], ""),
+        (["enumerate", "--extremes", "--centro", "--m", "5", "--n", "3"], ""),
+        (["face", "vertices"], "2 2\n1 1\n0 1\n"),
+        (["face", "vertices", "--centro"], "3 3\n1 1 0\n1 1 1\n0 1 1\n"),
+        (["basis", "--set", "square", "--n", "3"], ""),
+        (["basis", "--set", "rect", "--m", "2", "--n", "3"], ""),
+        (["basis", "--set", "centro-even", "--m", "4", "--n", "3"], ""),
+        (["basis", "--set", "centro-odd", "--m", "5", "--n", "4"], ""),
+        (["decompose"], S_TEXT),
+        (["decompose", "--centro"], S_TEXT),
+    ]
 
-        units, dense = [], []
-
-        def counting(*args):
-            units.append(args)
-            return _unit_matrix(*args)
-
-        # every module that binds the builder, so an import of it counts too
-        for name, module in list(sys.modules.items()):
-            if name.startswith("centrostoch") and getattr(module, "_unit_matrix", None) is _unit_matrix:
-                monkeypatch.setattr(module, "_unit_matrix", counting)
-        to_matrix = RectPermMatrix.to_matrix
-        monkeypatch.setattr(RectPermMatrix, "to_matrix", lambda r: dense.append(r) or to_matrix(r))
-        for json_flag in ([], ["--json"]):
-            code, out, err = run_cli(["enumerate", "--extremes", "--m", "3", "--n", "4", *json_flag])
-            assert (code, err) == (0, "")
-        assert (units, dense) == ([], [])
-        # the same counters see the plain face enumerator build its two vertices
-        code, out, err = run_cli(["face", "vertices"], "2 2\n1 1\n0 1\n")
-        assert code == 0 and len(units) == len(dense) == 2
+    def test_plain_enumerate_builds_no_dense_matrix(self, run_cli, row_builds):
+        # every listing prints its extreme points from their vertices, so no
+        # dense row is built, in text or JSON
+        for argv, stdin_text in self.LISTINGS:
+            for json_flag in ([], ["--json"]):
+                code, out, err = run_cli([*argv, *json_flag], stdin_text)
+                assert (code, err) == (0, "") and out, argv
+        assert row_builds == []
+        # the same counter sees the rank check build the members' rows
+        code, out, err = run_cli(["basis", "--set", "rect", "--m", "2", "--n", "3", "--verify"])
+        assert code == 0 and len(row_builds) == 5
 
 
 class TestJsonFragments:
@@ -677,6 +679,20 @@ class TestEnumerate:
         assert code == 1
         assert "cap" in err
         assert out == ""
+
+    @pytest.mark.parametrize("centro", [[], ["--centro"]], ids=["plain", "centro"])
+    def test_rows_past_the_cap_refused_before_the_walk(self, run_cli, centro):
+        # with one column the count stays 1, so only the row bound refuses;
+        # walking these rows would exhaust memory
+        code, out, err = run_cli(["enumerate", "--extremes", *centro, "--m", "99999999999", "--n", "1"])
+        assert (code, out) == (1, "")
+        assert "cap" in err
+
+    @pytest.mark.parametrize("centro", [[], ["--centro"]], ids=["plain", "centro"])
+    def test_one_column_within_the_cap(self, run_cli, centro):
+        code, out, err = run_cli(["enumerate", "--extremes", *centro, "--m", "5", "--n", "1"])
+        assert (code, err) == (0, "")
+        assert out == "[1]\n1\n1\n1\n1\n1\n\ncount=1\n"
 
     def test_extremes_flag_required(self, run_cli, capsys):
         code, out, err = run_cli(["enumerate", "--m", "1", "--n", "2"])

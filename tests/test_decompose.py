@@ -2,7 +2,6 @@
 
 import itertools
 import random
-import sys
 from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import accumulate
@@ -362,33 +361,24 @@ class TestPropertiesOnEveryShape:
 
 
 class TestTermsStayVertices:
-    """The decompositions hand vertices to ConvexCombination: `len()` and
-    `combine()` build no dense term, and iterating builds each one once."""
+    """The decompositions hand vertices to ConvexCombination: `len()`,
+    `combine()` and iteration build no dense rows, and reading a term's
+    `entries` builds its rows once."""
 
     @pytest.mark.parametrize("centro", [False, True], ids=["plain", "centro"])
     @pytest.mark.parametrize("m, n", [(1, 1), (1, 4), (3, 3), (4, 5), (5, 4), (6, 6)])
-    def test_no_unit_matrix_before_iteration(self, monkeypatch, centro, m, n):
-        from centrostoch.core import _unit_matrix
-
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return _unit_matrix(*args)
-
-        # every module that binds the builder, so an import of it counts too
-        for name, module in list(sys.modules.items()):
-            if name.startswith("centrostoch") and getattr(module, "_unit_matrix", None) is _unit_matrix:
-                monkeypatch.setattr(module, "_unit_matrix", counting)
+    def test_no_unit_matrix_before_iteration(self, row_builds, centro, m, n):
         rng = random.Random(m * 10 + n)
         a = random_centro_stochastic(rng, m, n) if centro else random_stochastic(rng, m, n)
         comb = decompose_centrosymmetric(a) if centro else decompose_stochastic(a)
         size = len(comb)
         assert comb.combine() == a
-        assert calls == []
         terms = list(comb)
-        assert len(calls) == size == len(terms)
-        assert list(comb) == terms and len(calls) == size
+        assert len(terms) == size and all(t is u for t, u in zip(comb, terms))
+        assert row_builds == []
+        for _, term in terms:
+            assert term.entries is term.entries
+        assert len(row_builds) == size
 
 
 def inner_sums(row):

@@ -236,6 +236,56 @@ class TestEnumerateCentro:
             enumerate_extreme_centro(2, 0)
 
 
+class TestRowBound:
+    """Without a pattern, `cap` bounds the free rows (m, or ceil(m/2) for
+    centro) before any row is walked. For n >= 2 a count over that many rows
+    already exceeds the cap, so only one-column enumerations change."""
+
+    @pytest.mark.parametrize(
+        "enumerate_extremes", [enumerate_extreme_stochastic, enumerate_extreme_centro]
+    )
+    def test_huge_row_count_refused_up_front(self, enumerate_extremes):
+        # walking these rows would exhaust memory, so the refusal must come first
+        with pytest.raises(EnumerationCapError, match="free rows"):
+            enumerate_extremes(99999999999, 1)
+
+    def test_one_column_at_the_bound(self):
+        [r] = enumerate_extreme_stochastic(5, 1, cap=5)
+        assert r.row_to_col == (1,) * 5
+        [a] = enumerate_extreme_centro(5, 1, cap=3)
+        assert a == Matrix([[1]] * 5)
+        with pytest.raises(EnumerationCapError):
+            enumerate_extreme_stochastic(6, 1, cap=5)
+        with pytest.raises(EnumerationCapError):
+            enumerate_extreme_centro(6, 1, cap=2)
+
+    @pytest.mark.parametrize("centro", [False, True], ids=["plain", "centro"])
+    def test_refused_exactly_past_the_count_or_the_rows(self, centro):
+        enumerate_extremes = enumerate_extreme_centro if centro else enumerate_extreme_stochastic
+        for m in range(1, 8):
+            for n in range(1, 4):
+                if centro:
+                    count = n ** (m // 2) * ((n + 1) // 2) ** (m % 2)
+                    rows = m - m // 2
+                else:
+                    count, rows = n**m, m
+                for cap in range(0, 10):
+                    refused = count > cap or rows > cap
+                    if n >= 2:
+                        assert refused == (count > cap)
+                    if refused:
+                        with pytest.raises(EnumerationCapError):
+                            enumerate_extremes(m, n, cap=cap)
+                    else:
+                        assert len(list(enumerate_extremes(m, n, cap=cap))) == count
+
+    def test_a_pattern_bounds_the_rows(self):
+        # the rows come from the pattern, so only the count meets the cap
+        ones = Matrix([[1]] * 12)
+        assert len(list(enumerate_extreme_stochastic(12, 1, cap=1, pattern=ones))) == 1
+        assert len(list(enumerate_extreme_centro(12, 1, cap=1, pattern=ones))) == 1
+
+
 class TestFacePattern:
     def test_restricts_to_the_pattern(self):
         pattern = Matrix([[1, 0], [1, 1]])
