@@ -7,10 +7,12 @@ operation), 2 usage or parse error.
 
 Every matrix that `decompose`, `enumerate`, `face vertices` and `basis` list
 is an extreme point, so it is printed from its vertex (`core._Vertex`): each
-row is rendered once per command and shared by every matrix that has it. In
-JSON that rendered row is its finished `json.dumps(indent=2)` text at the
-nesting the command puts it, so a listing is one join of cached fragments
-in exactly that layout. The same writer, `_print_json`, prints the small
+row is rendered once per command and shared by every matrix that has it.
+One writer, `_print_blocks`, numbers and joins the texts of every listing
+in C; a matrix without a centre row is one join of its cached rows, so only
+centre rows cost a Python call per matrix. In JSON a rendered row is its
+finished `json.dumps(indent=2)` text at the nesting the command puts it, so
+a listing is one join of cached fragments in exactly that layout. The same writer, `_print_json`, prints the small
 documents of `check`, `graph`, `face count`, `face support` and `normalize`.
 Every printed number, a face count included, goes through `_text`, the one
 place that refuses a number too long to print.
@@ -25,8 +27,9 @@ import argparse
 import functools
 import json
 import sys
-from itertools import chain, repeat
+from itertools import chain, count, repeat
 from json.encoder import encode_basestring_ascii as _quoted
+from operator import attrgetter
 
 from centrostoch.bases import (
     basis_centro_even,
@@ -38,7 +41,7 @@ from centrostoch.core import (
     DEFAULT_ENUMERATION_CAP,
     CentrostochError,
     Matrix,
-    _vertex_of,
+    _new_vertex,
     _Vertex,
     is_centrosymmetric,
     is_stochastic,
@@ -116,6 +119,17 @@ class _Rows(dict):
         if vertex.center is not None:
             lines.insert(len(lines) // 2, rows[None])
         return lines
+
+    def lines(self, cols):
+        """The text of each column tuple's matrix, lazily, in C."""
+        return map("\n".join, map(map, repeat(self[None].__getitem__), cols))
+
+    def texts(self, vertices):
+        """The text of each vertex's matrix, lazily; only a listing with
+        centre rows assembles each matrix by a Python call."""
+        if any(map(attrgetter("center"), vertices)):
+            return map("\n".join, map(self.matrix, vertices))
+        return self.lines(map(attrgetter("cols"), vertices))
 
 
 class _CentreRows(dict):
@@ -212,16 +226,13 @@ def _print_json(doc: dict) -> None:
     print("".join(out))
 
 
-def _print_blocks(blocks, tail: str | None = None) -> None:
-    # blocks are (matrix lines, header suffix): "[k]<suffix>" and the lines,
-    # with a blank line between consecutive blocks and before the tail line;
-    # all of it is rendered before any is written, so a failure leaves
-    # stdout empty
-    chunks = ["\n".join([f"[{k}]{suffix}", *lines])
-              for k, (lines, suffix) in enumerate(blocks, 1)]
-    if tail is not None:
-        chunks.append(tail)
-    print("\n\n".join(chunks))
+def _print_blocks(bodies, suffixes=repeat(""), tail: str | None = None) -> None:
+    # each body (a matrix's text) under its header "[k]<suffix>", with a
+    # blank line between consecutive blocks and before the tail line; all
+    # of it is rendered before any is written, so a failure leaves stdout
+    # empty
+    blocks = map("[{}]{}\n{}".format, count(1), suffixes, bodies)
+    print("\n\n".join(blocks if tail is None else chain(blocks, [tail])))
 
 
 def _print_report(report: dict, as_json: bool) -> int:
@@ -234,6 +245,9 @@ def _print_report(report: dict, as_json: bool) -> int:
     return 0
 
 
+_KEY = attrgetter("_key")  # a listed extreme point's vertex, read in C
+
+
 def _print_listing(vertices: list[_Vertex], n: int, as_json: bool, footer: dict) -> int:
     # numbered matrices, then the footer's key=value pairs on one line when
     # there are any; in JSON the count and the matrices, then the footer (a
@@ -241,9 +255,8 @@ def _print_listing(vertices: list[_Vertex], n: int, as_json: bool, footer: dict)
     if as_json:
         _print_json({"count": len(vertices), "matrices": vertices, **footer})
     else:
-        rows = _Rows(n)
         tail = " ".join(f"{key}={_word(value)}" for key, value in footer.items())
-        _print_blocks(((rows.matrix(v), "") for v in vertices), tail or None)
+        _print_blocks(_Rows(n).texts(vertices), tail=tail or None)
     return 0
 
 
@@ -282,17 +295,23 @@ def _cmd_decompose(ns) -> int:
     if ns.json:
         _print_json({"terms": [{"coefficient": c, "matrix": v} for c, v in terms]})
     else:
-        rows = _Rows(mat.ncols)
-        _print_blocks((rows.matrix(v), f" coefficient={c}") for c, v in terms)
+        coeffs, vertices = zip(*terms)
+        _print_blocks(_Rows(mat.ncols).texts(vertices), map(" coefficient={}".format, coeffs))
     return 0
 
 
 def _cmd_enumerate(ns) -> int:
     if ns.centro:
-        vertices = list(map(_vertex_of, enumerate_extreme_centro(ns.m, ns.n, cap=ns.cap)))
+        vertices = list(map(_KEY, enumerate_extreme_centro(ns.m, ns.n, cap=ns.cap)))
     else:
+        # a rectangular permutation matrix has no centre row: its columns
+        # are its text's only input
         plain = enumerate_extreme_stochastic(ns.m, ns.n, cap=ns.cap)
-        vertices = [_Vertex(r.row_to_col, ns.n, None) for r in plain]
+        cols = list(map(attrgetter("row_to_col"), plain))
+        if not ns.json:
+            _print_blocks(_Rows(ns.n).lines(cols), tail=f"count={len(cols)}")
+            return 0
+        vertices = list(map(_new_vertex, zip(cols, repeat(ns.n), repeat(None))))
     return _print_listing(vertices, ns.n, ns.json, {"count": len(vertices)})
 
 
@@ -314,7 +333,7 @@ def _cmd_basis(ns) -> int:
     if ns.verify:
         rank = rank_of_family(family)
         footer = {"rank": rank, "independent": rank == len(family)}
-    return _print_listing(list(map(_vertex_of, family)), ns.n, ns.json, footer)
+    return _print_listing(list(map(_KEY, family)), ns.n, ns.json, footer)
 
 
 def _dot_document(graph: BipartiteGraph) -> str:
@@ -372,7 +391,7 @@ def _cmd_face(ns) -> int:
             print(text)
         return 0
     mats = enumerate_face_vertices(pattern, centro=ns.centro, cap=ns.cap)
-    vertices = list(map(_vertex_of, mats))
+    vertices = list(map(_KEY, mats))
     return _print_listing(vertices, pattern.ncols, ns.json, {"count": len(vertices)})
 
 

@@ -15,14 +15,13 @@ that is an extreme point by its vertex (column tuple, column count and
 canonical centre column), merges and recombines on those keys, and hands
 out a term's Matrix, holding only that vertex, when the terms are iterated.
 `_vertex_of` reads the vertex back off a Matrix; it is the one statement of
-what an extreme point looks like, and the extremality predicates and the
-CLI both read it.
+what an extreme point looks like, and the extremality predicates read it.
 
 The Matrix of an extreme point (`_unit_matrix`: enumerated points, basis
 members, `to_matrix`, combination terms) is made in O(1) and holds only its
-vertex. Its rows are built from the vertex on the first read of `entries`,
-from cached rows that all such matrices share, so a listing that prints
-from the vertex builds none.
+vertex. It is a `_VertexMatrix` until the first read of `entries` builds its
+rows from the vertex, from cached rows that all such matrices share, and
+makes it a plain Matrix; a listing that prints from the vertex builds none.
 `_row_ints` is the one integer view of a row; `is_stochastic`, the greedy
 sweep in `decompose` and `rank_of_family` all read rows through it, and
 none of them compares or adds a Fraction.
@@ -138,8 +137,7 @@ class Matrix:
     Equality and hashing read the entries alone. An extreme point built by
     `_unit_matrix` holds its vertex in the private `_key` slot (None on any
     other matrix), so `_vertex_of` reads it back in O(1), and leaves
-    `entries` unset until it is first read; its rows are then built from
-    the vertex and shared with every other such matrix.
+    `entries` unset until it is first read (`_VertexMatrix`).
     """
 
     __slots__ = ("nrows", "ncols", "entries", "_key")
@@ -158,21 +156,6 @@ class Matrix:
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("Matrix is immutable")
-
-    def __getattr__(self, name: str):
-        # runs only when normal lookup fails, so only on an extreme point's
-        # unset `entries`: its rows are built from the vertex, once
-        if name != "entries":
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}", name=name, obj=self
-            )
-        key = self._key
-        rows = [_unit_row(key.ncols, c) for c in key.cols]
-        if key.center is not None:
-            rows.insert(len(rows) // 2, _center_row(key.ncols, key.center))
-        rows = tuple(rows)
-        object.__setattr__(self, "entries", rows)
-        return rows
 
     def __reduce__(self):
         # pickle and copy rebuild through the constructor; a carried vertex
@@ -270,14 +253,20 @@ class Matrix:
         return f"{type(self).__name__}([{rows}])"
 
 
+# slot setters past the immutable __setattr__, for the builders below
+_new = object.__new__
+_set_nrows, _set_ncols, _set_entries, _set_key = (
+    getattr(Matrix, s).__set__ for s in Matrix.__slots__)
+
+
 def _trusted(rows: tuple[tuple[Fraction, ...], ...], ncols: int) -> Matrix:
     """The Matrix of `rows`, which must already be a nonempty tuple of
     `ncols`-long tuples of Fractions; nothing is checked or converted."""
-    a = object.__new__(Matrix)
-    object.__setattr__(a, "nrows", len(rows))
-    object.__setattr__(a, "ncols", ncols)
-    object.__setattr__(a, "entries", rows)
-    object.__setattr__(a, "_key", None)
+    a = _new(Matrix)
+    _set_nrows(a, len(rows))
+    _set_ncols(a, ncols)
+    _set_entries(a, rows)
+    _set_key(a, None)
     return a
 
 
@@ -326,12 +315,36 @@ def _unit_matrix(cols: Sequence[int], n: int, center: int | None = None) -> Matr
 
 def _keyed(key: _Vertex) -> Matrix:
     """The Matrix of the canonical vertex `key` in O(1): its rows are built
-    from the key on the first read of `entries` (`Matrix.__getattr__`)."""
-    a = object.__new__(Matrix)
-    object.__setattr__(a, "nrows", len(key.cols) + (key.center is not None))
-    object.__setattr__(a, "ncols", key.ncols)
-    object.__setattr__(a, "_key", key)
+    from the key on the first read of `entries` (`_VertexMatrix`)."""
+    a = _new(_VertexMatrix)
+    _set_nrows(a, len(key.cols) + (key.center is not None))
+    _set_ncols(a, key.ncols)
+    _set_key(a, key)
     return a
+
+
+class _VertexMatrix(Matrix):
+    """An extreme point's Matrix before its rows are read: `__getattr__`
+    runs on the unset `entries` only, builds them from the vertex and makes
+    the object a plain Matrix, so no other Matrix pays for the hook. It
+    names, reprs and pickles itself as a Matrix."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name: str):
+        if name != "entries":
+            raise AttributeError(f"'Matrix' object has no attribute {name!r}", name=name, obj=self)
+        key = self._key
+        rows = [_unit_row(key.ncols, c) for c in key.cols]
+        if key.center is not None:
+            rows.insert(len(rows) // 2, _center_row(key.ncols, key.center))
+        rows = tuple(rows)
+        _set_entries(self, rows)
+        object.__setattr__(self, "__class__", Matrix)
+        return rows
+
+    def __reduce__(self):
+        return (Matrix, (self.entries,))
 
 
 def _unit_column(row: Sequence[Fraction]) -> int | None:
@@ -357,6 +370,10 @@ class _Vertex(NamedTuple):
     cols: tuple[int, ...]
     ncols: int
     center: int | None
+
+
+# _Vertex._make without its length check: a key from a (cols, ncols, center) tuple
+_new_vertex = functools.partial(tuple.__new__, _Vertex)
 
 
 def _vertex(cols: Sequence[int], n: int, center: int | None = None) -> _Vertex:
@@ -451,10 +468,10 @@ class RectPermMatrix:
     @classmethod
     def _trusted(cls, cols: tuple[int, ...], ncols: int) -> "RectPermMatrix":
         """The instance for a nonempty tuple of ints in 1..ncols, unchecked."""
-        r = object.__new__(cls)
-        object.__setattr__(r, "nrows", len(cols))
-        object.__setattr__(r, "ncols", ncols)
-        object.__setattr__(r, "row_to_col", cols)
+        r = _new(cls)
+        _set_perm_nrows(r, len(cols))
+        _set_perm_ncols(r, ncols)
+        _set_row_to_col(r, cols)
         return r
 
     def __setattr__(self, name: str, value) -> None:
@@ -480,7 +497,7 @@ class RectPermMatrix:
         return (self.nrows, self.ncols)
 
     def to_matrix(self) -> Matrix:
-        return _keyed(_Vertex(self.row_to_col, self.ncols, None))
+        return _keyed(_new_vertex((self.row_to_col, self.ncols, None)))
 
     def rotate_pi(self) -> "RectPermMatrix":
         return RectPermMatrix._trusted(_rotated(self.row_to_col, self.ncols), self.ncols)
@@ -498,6 +515,10 @@ class RectPermMatrix:
 
     def __repr__(self) -> str:
         return f"RectPermMatrix({list(self.row_to_col)}, ncols={self.ncols})"
+
+
+_set_perm_nrows, _set_perm_ncols, _set_row_to_col = (
+    getattr(RectPermMatrix, s).__set__ for s in RectPermMatrix.__slots__)
 
 
 class ConvexCombination:
@@ -654,29 +675,33 @@ def _rank(rows: list[list[int]]) -> int:
     """Rank of a nonempty list of int vectors over the rationals, by
     elimination without division.
 
-    Mutates its argument; callers pass throwaway copies. Columns left of
+    The columns are eliminated last to first, a permutation that leaves the
+    rank alone: `basis_rect(20, 20)` ranks in 0.05 s instead of 0.9 s, and
+    dense random families take the same time either way.
+
+    Mutates its argument; callers pass throwaway copies. Columns right of
     the current one are never read again, so only the rest is updated.
     """
     nrows = len(rows)
     pivots = 0
-    for col in range(len(rows[0])):
+    for col in reversed(range(len(rows[0]))):
         pivot_row = next((r for r in range(pivots, nrows) if rows[r][col]), None)
         if pivot_row is None:
             continue
         rows[pivots], rows[pivot_row] = rows[pivot_row], rows[pivots]
-        source = rows[pivots][col:]
-        pivot = source[0]
+        source = rows[pivots][: col + 1]
+        pivot = source[col]
         for r in range(pivots + 1, nrows):
             target = rows[r]
             factor = target[col]
             if factor:
                 g = gcd(pivot, factor)
                 a, b = pivot // g, factor // g
-                new = [a * t - b * x for t, x in zip(target[col:], source)]
+                new = [a * t - b * x for t, x in zip(target, source)]
                 # a primitive row is proportional to the row of minors it
                 # stands for, so its entries never exceed those minors
                 g = gcd(*new)
-                target[col:] = [x // g for x in new] if g > 1 else new
+                target[: col + 1] = [x // g for x in new] if g > 1 else new
         pivots += 1
     return pivots
 

@@ -15,16 +15,17 @@ count, one admissible centre row. Restricting each row to a (0,1) pattern's
 support yields the vertices of that pattern's face; `faces` counts them as
 the size of the same product. `pattern=` asks `is_zero_one()`, free on a
 `FacePattern`; a plain Matrix is read for it and again for the supports.
-One private generator, `_vertices`, walks it for both polytopes and yields
-vertex keys (`core._Vertex`), so no enumerator builds a dense row. Without
-a pattern nothing read from input bounds the rows, so `cap` bounds the
-number of free rows as well as the count.
+Each point costs one Python call, the construction of the item yielded
+(`RectPermMatrix._trusted`, or `core._keyed` on a vertex key), so no
+enumerator builds a dense row. Without a pattern nothing read from input
+bounds the rows, so `cap` bounds the number of free rows as well as the
+count.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
+import operator
 from typing import Iterable, Iterator, Sequence
 
 from centrostoch.core import (
@@ -39,6 +40,7 @@ from centrostoch.core import (
     ShapeError,
     _as_int,
     _keyed,
+    _new_vertex,
     _rank,
     _rotated,
     _vertex_of,
@@ -78,10 +80,6 @@ def is_extreme_centro(a: Matrix) -> bool:
     """
     vertex = _vertex_of(a)
     return vertex is not None and vertex.cols == _rotated(vertex.cols, vertex.ncols)
-
-
-# _Vertex._make without its length check: a key from a (cols, ncols, center) tuple
-_new_vertex = functools.partial(tuple.__new__, _Vertex)
 
 
 def _check_sizes(m: int, n: int) -> None:
@@ -125,13 +123,13 @@ def _column_choices(
     return itertools.chain(rows, [centres]) if centro and m % 2 else rows
 
 
-def _vertices(
+def _choices(
     m: int, n: int, cap: int, pattern: Matrix | None, centro: bool
-) -> Iterator[_Vertex]:
-    """The canonical keys of the extreme points inside `pattern` (all when
-    None), lazily, in the enumerators' order. Raises `_column_choices`'
-    errors, then EnumerationCapError when, without a pattern, the free rows
-    outnumber `cap`, or when the count exceeds it; all up front.
+) -> tuple[int, int, list[Sequence[int]]]:
+    """(m, n, the free rows' `_column_choices`) for the extreme points
+    inside `pattern` (all when None), m and n as ints. Raises
+    `_column_choices`' errors, then EnumerationCapError when, without a
+    pattern, the free rows outnumber `cap`, or when the count exceeds it.
     """
     m, n = _as_int(m), _as_int(n)
     choices = _column_choices(m, n, pattern, centro)
@@ -149,24 +147,28 @@ def _vertices(
                 f"the number of extreme points exceeds the cap of {cap}"
             )
         kept.append(choice)
-    if not centro:
-        columns = itertools.product(*kept)
-        return map(_new_vertex, zip(columns, itertools.repeat(n), itertools.repeat(None)))
-    return _mirrored_keys(kept, m, n)
+    return m, n, kept
 
 
 def _mirrored_keys(kept: list[Sequence[int]], m: int, n: int) -> Iterator[_Vertex]:
     # picks of the top half (then the centre, for odd m) in lockstep with
     # picks of its mirrored columns n + 1 - c, whose reversal is the bottom
-    # half. A centre j <= n + 1 - j is canonical; the middle one joins cols.
+    # half; even m makes no Python call per key
     half = m // 2
     mirrored = [[n + 1 - c for c in choice] for choice in kept[:half]]
-    pairs = zip(itertools.product(*kept), itertools.product(*mirrored, *kept[half:]))
+    if m % 2 == 0:
+        bottoms = map(operator.itemgetter(slice(None, None, -1)), itertools.product(*mirrored))
+        cols = map(operator.add, itertools.product(*kept), bottoms)
+        return map(_new_vertex, zip(cols, itertools.repeat(n), itertools.repeat(None)))
+    pairs = zip(itertools.product(*kept), itertools.product(*mirrored, kept[half]))
+    return _odd_keys(pairs, half, n)
+
+
+def _odd_keys(pairs, half: int, n: int) -> Iterator[_Vertex]:
+    # mirror[-2::-1]: the mirrored top half reversed, without the centre. A
+    # centre j <= n + 1 - j is canonical; the middle one joins cols.
     for pick, mirror in pairs:
-        if m % 2 == 0:
-            yield _new_vertex((pick + mirror[::-1], n, None))
-        # mirror[-2::-1]: the mirrored top half reversed, without the centre
-        elif 2 * pick[half] == n + 1:
+        if 2 * pick[half] == n + 1:
             yield _new_vertex((pick + mirror[-2::-1], n, None))
         else:
             yield _new_vertex((pick[:half] + mirror[-2::-1], n, pick[half]))
@@ -184,8 +186,8 @@ def enumerate_extreme_stochastic(
     a pattern, when m does.
     """
     # every column comes from range(1, n + 1) or a checked support
-    keys = _vertices(m, n, cap, pattern, centro=False)
-    return (RectPermMatrix._trusted(key.cols, key.ncols) for key in keys)
+    m, n, kept = _choices(m, n, cap, pattern, centro=False)
+    return map(RectPermMatrix._trusted, itertools.product(*kept), itertools.repeat(n))
 
 
 def enumerate_extreme_centro(
@@ -200,7 +202,8 @@ def enumerate_extreme_centro(
     its entries are read. Raises EnumerationCapError up front when the
     count exceeds `cap`, or, without a pattern, when ceil(m/2) does.
     """
-    return map(_keyed, _vertices(m, n, cap, pattern, centro=True))
+    m, n, kept = _choices(m, n, cap, pattern, centro=True)
+    return map(_keyed, _mirrored_keys(kept, m, n))
 
 
 def is_extreme_oracle(a: Matrix, centro: bool = False) -> bool:

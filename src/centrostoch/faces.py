@@ -21,6 +21,7 @@ from centrostoch.core import (
     DEFAULT_ENUMERATION_CAP,
     Matrix,
     PatternError,
+    RectPermMatrix,
     _trusted,
     is_centrosymmetric,
 )
@@ -140,4 +141,6 @@ def enumerate_face_vertices(
     if centro:
         return enumerate_extreme_centro(*b.shape, cap=cap, pattern=b)
     plain = enumerate_extreme_stochastic(*b.shape, cap=cap, pattern=b)
-    return (r.to_matrix() for r in plain)
+    # read off the class when the listing starts, so a wrapper set on the
+    # class sees every point
+    return map(RectPermMatrix.to_matrix, plain)

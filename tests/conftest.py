@@ -27,18 +27,18 @@ def row_builds(monkeypatch):
     """The vertices whose dense rows get built while the test runs, in order.
 
     An extreme point's Matrix holds only its vertex until `entries` is first
-    read; that read is the one call of `Matrix.__getattr__` for `entries`,
-    and each such call is recorded here.
+    read; that read is the one call of `_VertexMatrix.__getattr__` for
+    `entries`, and each such call is recorded here.
     """
-    from centrostoch.core import Matrix
+    from centrostoch.core import _VertexMatrix
 
     builds = []
-    build = Matrix.__getattr__
+    build = _VertexMatrix.__getattr__
 
     def counting(self, name):
         if name == "entries":
             builds.append(self._key)
         return build(self, name)
 
-    monkeypatch.setattr(Matrix, "__getattr__", counting)
+    monkeypatch.setattr(_VertexMatrix, "__getattr__", counting)
     return builds

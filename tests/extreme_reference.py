@@ -6,13 +6,19 @@ extremality off `core._vertex_of`: every row a unit row, with the centre
 row of an odd-row centrosymmetric matrix checked apart against the
 admissible centre row. Tests require the library's predicates to agree
 with them on every small matrix and on seeded random ones.
+
+`reference_extremes` lists the extreme points by brute force over every
+column tuple, in the order the library's enumerators promise.
 """
 
 from __future__ import annotations
 
+from itertools import product
+
 from centrostoch.core import (
     Matrix,
     _center_row,
+    _unit_row,
     _unit_column,
     is_centrosymmetric,
     is_stochastic,
@@ -53,3 +59,33 @@ def is_extreme_centro(a: Matrix) -> bool:
     row = a.row(center)
     first = next(j for j, x in enumerate(row, 1) if x != 0)
     return row == _center_row(n, first)
+
+
+def reference_extremes(m: int, n: int, pattern=None, centro: bool = False):
+    """The extreme points supported inside `pattern` (all when None) as
+    Matrix values, lazily, in the enumerators' order, by brute force.
+
+    Plain: every column tuple in lexicographic order. Centro: the top half's
+    column tuples in lexicographic order, the bottom half its mirror, and
+    for odd m every centre column j <= ceil(n / 2) cycling fastest. Each
+    candidate is built row by row, kept when its support lies inside the
+    pattern, and checked with the predicates above.
+    """
+    free = m // 2 if centro else m
+    centres = range(1, (n + 1) // 2 + 1) if centro and m % 2 else [None]
+    for top in product(range(1, n + 1), repeat=free):
+        # a quick look at the top rows first; every row is checked below
+        if pattern is not None and not all(pattern[i][c - 1] for i, c in enumerate(top)):
+            continue
+        cols = top + tuple(n + 1 - c for c in reversed(top)) if centro else top
+        for centre in centres:
+            rows = [_unit_row(n, c) for c in cols]
+            if centre is not None:
+                rows.insert(m // 2, _center_row(n, centre))
+            if pattern is not None and any(
+                x and not p for row, prow in zip(rows, pattern) for x, p in zip(row, prow)
+            ):
+                continue
+            a = Matrix(rows)
+            assert (is_extreme_centro if centro else is_extreme_stochastic)(a)
+            yield a

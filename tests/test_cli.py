@@ -311,11 +311,14 @@ class TestListingRendering:
 
     SHAPES = [(1, 1), (1, 2), (1, 4), (1, 5), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2),
               (3, 3), (3, 4), (4, 2), (4, 3), (2, 5), (5, 2), (5, 3)]
+    # wider shapes for the centre-row text, odd and even m and n; the plain
+    # polytope has up to 5^7 points there, so its whole enumeration skips them
+    WIDE = [(7, 4), (6, 5), (7, 5)]
 
     @JSON_FLAGS
     @CENTRO_FLAGS
     def test_enumerate(self, run_cli, centro, json_flag):
-        for m, n in self.SHAPES:
+        for m, n in self.SHAPES + (self.WIDE if centro else []):
             if centro:
                 mats = list(enumerate_extreme_centro(m, n))
             else:
@@ -330,7 +333,7 @@ class TestListingRendering:
     @CENTRO_FLAGS
     def test_face_vertices(self, run_cli, centro, json_flag):
         rng = random.Random(1357)
-        for m, n in [*self.SHAPES, (4, 4)]:
+        for m, n in [*self.SHAPES, (4, 4), *self.WIDE]:
             for _ in range(3):
                 pattern = random_pattern(rng, m, n, bool(centro))
                 mats = list(enumerate_face_vertices(pattern, centro=bool(centro)))

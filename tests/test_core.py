@@ -826,6 +826,48 @@ class TestRankCertificate:
             assert is_extreme_oracle(a) == (a.nnz() == m)
 
 
+def basis_families(k):
+    # the four families with k columns: the rectangular one with 14 - k rows,
+    # the centrosymmetric ones with k or k + 1
+    yield basis_square(k)
+    yield basis_rect(14 - k, k)
+    yield basis_centro_even(k + k % 2, k)
+    yield basis_centro_odd(k + 1 - k % 2, k)
+
+
+class TestRankLastColumnFirst:
+    """`_rank` eliminates the flattened columns last to first. The rank of
+    the basis families at every size from 2 to 12 still equals the Fraction
+    elimination of rank_reference, and a point they span adds none."""
+
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_the_basis_families(self, k):
+        rng = random.Random(k)
+        for family in basis_families(k):
+            assert rank_of_family(family) == len(family) == exact_rank(family)
+            m, n = family[0].shape
+            point = RectPermMatrix([rng.randint(1, n) for _ in range(m)], n).to_matrix()
+            if is_centrosymmetric(family[0]):
+                point = (point + point.rotate_pi()) * Fraction(1, 2)
+            spanned = family + [point]
+            rng.shuffle(spanned)
+            assert rank_of_family(spanned) == len(family)
+
+    def test_the_last_column_is_eliminated_first(self, monkeypatch):
+        # the first step scales the pivot 3 against the 5 below it, not 2
+        # against 4
+        calls = []
+        original = core.gcd
+
+        def recording(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(core, "gcd", recording)
+        assert core._rank([[2, 0, 3], [4, 0, 5]]) == 2
+        assert calls[0] == (3, 5)
+
+
 class TestSizesAreInts:
     """Every public size, position and dimension goes through core._as_int,
     so a float or a bool raises TypeError instead of standing for an int."""

@@ -1,12 +1,15 @@
 """Extreme-point predicates, enumerators, and the rank oracle."""
 
 import itertools
+import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from centrostoch import (
+    DEFAULT_ENUMERATION_CAP,
     EnumerationCapError,
     Matrix,
     NoRowSupportError,
@@ -24,7 +27,13 @@ from centrostoch import (
     is_stochastic,
 )
 import extreme_reference
-from matrixgen import random_centro_stochastic, random_stochastic, uniform_on_pattern
+from matrixgen import (
+    pattern_or_rotation,
+    random_centro_stochastic,
+    random_stochastic,
+    random_supported_pattern,
+    uniform_on_pattern,
+)
 
 HALF = H = Fraction(1, 2)
 
@@ -234,6 +243,103 @@ class TestEnumerateCentro:
     def test_bad_sizes(self):
         with pytest.raises(ShapeError):
             enumerate_extreme_centro(2, 0)
+
+
+def near_cap_pattern(rng, m, n, ones, centro, centre_ones=None):
+    # `ones` 1s in each free row (all rows, or the top half mirrored below),
+    # and for odd-m centro a symmetric centre row with `centre_ones` 1s on
+    # each side of it, the middle column included when n is odd
+    rows = []
+    for _ in range(m // 2 if centro else m):
+        row = [0] * n
+        for j in rng.sample(range(n), ones):
+            row[j] = 1
+        rows.append(row)
+    if centro:
+        bottom = [row[::-1] for row in reversed(rows)]
+        if m % 2:
+            centre = [0] * n
+            for j in range(centre_ones):
+                centre[j] = centre[n - 1 - j] = 1
+            centre[n // 2] |= n % 2
+            bottom.insert(0, centre)
+        rows += bottom
+    return rows
+
+
+def as_matrix(item):
+    # a RectPermMatrix read by its definition, a Matrix as it is
+    if isinstance(item, RectPermMatrix):
+        return Matrix([[int(j == c) for j in range(1, item.ncols + 1)] for c in item.row_to_col])
+    return item
+
+
+class TestEnumerationOrder:
+    """Both enumerators list `reference_extremes`, in its order, with and
+    without a pattern, and build each item only when it is asked for."""
+
+    rng = random.Random(4099)
+    # (m, n, pattern, centro): each enumeration has 4.7e5 to 1e6 points,
+    # within the default cap of 1e6
+    NEAR_CAP = {
+        "plain-even-m": (6, 10, None, False),
+        "plain-odd-m": (5, 15, None, False),
+        "plain-even-m-pattern": (6, 12, near_cap_pattern(rng, 6, 12, 10, False), False),
+        "plain-odd-m-pattern": (5, 16, near_cap_pattern(rng, 5, 16, 15, False), False),
+        "centro-even-m": (12, 10, None, True),
+        "centro-odd-m-even-n": (11, 10, None, True),
+        "centro-odd-m-middle-centre": (11, 11, None, True),
+        "centro-even-m-pattern": (12, 12, near_cap_pattern(rng, 12, 12, 10, True), True),
+        "centro-odd-m-pattern-middle-centre": (
+            11, 11, near_cap_pattern(rng, 11, 11, 10, True, centre_ones=4), True
+        ),
+        "centro-odd-m-even-n-pattern": (
+            13, 8, near_cap_pattern(rng, 13, 8, 7, True, centre_ones=4), True
+        ),
+    }
+    FIRST = 300
+
+    @staticmethod
+    def enumeration(m, n, pattern, centro):
+        enumerate_extremes = enumerate_extreme_centro if centro else enumerate_extreme_stochastic
+        return enumerate_extremes(m, n, pattern=None if pattern is None else Matrix(pattern))
+
+    @pytest.mark.parametrize("case", NEAR_CAP)
+    def test_first_items_near_the_cap_come_at_once(self, case):
+        m, n, pattern, centro = self.NEAR_CAP[case]
+        free = m // 2 if centro else m
+        rows = [[1] * n] * m if pattern is None else pattern
+        count = math.prod(map(sum, rows[:free]))
+        if centro and m % 2:
+            count *= sum(rows[m // 2][: (n + 1) // 2])
+        assert 4 * 10**5 < count <= DEFAULT_ENUMERATION_CAP
+        tracemalloc.start()
+        try:
+            first = list(itertools.islice(self.enumeration(m, n, pattern, centro), self.FIRST))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the whole enumeration would hold hundreds of thousands of items
+        assert peak < 2**20, peak
+        kind = Matrix if centro else RectPermMatrix
+        assert all(isinstance(item, kind) for item in first)
+        reference = extreme_reference.reference_extremes(m, n, pattern, centro)
+        expected = list(itertools.islice(reference, self.FIRST))
+        assert list(map(as_matrix, first)) == expected
+        # once its entries are read, a centrosymmetric point is a plain Matrix
+        assert all(type(item) is kind for item in first)
+
+    @pytest.mark.parametrize("centro", [False, True], ids=["plain", "centro"])
+    def test_small_enumerations_equal_the_reference(self, centro):
+        rng = random.Random(17)
+        for m in range(1, 6):
+            for n in range(1, 5):
+                pattern = random_supported_pattern(rng, m, n)
+                if centro:
+                    pattern = pattern_or_rotation(pattern)
+                for rows in (None, pattern.entries):
+                    got = list(map(as_matrix, self.enumeration(m, n, rows, centro)))
+                    assert got == list(extreme_reference.reference_extremes(m, n, rows, centro))
 
 
 class TestRowBound:
