@@ -3,19 +3,21 @@
 Matrix-reading commands take SMX text from --input FILE or stdin and print
 exact rational results; --json swaps the human layout for a JSON document.
 Exit codes: 0 success, 1 domain error (bad matrix for the requested
-operation), 2 usage or parse error.
+operation), 2 usage or parse error, input that does not decode included.
 
 Every matrix that `decompose`, `enumerate`, `face vertices` and `basis` list
-is an extreme point, so it is printed from its vertex (`core._Vertex`): each
-row is rendered once per command and shared by every matrix that has it.
-One writer, `_print_blocks`, numbers and joins the texts of every listing
-in C; a matrix without a centre row is one join of its cached rows, so only
-centre rows cost a Python call per matrix. In JSON a rendered row is its
-finished `json.dumps(indent=2)` text at the nesting the command puts it, so
-a listing is one join of cached fragments in exactly that layout. The same writer, `_print_json`, prints the small
-documents of `check`, `graph`, `face count`, `face support` and `normalize`.
-Every printed number, a face count included, goes through `_text`, the one
-place that refuses a number too long to print.
+is an extreme point, so it is printed from its vertex (`core._Vertex`, as
+each `RectPermMatrix` item of a plain `enumerate` is): each row is rendered
+once per command and shared by every matrix that has it. One writer,
+`_print_blocks`, numbers and joins the texts of every listing in C; a
+matrix without a centre row is one join of its cached rows, so only centre
+rows cost a Python call per matrix. In JSON a rendered row is its finished
+`json.dumps(indent=2)` text at the nesting the command puts it, so a
+listing is one join of cached fragments in exactly that layout. The same
+writer, `_print_json`, prints the small documents of `check`, `graph`,
+`face count`, `face support` and `normalize`. Every printed number, a face
+count included, goes through `_text`, the one place that refuses a number
+too long to print.
 
 `run_command` builds the argument parser on its first call and reuses it for
 the rest of the process; importing this module builds none.
@@ -41,7 +43,7 @@ from centrostoch.core import (
     DEFAULT_ENUMERATION_CAP,
     CentrostochError,
     Matrix,
-    _new_vertex,
+    RectPermMatrix,
     _Vertex,
     is_centrosymmetric,
     is_stochastic,
@@ -120,16 +122,14 @@ class _Rows(dict):
             lines.insert(len(lines) // 2, rows[None])
         return lines
 
-    def lines(self, cols):
-        """The text of each column tuple's matrix, lazily, in C."""
-        return map("\n".join, map(map, repeat(self[None].__getitem__), cols))
-
     def texts(self, vertices):
         """The text of each vertex's matrix, lazily; only a listing with
-        centre rows assembles each matrix by a Python call."""
+        centre rows assembles each matrix by a Python call, any other is
+        joined from its column tuple in C."""
         if any(map(attrgetter("center"), vertices)):
             return map("\n".join, map(self.matrix, vertices))
-        return self.lines(map(attrgetter("cols"), vertices))
+        cols = map(attrgetter("cols"), vertices)
+        return map("\n".join, map(map, repeat(self[None].__getitem__), cols))
 
 
 class _CentreRows(dict):
@@ -189,7 +189,7 @@ def _print_json(doc: dict) -> None:
         kind = type(value)
         if kind is str:
             out.append(_quoted(value))
-        elif kind is _Vertex:
+        elif kind is _Vertex or kind is RectPermMatrix:
             rows = caches.get((value.ncols, pad))
             if rows is None:
                 rows = caches[value.ncols, pad] = _Rows(value.ncols, pad + "  ")
@@ -261,14 +261,14 @@ def _print_listing(vertices: list[_Vertex], n: int, as_json: bool, footer: dict)
 
 
 def _read_matrix(ns) -> Matrix:
-    if ns.input:
-        with open(ns.input, "r", encoding="utf-8") as handle:
-            try:
+    try:
+        if ns.input:
+            with open(ns.input, "r", encoding="utf-8") as handle:
                 text = handle.read()
-            except UnicodeDecodeError as exc:
-                raise SmxError(f"the input file is not UTF-8 text: {exc.reason}") from None
-    else:
-        text = sys.stdin.read()
+        else:
+            text = sys.stdin.read()
+    except UnicodeDecodeError as exc:
+        raise SmxError(f"the input is not {exc.encoding} text: {exc.reason}") from None
     return parse_matrix(text)
 
 
@@ -304,14 +304,8 @@ def _cmd_enumerate(ns) -> int:
     if ns.centro:
         vertices = list(map(_KEY, enumerate_extreme_centro(ns.m, ns.n, cap=ns.cap)))
     else:
-        # a rectangular permutation matrix has no centre row: its columns
-        # are its text's only input
-        plain = enumerate_extreme_stochastic(ns.m, ns.n, cap=ns.cap)
-        cols = list(map(attrgetter("row_to_col"), plain))
-        if not ns.json:
-            _print_blocks(_Rows(ns.n).lines(cols), tail=f"count={len(cols)}")
-            return 0
-        vertices = list(map(_new_vertex, zip(cols, repeat(ns.n), repeat(None))))
+        # a rectangular permutation matrix is its own vertex key
+        vertices = list(enumerate_extreme_stochastic(ns.m, ns.n, cap=ns.cap))
     return _print_listing(vertices, ns.n, ns.json, {"count": len(vertices)})
 
 

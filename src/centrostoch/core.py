@@ -10,12 +10,13 @@ Positions are 1-based in the public API (`at(i, j)`, supports, graph edges),
 matching the usual combinatorial conventions for these objects. Internal
 storage is ordinary 0-based tuples.
 
-Extreme points travel as column tuples. A convex combination keys each term
-that is an extreme point by its vertex (column tuple, column count and
-canonical centre column), merges and recombines on those keys, and hands
-out a term's Matrix, holding only that vertex, when the terms are iterated.
-`_vertex_of` reads the vertex back off a Matrix; it is the one statement of
-what an extreme point looks like, and the extremality predicates read it.
+Extreme points travel as their vertex `_Vertex(cols, ncols, center)`, with
+a canonical centre column or None; a `RectPermMatrix` is such a vertex. A
+convex combination keys each term that is an extreme point by its vertex,
+merges and recombines on those keys, and hands out a term's Matrix, holding
+only that vertex, when the terms are iterated. `_vertex_of` reads the vertex
+back off a Matrix; it is the one statement of what an extreme point looks
+like, and the extremality predicates read it.
 
 The Matrix of an extreme point (`_unit_matrix`: enumerated points, basis
 members, `to_matrix`, combination terms) is made in O(1) and holds only its
@@ -371,6 +372,11 @@ class _Vertex(NamedTuple):
     ncols: int
     center: int | None
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        """The matrix's (rows, columns): a centre adds a row."""
+        return (len(self.cols) + (self.center is not None), self.ncols)
+
 
 # _Vertex._make without its length check: a key from a (cols, ncols, center) tuple
 _new_vertex = functools.partial(tuple.__new__, _Vertex)
@@ -441,17 +447,20 @@ def is_centrosymmetric(a: Matrix) -> bool:
     return all(e[i] == e[-1 - i][::-1] for i in range((a.nrows + 1) // 2))
 
 
-class RectPermMatrix:
+class RectPermMatrix(_Vertex):
     """Rectangular permutation matrix: a (0,1)-matrix with one 1 per row.
 
     Stored compactly as the 1-based column of each row's single 1. There is
     no constraint across rows, so an m x n instance exists for every one of
     the n^m column assignments.
+
+    An instance is the vertex key `(cols, ncols, None)` of its matrix, so it
+    compares and hashes as that key; `row_to_col` is its `cols`.
     """
 
-    __slots__ = ("nrows", "ncols", "row_to_col")
+    __slots__ = ()
 
-    def __init__(self, row_to_col: Sequence[int], ncols: int) -> None:
+    def __new__(cls, row_to_col: Sequence[int], ncols: int) -> "RectPermMatrix":
         cols = tuple(map(_as_int, row_to_col))
         ncols = _as_int(ncols)
         if not cols:
@@ -461,24 +470,16 @@ class RectPermMatrix:
         for c in cols:
             if not 1 <= c <= ncols:
                 raise ShapeError(f"column {c} outside 1..{ncols}")
-        object.__setattr__(self, "nrows", len(cols))
-        object.__setattr__(self, "ncols", ncols)
-        object.__setattr__(self, "row_to_col", cols)
+        return _new_rect_perm((cols, ncols, None))
 
-    @classmethod
-    def _trusted(cls, cols: tuple[int, ...], ncols: int) -> "RectPermMatrix":
-        """The instance for a nonempty tuple of ints in 1..ncols, unchecked."""
-        r = _new(cls)
-        _set_perm_nrows(r, len(cols))
-        _set_perm_ncols(r, ncols)
-        _set_row_to_col(r, cols)
-        return r
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError("RectPermMatrix is immutable")
+    row_to_col = _Vertex.cols
 
     def __reduce__(self):
         return (RectPermMatrix, (self.row_to_col, self.ncols))
+
+    @property
+    def nrows(self) -> int:
+        return len(self.cols)
 
     @classmethod
     def from_matrix(cls, a: Matrix) -> "RectPermMatrix":
@@ -492,33 +493,22 @@ class RectPermMatrix:
             raise PatternError(f"row {cols.index(None) + 1} does not carry exactly one 1")
         return cls(cols, a.ncols)
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.nrows, self.ncols)
-
     def to_matrix(self) -> Matrix:
-        return _keyed(_new_vertex((self.row_to_col, self.ncols, None)))
+        return _keyed(self)
 
     def rotate_pi(self) -> "RectPermMatrix":
-        return RectPermMatrix._trusted(_rotated(self.row_to_col, self.ncols), self.ncols)
+        return _new_rect_perm((_rotated(self.cols, self.ncols), self.ncols, None))
 
     def is_centrosymmetric(self) -> bool:
-        return self.row_to_col == _rotated(self.row_to_col, self.ncols)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RectPermMatrix):
-            return NotImplemented
-        return self.ncols == other.ncols and self.row_to_col == other.row_to_col
-
-    def __hash__(self) -> int:
-        return hash((self.ncols, self.row_to_col))
+        return self.cols == _rotated(self.cols, self.ncols)
 
     def __repr__(self) -> str:
-        return f"RectPermMatrix({list(self.row_to_col)}, ncols={self.ncols})"
+        return f"RectPermMatrix({list(self.cols)}, ncols={self.ncols})"
 
 
-_set_perm_nrows, _set_perm_ncols, _set_row_to_col = (
-    getattr(RectPermMatrix, s).__set__ for s in RectPermMatrix.__slots__)
+# the RectPermMatrix of a (cols, ncols, None) tuple whose cols is a nonempty
+# tuple of ints in 1..ncols; nothing is checked
+_new_rect_perm = functools.partial(tuple.__new__, RectPermMatrix)
 
 
 class ConvexCombination:
@@ -559,11 +549,7 @@ class ConvexCombination:
             merged[key] = coeff if previous is None else previous + coeff
         if not merged:
             raise ShapeError("a convex combination needs at least one term")
-        shapes = {
-            key.shape if isinstance(key, Matrix)
-            else (len(key.cols) + (key.center is not None), key.ncols)
-            for key in merged
-        }
+        shapes = {key.shape for key in merged}
         if len(shapes) != 1:
             raise ShapeError(f"terms mix shapes: {sorted(shapes)}")
         # on ints: the exact total tn / td, reduced after each step as
@@ -592,7 +578,9 @@ class ConvexCombination:
         raise AttributeError("ConvexCombination is immutable")
 
     def __reduce__(self):
-        return (ConvexCombination, (tuple(zip(self._coeffs, self._keys)),))
+        # a RectPermMatrix key (of a to_matrix() term) travels as its _Vertex
+        keys = [key if isinstance(key, Matrix) else _new_vertex(key) for key in self._keys]
+        return (ConvexCombination, (tuple(zip(self._coeffs, keys)),))
 
     @property
     def terms(self) -> tuple[tuple[Fraction, Matrix], ...]:

@@ -42,6 +42,7 @@ from centrostoch.core import (
     NotStochasticError,
     RectPermMatrix,
     SplitError,
+    _new_rect_perm,
     _rotated,
     _row_ints,
     _vertex,
@@ -144,7 +145,7 @@ def split_noncentrosymmetric(
     h = r.nrows // 2
     low, high = tuple(map(min, cols, rot)), tuple(map(max, cols, rot))
     q1, q2 = low[:h] + high[h:], high[:h] + low[h:]
-    return RectPermMatrix._trusted(q1, n), RectPermMatrix._trusted(q2, n)
+    return _new_rect_perm((q1, n, None)), _new_rect_perm((q2, n, None))
 
 
 def decompose_centrosymmetric(a: Matrix) -> ConvexCombination:
@@ -171,6 +172,6 @@ def decompose_centrosymmetric(a: Matrix) -> ConvexCombination:
         else:
             # the pair splits into two halves that share its weight
             share = coeff / 2
-            halves = split_noncentrosymmetric(RectPermMatrix._trusted(trimmed, n))
+            halves = split_noncentrosymmetric(_new_rect_perm((trimmed, n, None)))
             terms.extend((share, _vertex(q.row_to_col, n, center)) for q in halves)
     return ConvexCombination(terms)

@@ -15,11 +15,11 @@ count, one admissible centre row. Restricting each row to a (0,1) pattern's
 support yields the vertices of that pattern's face; `faces` counts them as
 the size of the same product. `pattern=` asks `is_zero_one()`, free on a
 `FacePattern`; a plain Matrix is read for it and again for the supports.
-Each point costs one Python call, the construction of the item yielded
-(`RectPermMatrix._trusted`, or `core._keyed` on a vertex key), so no
-enumerator builds a dense row. Without a pattern nothing read from input
-bounds the rows, so `cap` bounds the number of free rows as well as the
-count.
+A plain point is a `RectPermMatrix`, its own vertex key, built in C with
+no Python call; a centrosymmetric point costs one, `core._keyed` on its key
+(odd m adds a step of `_odd_keys`). No enumerator builds a dense row.
+Without a pattern nothing read from input bounds the rows, so `cap` bounds
+the number of free rows as well as the count.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from centrostoch.core import (
     ShapeError,
     _as_int,
     _keyed,
+    _new_rect_perm,
     _new_vertex,
     _rank,
     _rotated,
@@ -187,7 +188,8 @@ def enumerate_extreme_stochastic(
     """
     # every column comes from range(1, n + 1) or a checked support
     m, n, kept = _choices(m, n, cap, pattern, centro=False)
-    return map(RectPermMatrix._trusted, itertools.product(*kept), itertools.repeat(n))
+    keys = zip(itertools.product(*kept), itertools.repeat(n), itertools.repeat(None))
+    return map(_new_rect_perm, keys)
 
 
 def enumerate_extreme_centro(

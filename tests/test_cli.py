@@ -1,5 +1,6 @@
 """Command-line interface: golden outputs, exit codes, JSON shapes."""
 
+import io
 import json
 import os
 import random
@@ -35,7 +36,7 @@ from centrostoch import (
     rank_of_family,
     rotate_pi,
 )
-from centrostoch.cli import _CentreRows, _print_json, build_parser
+from centrostoch.cli import _CentreRows, _print_json, build_parser, run_command
 from centrostoch.core import _unit_matrix, _vertex, _Vertex
 from matrixgen import random_centro_stochastic, random_stochastic
 
@@ -943,6 +944,40 @@ class TestErrors:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert out == ""
+
+    # each subcommand that reads a matrix, as it is called
+    READERS = [["check"], ["decompose"], ["decompose", "--centro"], ["graph"], ["face", "count"],
+               ["face", "vertices"], ["face", "support"], ["normalize", "--centro-and"]]
+
+    @pytest.mark.parametrize("source", ["stdin", "file"])
+    @pytest.mark.parametrize("argv", READERS, ids=" ".join)
+    def test_undecodable_input_is_usage_error(self, monkeypatch, capsys, tmp_path, argv, source):
+        # stdin that decodes strictly, as under a UTF-8 locale; a file is
+        # always read as UTF-8
+        data = b"1 1\n\xff\n"
+        if source == "stdin":
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        else:
+            path = tmp_path / "bad.smx"
+            path.write_bytes(data)
+            argv = [*argv, "--input", str(path)]
+        code = run_command(argv)
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == "error: the input is not utf-8 text: invalid start byte\n"
+
+    def test_undecodable_stdin_in_a_fresh_process(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "centrostoch", "check"],
+            input=b"1 1\n\xff\n",
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": str(src), "PYTHONIOENCODING": "utf-8"},
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1
+        assert b"Traceback" not in proc.stderr
 
     def test_input_file(self, run_cli, tmp_path):
         path = tmp_path / "s.smx"

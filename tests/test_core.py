@@ -369,6 +369,16 @@ class TestRectPermMatrix:
         r = RectPermMatrix([3, 3, 1], 4)
         assert RectPermMatrix.from_matrix(r.to_matrix()) == r
 
+    @pytest.mark.parametrize("cols, n", [((1,), 1), ((2, 1), 3), ((3, 3, 1), 4), ((1, 4, 2, 2, 3), 4)])
+    def test_is_its_own_vertex_key(self, cols, n):
+        # the key (cols, ncols, None) of its matrix, which holds it as is
+        assert issubclass(RectPermMatrix, core._Vertex)
+        r = RectPermMatrix(cols, n)
+        assert r == _vertex(cols, n) and hash(r) == hash(_vertex(cols, n))
+        assert _vertex_of(r.to_matrix()) is r
+        assert _vertex_of(Matrix(r.to_matrix().entries)) == r
+        assert r.shape == (len(cols), n) == r.to_matrix().shape
+
     def test_from_matrix_rejects_bad_rows(self):
         with pytest.raises(PatternError):
             RectPermMatrix.from_matrix(Matrix([[1, 1]]))
@@ -1051,8 +1061,11 @@ class TestPickleAndCopy:
         # that is not an extreme point is keyed by its Matrix
         rng = random.Random(m * 10 + n)
         a = Matrix([[Fraction(1, n)] * n] * m)
+        # a to_matrix() term is keyed by its RectPermMatrix
+        r = RectPermMatrix([rng.randint(1, n) for _ in range(m)], n)
         combs = [decompose_centrosymmetric(a),
-                 ConvexCombination([("1/3", a), ("2/3", random_stochastic(rng, m, n))])]
+                 ConvexCombination([("1/3", a), ("2/3", random_stochastic(rng, m, n))]),
+                 ConvexCombination([("1/4", r.to_matrix()), ("3/4", r.rotate_pi().to_matrix())])]
         for comb in combs:
             for b in round_trips(comb):
                 assert type(b) is ConvexCombination

@@ -26,6 +26,7 @@ from centrostoch import (
     is_extreme_stochastic,
     is_stochastic,
 )
+from centrostoch.core import _vertex_of
 import extreme_reference
 from matrixgen import (
     pattern_or_rotation,
@@ -188,10 +189,11 @@ class TestEnumerateStochastic:
         with pytest.raises(TypeError):
             list(enumerate_extreme_stochastic(2, n))
 
-    @pytest.mark.parametrize("m, n", [(1, 1), (2, 3), (3, 2)])
+    @pytest.mark.parametrize("m, n", [(m, n) for m in range(1, 5) for n in range(1, 5)])
     def test_items_equal_the_checked_constructor(self, m, n):
         # the enumerator builds its items unchecked; each is the instance the
-        # public constructor makes from the same columns, plain ints included
+        # public constructor makes from the same columns, plain ints included,
+        # and the vertex key of its matrix
         rng = random.Random(m * n)
         pattern = Matrix([[1 if j == 1 or rng.random() < 0.5 else 0 for j in range(1, n + 1)]
                           for _ in range(m)])
@@ -202,6 +204,9 @@ class TestEnumerateStochastic:
                 assert r == checked and hash(r) == hash(checked)
                 assert (r.nrows, r.ncols, r.row_to_col) == (checked.nrows, checked.ncols, checked.row_to_col)
                 assert type(r.ncols) is int and all(type(c) is int for c in r.row_to_col)
+                assert type(r) is RectPermMatrix
+                assert r == RectPermMatrix.from_matrix(r.to_matrix())
+                assert r == _vertex_of(r.to_matrix()) == _vertex_of(Matrix(r.to_matrix().entries))
                 with pytest.raises(AttributeError):
                     r.ncols = n
 
