@@ -357,8 +357,10 @@ def _unit_column(row: Sequence[Fraction]) -> int | None:
 
 
 def _rotated(cols: Sequence[int], n: int) -> tuple[int, ...]:
-    """Column tuple of the half-turn rotation of `_unit_matrix(cols, n)`."""
-    return tuple(n + 1 - c for c in reversed(cols))
+    """Column tuple of the half-turn rotation of `_unit_matrix(cols, n)`:
+    the rows reversed, column c becoming n + 1 - c. Applied to the bottom
+    half of a tuple it gives the top half's mirror images."""
+    return tuple(map((n + 1).__sub__, reversed(cols)))
 
 
 class _Vertex(NamedTuple):
@@ -455,7 +457,10 @@ class RectPermMatrix(_Vertex):
     the n^m column assignments.
 
     An instance is the vertex key `(cols, ncols, None)` of its matrix, so it
-    compares and hashes as that key; `row_to_col` is its `cols`.
+    compares and hashes as that key, and `len()` is the key's length, 3;
+    `row_to_col` is its `cols`. The tuple constructors `_make` and
+    `_replace` go through the checked constructor, and a centre other than
+    None is a ShapeError.
     """
 
     __slots__ = ()
@@ -471,6 +476,14 @@ class RectPermMatrix(_Vertex):
             if not 1 <= c <= ncols:
                 raise ShapeError(f"column {c} outside 1..{ncols}")
         return _new_rect_perm((cols, ncols, None))
+
+    @classmethod
+    def _make(cls, iterable) -> "RectPermMatrix":
+        # NamedTuple's `_replace` builds its result through `_make` too
+        cols, ncols, center = iterable
+        if center is not None:
+            raise ShapeError("a rectangular permutation matrix has no centre row")
+        return cls(cols, ncols)
 
     row_to_col = _Vertex.cols
 

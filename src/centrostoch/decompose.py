@@ -17,22 +17,23 @@ The sweep runs on ints. Each row is read through `core._row_ints`, as
 ints over its own d, so its cumulative sums are ints over d, and each inner
 sum is one event that switches one row to its next column. Events are
 sorted by the float of s / d, which is correctly rounded and so in the
-exact order up to ties; a run of equal floats, which may hold distinct
-exact values, is sorted again by cross-multiplying. Each distinct
+exact order up to ties; when two floats are equal, which may hide distinct
+exact values, the list is sorted again by cross-multiplying. Each distinct
 breakpoint builds one Fraction, its term's coefficient, and no event builds
 one.
 
-Everything else in the module is bookkeeping on the column tuples: pairing
-terms with their half-turn rotations for the centrosymmetric polytope, and
-splitting the pairs that are not yet extreme. The terms reach
-`ConvexCombination` as vertices, never as dense matrices.
+The centrosymmetric route sweeps only the top ceil(m/2) rows: row m+1-i is
+row i reversed, so it has the same breakpoints, and each event switches a
+row and its mirror together. The sweep counts the top rows whose columns
+are not mirror images, so each term is known to pair with its half-turn
+rotation into an extreme point, or to need splitting on its top half. The
+terms reach `ConvexCombination` as vertices, never as dense matrices.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import groupby
 from operator import itemgetter
 
 from centrostoch.core import (
@@ -43,9 +44,9 @@ from centrostoch.core import (
     RectPermMatrix,
     SplitError,
     _new_rect_perm,
+    _new_vertex,
     _rotated,
     _row_ints,
-    _vertex,
     _Vertex,
     is_centrosymmetric,
     is_stochastic,
@@ -64,38 +65,48 @@ __all__ = [
 _EXACT = cmp_to_key(lambda x, y: x[1] * y[2] - y[1] * x[2])
 
 
-def _greedy_terms(a: Matrix) -> list[tuple[Fraction, tuple[int, ...]]]:
+def _greedy_terms(a: Matrix, mirrored: bool = False) -> list[tuple]:
     # callers have checked that `a` is stochastic. Row i works on its
     # `_row_ints` (d, nums): its positive nums are ranked, and each inner
-    # cumulative sum s is one event (s / d, s, d, i, column it switches to)
-    events = []
-    cols = []
-    for i, row in enumerate(a.entries):
-        d, nums = _row_ints(row)
+    # cumulative sum s is one event (s / d, s, d, i, c, k, c2, flip): row i
+    # switches to column c and row k to c2. Plain, k is i. Mirrored, k is
+    # row i's mirror, ranked by (value, n + 1 - column); `skew`, moved by
+    # flip, counts the top rows whose columns are not mirror images, and a
+    # skewed term comes with half its weight, as it is split in two.
+    m, n = a.shape
+    events, cols, skew = [], [0] * m, 0
+    for i in range((m + 1) // 2 if mirrored else m):
+        d, nums = _row_ints(a.entries[i])
         ranked = sorted([(v, j) for j, v in enumerate(nums, 1) if v])
-        cols.append(ranked[0][1])
+        k = m - 1 - i if mirrored else i
+        flipped = sorted([(v, n + 1 - j) for v, j in ranked]) if k != i else ranked
+        cols[i], cols[k] = ranked[0][1], flipped[0][1]
+        was = k != i and cols[i] + cols[k] != n + 1
+        skew += was
         s = 0
-        for (v, _), (_, c) in zip(ranked, ranked[1:]):
+        for (v, _), (_, c), (_, c2) in zip(ranked, ranked[1:], flipped[1:]):
             s += v
-            events.append((s / d, s, d, i, c))
-    # int / int is correctly rounded, so sorting by the floats alone puts
-    # the events in exact order up to runs of equal floats; such a run may
-    # hold distinct exact values, so it is sorted again, exactly. Each
-    # distinct breakpoint ends one cell: its term takes the columns in
-    # force before it, then the rows that end there switch.
+            now = k != i and c + c2 != n + 1
+            events.append((s / d, s, d, i, c, k, c2, now - was))
+            was = now
+    # int / int is correctly rounded, so the floats order the events exactly
+    # but among equal floats, which may hold distinct exact values; a stable
+    # exact sort then fixes them, near linear on the nearly sorted list. Each
+    # distinct breakpoint ends one cell: its term takes the columns in force
+    # before it, then the rows that end there switch.
     events.sort(key=itemgetter(0))
-    terms: list[tuple[Fraction, tuple[int, ...]]] = []
+    if len(set(map(itemgetter(0), events))) < len(events):
+        events.sort(key=_EXACT)
+    events.append((1.0, 1, 1, 0, 0, 0, 0, 0))  # the end point 1; its switch is never read
+    terms = []
     ps, pd = 0, 1  # the previous breakpoint, ps / pd
-    for _, run in groupby(events, itemgetter(0)):
-        run = list(run)
-        if len(run) > 1:
-            run.sort(key=_EXACT)
-        for _, s, d, i, c in run:
-            if s * pd != ps * d:
-                terms.append((Fraction(s * pd - ps * d, d * pd), tuple(cols)))
-                ps, pd = s, d
-            cols[i] = c
-    terms.append((Fraction(pd - ps, pd), tuple(cols)))
+    for _, s, d, i, c, k, c2, flip in events:
+        if s * pd != ps * d:
+            coeff = Fraction(s * pd - ps * d, d * pd << (skew > 0))
+            terms.append((coeff, tuple(cols), skew) if mirrored else (coeff, tuple(cols)))
+            ps, pd = s, d
+        cols[i], cols[k] = c, c2
+        skew += flip
     return terms
 
 
@@ -114,7 +125,8 @@ def decompose_stochastic(a: Matrix) -> ConvexCombination:
     """
     if not is_stochastic(a):
         raise NotStochasticError("decomposition input must be row-stochastic")
-    return ConvexCombination((c, _vertex(cols, a.ncols)) for c, cols in _greedy_terms(a))
+    n = a.ncols
+    return ConvexCombination((c, _new_vertex((cols, n, None))) for c, cols in _greedy_terms(a))
 
 
 def _check_centro_stochastic(a: Matrix) -> None:
@@ -130,48 +142,51 @@ def split_noncentrosymmetric(
     """Split R + R^pi into two distinct centrosymmetric rectangular
     permutation matrices Q1 + Q2.
 
-    Row i of R + R^pi holds two unit entries (possibly stacked), in columns
-    cols[i] and rot[i] of R's column tuple and its rotation's. Q1 takes
-    their min in the top half and their max in the bottom half, Q2 the
-    other entry of every row, so both are centrosymmetric. Requires an even
-    number of rows and a non-centrosymmetric R; raises SplitError otherwise.
+    Top row i of R + R^pi holds two unit entries (possibly stacked): R's
+    column there and the mirror of R's column in row m + 1 - i. Q1's top
+    half takes the smaller of each pair and Q2's the larger, and each Q's
+    bottom half is the rotation of its top half, so only the top half is
+    compared. Requires an even number of rows and a non-centrosymmetric R;
+    raises SplitError otherwise.
     """
     if r.nrows % 2 != 0:
         raise SplitError("splitting needs an even number of rows")
-    cols, n = r.row_to_col, r.ncols
-    rot = _rotated(cols, n)
-    if cols == rot:
+    cols, n, h = r.row_to_col, r.ncols, r.nrows // 2
+    top, mirror = cols[:h], _rotated(cols[h:], n)
+    if top == mirror:
         raise SplitError("input is already centrosymmetric")
-    h = r.nrows // 2
-    low, high = tuple(map(min, cols, rot)), tuple(map(max, cols, rot))
-    q1, q2 = low[:h] + high[h:], high[:h] + low[h:]
-    return _new_rect_perm((q1, n, None)), _new_rect_perm((q2, n, None))
+    q1, q2 = tuple(map(min, top, mirror)), tuple(map(max, top, mirror))
+    return (_new_rect_perm((q1 + _rotated(q1, n), n, None)),
+            _new_rect_perm((q2 + _rotated(q2, n), n, None)))
 
 
 def decompose_centrosymmetric(a: Matrix) -> ConvexCombination:
     """Write a centrosymmetric stochastic matrix as a convex combination of
     extreme points of the centrosymmetric polytope.
 
-    Runs the greedy sweep and pairs each term R with its rotation. Outside
-    the centre row, (R + R^pi) / 2 is extreme exactly when R's column tuple
-    without its centre entry is centrosymmetric; pairs that are not get
-    split. For an odd number of rows the centre entry is deleted before
-    splitting, and both halves get the averaged centre row, the admissible
-    row for R's centre column. Every output term passes is_extreme_centro.
+    Sweeps the top ceil(m/2) rows, each bottom row following its mirror,
+    and pairs each term R with its rotation. Outside the centre row,
+    (R + R^pi) / 2 is extreme exactly when each top row's column mirrors
+    its bottom row's, as the sweep tracks; pairs that are not get split,
+    into halves of half the weight. For an odd number of rows the centre
+    entry is deleted before splitting, and both halves get the averaged
+    centre row, the admissible row for R's centre column. Every output term
+    passes is_extreme_centro.
     """
     _check_centro_stochastic(a)
     m, n = a.shape
     half = m // 2
     terms: list[tuple[Fraction, _Vertex]] = []
-    for coeff, cols in _greedy_terms(a):
-        center = cols[half] if m % 2 else None
-        # columns the sweep read off a checked matrix, so trusted below
-        trimmed = cols[:half] + cols[m - half :]
-        if trimmed == _rotated(trimmed, n):
-            terms.append((coeff, _vertex(trimmed, n, center)))
-        else:
-            # the pair splits into two halves that share its weight
-            share = coeff / 2
-            halves = split_noncentrosymmetric(_new_rect_perm((trimmed, n, None)))
-            terms.extend((share, _vertex(q.row_to_col, n, center)) for q in halves)
+    for coeff, cols, skew in _greedy_terms(a, mirrored=True):
+        # columns the sweep read off a checked matrix, so trusted below; the
+        # centre is keyed as in `_vertex`
+        mid, center = cols[half : m - half], None
+        if mid and 2 * mid[0] != n + 1:
+            mid, center = (), min(mid[0], n + 1 - mid[0])
+        top, bottom = cols[:half], cols[m - half :]
+        if not skew:
+            terms.append((coeff, _new_vertex((top + mid + bottom, n, center))))
+            continue
+        for q in split_noncentrosymmetric(_new_rect_perm((top + bottom, n, None))):
+            terms.append((coeff, _new_vertex((q.cols[:half] + mid + q.cols[half:], n, center))))
     return ConvexCombination(terms)

@@ -4,7 +4,9 @@ Builds the op lists of the three perfbench workloads in process, runs each
 op through `cli.run_command`, and hashes the standard output of the ops in
 order, as perfbench/run.py judges a pass. The digests are the published
 `stdout_sha256` of the default seed and the held-out seed; a change that
-alters any byte of a listing, a refusal or a report changes them. A full
+alters any byte of a listing, a refusal or a report changes them. The
+decomposition terms and the calls of `split_noncentrosymmetric` are counted
+the same way, through the names the ops call them by. A full
 `perfbench/run.py --workload all --seconds 0` checks the same bytes in
 about 18 s; this takes about half a second per seed. Nothing under
 perfbench/ is written.
@@ -18,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from centrostoch import cli
+from centrostoch import cli, decompose
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -33,6 +35,16 @@ DIGESTS = {
         "centro-decompose": "be34d09d5884364af583a24e589329e0a78281fabbc5129db607af162f0e3ebe",
         "census": "2f4a44bda5612e433e8567c4aa32c30bb29e97296ecbd17e600fedb4da1b0c0f",
     },
+}
+
+
+# (decomposition terms, split_noncentrosymmetric calls) per pass: the
+# `decompose.terms` and `decompose.split_noncentrosymmetric.calls` counts of
+# the traced run, so a change that splits differently, or around the split's
+# name, fails here as well as under --trace 1
+WORK = {
+    20260819: {"stoch-decompose": (1413, 0), "centro-decompose": (846, 303), "census": (0, 0)},
+    4099: {"stoch-decompose": (1403, 0), "centro-decompose": (821, 306), "census": (0, 0)},
 }
 
 
@@ -57,3 +69,29 @@ def test_outputs_hash_to_the_published_digest(workloads, tmp_path, seed, workloa
         assert code == op.expect_rc, op.label
         digest.update(out.getvalue().encode())
     assert digest.hexdigest() == DIGESTS[seed][workload]
+
+
+@pytest.mark.parametrize("workload", ["stoch-decompose", "centro-decompose", "census"])
+@pytest.mark.parametrize("seed", sorted(WORK))
+def test_engine_work_counts(workloads, monkeypatch, tmp_path, seed, workload):
+    ops, _ = workloads.build(workload, seed, tmp_path)
+    counts = {"terms": 0, "splits": 0}
+
+    def terms_of(fn):
+        def counted(a):
+            comb = fn(a)
+            counts["terms"] += len(comb)
+            return comb
+        return counted
+
+    def split(r, real=decompose.split_noncentrosymmetric):
+        counts["splits"] += 1
+        return real(r)
+
+    for name in ("decompose_stochastic", "decompose_centrosymmetric"):
+        monkeypatch.setattr(cli, name, terms_of(getattr(cli, name)))
+    monkeypatch.setattr(decompose, "split_noncentrosymmetric", split)
+    for op in ops:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            assert cli.run_command(list(op.argv)) == op.expect_rc, op.label
+    assert (counts["terms"], counts["splits"]) == WORK[seed][workload]

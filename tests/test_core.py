@@ -379,6 +379,25 @@ class TestRectPermMatrix:
         assert _vertex_of(Matrix(r.to_matrix().entries)) == r
         assert r.shape == (len(cols), n) == r.to_matrix().shape
 
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: RectPermMatrix._make(((5,), 2, None)),
+         lambda: RectPermMatrix._make(((1, 2), 2, 1)),
+         lambda: RectPermMatrix([1, 2], 2)._replace(center=1),
+         lambda: RectPermMatrix([1, 2], 2)._replace(cols=(1, 3))],
+        ids=["make-column", "make-center", "replace-center", "replace-column"],
+    )
+    def test_tuple_constructors_refuse_what_the_constructor_refuses(self, build):
+        # a column out of range, or any centre: a RectPermMatrix has none
+        with pytest.raises(ShapeError):
+            build()
+
+    def test_replace_builds_through_the_constructor(self):
+        r = RectPermMatrix([1, 2], 2)._replace(cols=(2, 2, 1))
+        assert type(r) is RectPermMatrix and r == RectPermMatrix([2, 2, 1], 2)
+        assert r.shape == (3, 2) and r.nrows == 3 and len(r) == 3
+        assert RectPermMatrix._make(((2, 1), 3, None)) == RectPermMatrix([2, 1], 3)
+
     def test_from_matrix_rejects_bad_rows(self):
         with pytest.raises(PatternError):
             RectPermMatrix.from_matrix(Matrix([[1, 1]]))

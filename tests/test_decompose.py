@@ -329,6 +329,48 @@ class TestCentroSplitRoute:
             assert list(comb) == list(reference_decompose_centrosymmetric(a))
 
 
+class TestMirroredSweep:
+    """The centrosymmetric route sweeps only the top ceil(m/2) rows, and
+    still gives the reference's terms and splits on every small shape."""
+
+    @pytest.mark.parametrize("max_weight", [1, 2])
+    def test_terms_and_splits_equal_the_reference_on_every_shape(self, monkeypatch, max_weight):
+        # weights 1 and 2 leave every row uniform or nearly so on its
+        # support, the most ties; odd n gives middle-column centres
+        rng = random.Random(2300 + max_weight)
+        inputs = [random_centro_stochastic(rng, m, n, max_weight)
+                  for m in range(1, 10) for n in range(1, 9) for _ in range(2)]
+        calls, splits = Counter(), 0
+
+        def counted(key):
+            def split(r):
+                calls[key] += 1
+                return split_noncentrosymmetric(r)
+            return split
+
+        monkeypatch.setattr(decompose_module, "split_noncentrosymmetric", counted("library"))
+        monkeypatch.setattr(greedy_reference, "split_noncentrosymmetric", counted("reference"))
+        for a in inputs:
+            calls.clear()
+            assert list(decompose_centrosymmetric(a)) == list(reference_decompose_centrosymmetric(a))
+            assert calls["library"] == calls["reference"], a.shape
+            splits += calls["library"]
+        assert splits > 0
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 7, 8])
+    def test_reads_the_top_rows_only(self, monkeypatch, m):
+        a = random_centro_stochastic(random.Random(m), m, 5)
+        read = []
+
+        def counted(row, real=decompose_module._row_ints):
+            read.append(row)
+            return real(row)
+
+        monkeypatch.setattr(decompose_module, "_row_ints", counted)
+        decompose_module._greedy_terms(a, mirrored=True)
+        assert read == list(a.entries[: (m + 1) // 2])
+
+
 class TestPropertiesOnEveryShape:
     # every example draws one matrix of each shape 1..8 x 1..8, so each run
     # covers m = 1, n = 1, and odd and even m
