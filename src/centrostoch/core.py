@@ -23,9 +23,10 @@ members, `to_matrix`, combination terms) is made in O(1) and holds only its
 vertex. It is a `_VertexMatrix` until the first read of `entries` builds its
 rows from the vertex, from cached rows that all such matrices share, and
 makes it a plain Matrix; a listing that prints from the vertex builds none.
-`_row_ints` is the one integer view of a row; `is_stochastic`, the greedy
-sweep in `decompose` and `rank_of_family` all read rows through it, and
-none of them compares or adds a Fraction.
+`_row_ints` is the one integer view of a row and `_is_stochastic_row` the
+one rule for a stochastic row on it; `is_stochastic` and the greedy sweep
+in `decompose` check rows with both, `rank_of_family` scales rows by the
+first, and none of them compares or adds a Fraction.
 `Matrix(...)`, which converts and checks every entry, is for outside input;
 matrices derived from checked ones are assembled by `_trusted`.
 """
@@ -429,17 +430,15 @@ def _row_ints(row: Sequence[Fraction]) -> tuple[int, list[int]]:
     return d, [x.numerator * (d // x.denominator) for x in row]
 
 
-def is_stochastic(a: Matrix) -> bool:
-    """True iff every entry is nonnegative and every row sums to exactly 1.
+def _is_stochastic_row(d: int, nums: list[int]) -> bool:
+    """The stochastic-row rule on a row's `_row_ints` (d, nums): no num is
+    negative, and the nums sum to d."""
+    return min(nums) >= 0 and sum(nums) == d
 
-    Each row is checked on its `_row_ints` (d, nums): no num may be
-    negative, and the nums must sum to d.
-    """
-    for row in a.entries:
-        d, nums = _row_ints(row)
-        if min(nums) < 0 or sum(nums) != d:
-            return False
-    return True
+
+def is_stochastic(a: Matrix) -> bool:
+    """True iff every entry is nonnegative and every row sums to exactly 1."""
+    return all(_is_stochastic_row(*_row_ints(row)) for row in a.entries)
 
 
 def is_centrosymmetric(a: Matrix) -> bool:

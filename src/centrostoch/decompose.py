@@ -13,21 +13,23 @@ peel (mark each row's smallest positive entry, leftmost on ties, peel, and
 renormalise), because a marked entry stays the smallest of its row until it
 is used up.
 
-The sweep runs on ints. Each row is read through `core._row_ints`, as
-ints over its own d, so its cumulative sums are ints over d, and each inner
-sum is one event that switches one row to its next column. Events are
-sorted by the float of s / d, which is correctly rounded and so in the
-exact order up to ties; when two floats are equal, which may hide distinct
-exact values, the list is sorted again by cross-multiplying. Each distinct
-breakpoint builds one Fraction, its term's coefficient, and no event builds
-one.
+The sweep runs on ints and is the one reader of its input: each row is
+read once, through `core._row_ints`, as ints over its own d, and checked
+by `core._is_stochastic_row` before any term is built. Its cumulative sums
+are ints over d, and each inner sum is one event that switches one row to
+its next column. Events are sorted by the float of s / d, which is
+correctly rounded and so in the exact order up to ties; when two floats
+are equal, which may hide distinct exact values, the list is sorted again
+by cross-multiplying. Each distinct breakpoint builds one Fraction, its
+term's coefficient, and no event builds one.
 
-The centrosymmetric route sweeps only the top ceil(m/2) rows: row m+1-i is
-row i reversed, so it has the same breakpoints, and each event switches a
-row and its mirror together. The sweep counts the top rows whose columns
-are not mirror images, so each term is known to pair with its half-turn
-rotation into an extreme point, or to need splitting on its top half. The
-terms reach `ConvexCombination` as vertices, never as dense matrices.
+The centrosymmetric route checks centrosymmetry first, then sweeps only
+the top ceil(m/2) rows: row m+1-i is row i reversed, so it has the same
+breakpoints and passes the same check, and each event switches a row and
+its mirror together. The sweep counts the top rows whose columns are not
+mirror images, so each term is known to pair with its half-turn rotation
+into an extreme point, or to need splitting on its top half. The terms
+reach `ConvexCombination` as vertices, never as dense matrices.
 """
 
 from __future__ import annotations
@@ -43,10 +45,12 @@ from centrostoch.core import (
     NotStochasticError,
     RectPermMatrix,
     SplitError,
+    _is_stochastic_row,
     _new_rect_perm,
     _new_vertex,
     _rotated,
     _row_ints,
+    _vertex,
     _Vertex,
     is_centrosymmetric,
     is_stochastic,
@@ -66,17 +70,20 @@ _EXACT = cmp_to_key(lambda x, y: x[1] * y[2] - y[1] * x[2])
 
 
 def _greedy_terms(a: Matrix, mirrored: bool = False) -> list[tuple]:
-    # callers have checked that `a` is stochastic. Row i works on its
-    # `_row_ints` (d, nums): its positive nums are ranked, and each inner
-    # cumulative sum s is one event (s / d, s, d, i, c, k, c2, flip): row i
-    # switches to column c and row k to c2. Plain, k is i. Mirrored, k is
-    # row i's mirror, ranked by (value, n + 1 - column); `skew`, moved by
-    # flip, counts the top rows whose columns are not mirror images, and a
-    # skewed term comes with half its weight, as it is split in two.
+    # row i is read once, as its `_row_ints` (d, nums), and raises unless it
+    # is a stochastic row (mirrored, the caller has checked that `a` is
+    # centrosymmetric, so the top rows stand for all). Its positive nums are
+    # ranked, and each inner cumulative sum s is one event (s / d, s, d, i,
+    # c, k, c2, flip): row i switches to column c and row k to c2. Plain, k
+    # is i. Mirrored, k is row i's mirror, ranked by (value, n + 1 - column);
+    # `skew`, moved by flip, counts the top rows whose columns are not mirror
+    # images, and a skewed term comes with half its weight, as it is split.
     m, n = a.shape
     events, cols, skew = [], [0] * m, 0
     for i in range((m + 1) // 2 if mirrored else m):
         d, nums = _row_ints(a.entries[i])
+        if not _is_stochastic_row(d, nums):
+            raise NotStochasticError("decomposition input must be row-stochastic")
         ranked = sorted([(v, j) for j, v in enumerate(nums, 1) if v])
         k = m - 1 - i if mirrored else i
         flipped = sorted([(v, n + 1 - j) for v, j in ranked]) if k != i else ranked
@@ -120,20 +127,11 @@ def decompose_stochastic(a: Matrix) -> ConvexCombination:
     length. A cell ends at a breakpoint of some row, so there is exactly one
     term per distinct breakpoint among all rows. Row i has nnz_i - 1 inner
     breakpoints while the end point 1 is shared, so there are at most
-    nnz(a) - m + 1 terms. The result recombines to `a` exactly. Raises
-    NotStochasticError otherwise.
+    nnz(a) - m + 1 terms. The result recombines to `a` exactly. The sweep
+    checks each row as it reads it: NotStochasticError otherwise.
     """
-    if not is_stochastic(a):
-        raise NotStochasticError("decomposition input must be row-stochastic")
     n = a.ncols
     return ConvexCombination((c, _new_vertex((cols, n, None))) for c, cols in _greedy_terms(a))
-
-
-def _check_centro_stochastic(a: Matrix) -> None:
-    if not is_stochastic(a):
-        raise NotStochasticError("input must be row-stochastic")
-    if not is_centrosymmetric(a):
-        raise NotCentrosymmetricError("input must be centrosymmetric")
 
 
 def split_noncentrosymmetric(
@@ -171,22 +169,24 @@ def decompose_centrosymmetric(a: Matrix) -> ConvexCombination:
     into halves of half the weight. For an odd number of rows the centre
     entry is deleted before splitting, and both halves get the averaged
     centre row, the admissible row for R's centre column. Every output term
-    passes is_extreme_centro.
+    passes is_extreme_centro. Centrosymmetry is checked first, so the
+    sweep's check of the top rows covers their reversals below; a matrix
+    that is not centrosymmetric raises NotStochasticError if it is not
+    stochastic either, else NotCentrosymmetricError.
     """
-    _check_centro_stochastic(a)
+    if not is_centrosymmetric(a):
+        if not is_stochastic(a):
+            raise NotStochasticError("decomposition input must be row-stochastic")
+        raise NotCentrosymmetricError("input must be centrosymmetric")
     m, n = a.shape
     half = m // 2
     terms: list[tuple[Fraction, _Vertex]] = []
     for coeff, cols, skew in _greedy_terms(a, mirrored=True):
-        # columns the sweep read off a checked matrix, so trusted below; the
-        # centre is keyed as in `_vertex`
-        mid, center = cols[half : m - half], None
-        if mid and 2 * mid[0] != n + 1:
-            mid, center = (), min(mid[0], n + 1 - mid[0])
-        top, bottom = cols[:half], cols[m - half :]
+        # columns the sweep read off a checked matrix, so trusted below
+        top, bottom, center = cols[:half], cols[m - half :], cols[half] if m % 2 else None
         if not skew:
-            terms.append((coeff, _new_vertex((top + mid + bottom, n, center))))
+            terms.append((coeff, _vertex(top + bottom, n, center)))
             continue
         for q in split_noncentrosymmetric(_new_rect_perm((top + bottom, n, None))):
-            terms.append((coeff, _new_vertex((q.cols[:half] + mid + q.cols[half:], n, center))))
+            terms.append((coeff, _vertex(q.cols, n, center)))
     return ConvexCombination(terms)

@@ -17,6 +17,10 @@ mirrored. Tests hold `split_noncentrosymmetric` to it.
 `decompose_centro_halves` averages each library term with its rotation.
 Its terms are centrosymmetric but not always extreme, so no library route
 produces them; tests keep it as a check on the halves construction.
+
+`REFUSALS` are inputs at the edges of the decompositions' checks, and
+`refusal` names the error class a route raises on one; tests hold the
+library's routes and the command line to the reference's classes.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from centrostoch import (
+    CentrostochError,
     ConvexCombination,
     Matrix,
     NotCentrosymmetricError,
@@ -34,9 +39,30 @@ from centrostoch import (
     is_stochastic,
     split_noncentrosymmetric,
 )
-from centrostoch.decompose import _check_centro_stochastic, _greedy_terms
+from centrostoch.decompose import _greedy_terms
 
 _HALF = Fraction(1, 2)
+
+# rows of entries as strings; each is refused by one route at least
+REFUSALS = [
+    [["2", "-1"], ["-1", "2"]],  # negative entries, rows summing to 1, centrosymmetric
+    [["1", "1"]],  # a row summing to 2
+    [["1", "0"], ["1", "0"]],  # stochastic, not centrosymmetric
+    [["1/3", "2/3"], ["1/3", "2/3"]],  # stochastic, not centrosymmetric
+    [["1", "0"], ["2", "-1"]],  # only the bottom row bad, not centrosymmetric
+    [["1", "0"], ["1", "1"], ["0", "1"]],  # centrosymmetric, centre row sums to 2
+    [["1/2", "1/2"], ["0", "0"], ["1/2", "1/2"]],  # an all-zero row, centrosymmetric
+    [["1", "0", "0"], ["1", "-1", "1"], ["0", "0", "1"]],  # negative entry, row sums to 1
+]
+
+
+def refusal(decompose, a: Matrix) -> type | None:
+    """The class of the error `decompose(a)` raises, or None."""
+    try:
+        decompose(a)
+    except CentrostochError as exc:
+        return type(exc)
+    return None
 
 
 def _mark(a: Matrix) -> tuple[RectPermMatrix, Fraction]:
@@ -140,7 +166,10 @@ def decompose_centro_halves(a: Matrix) -> ConvexCombination:
     centrosymmetric and stochastic but not necessarily extreme. Raises
     NotStochasticError / NotCentrosymmetricError on bad input.
     """
-    _check_centro_stochastic(a)
+    if not is_stochastic(a):
+        raise NotStochasticError("decomposition input must be row-stochastic")
+    if not is_centrosymmetric(a):
+        raise NotCentrosymmetricError("input must be centrosymmetric")
     return ConvexCombination(
         (c, (r.to_matrix() + r.rotate_pi().to_matrix()) * _HALF)
         for c, r in ((c, RectPermMatrix(cols, a.ncols)) for c, cols in _greedy_terms(a))

@@ -12,6 +12,7 @@ import pytest
 
 from centrostoch import (
     Matrix,
+    NotStochasticError,
     basis_centro_even,
     basis_centro_odd,
     basis_rect,
@@ -38,6 +39,12 @@ from centrostoch import (
 )
 from centrostoch.cli import _CentreRows, _print_json, build_parser, run_command
 from centrostoch.core import _unit_matrix, _vertex, _Vertex
+from greedy_reference import (
+    REFUSALS,
+    reference_decompose_centrosymmetric,
+    reference_decompose_stochastic,
+    refusal,
+)
 from matrixgen import random_centro_stochastic, random_stochastic
 
 S_TEXT = "3 4\n1 0 0 0\n0 1/2 1/2 0\n0 0 0 1\n"
@@ -206,6 +213,20 @@ class TestDecompose:
         code, out, err = run_cli(["decompose"], "1 2\n1 1\n")
         assert code == 1
         assert "stochastic" in err
+
+    @pytest.mark.parametrize("rows", REFUSALS, ids=range(len(REFUSALS)))
+    @pytest.mark.parametrize("centro", [False, True], ids=["plain", "centro"])
+    def test_refusals_exit_1_with_empty_stdout(self, run_cli, rows, centro):
+        reference = reference_decompose_centrosymmetric if centro else reference_decompose_stochastic
+        expected = refusal(reference, Matrix(rows))
+        text = f"{len(rows)} {len(rows[0])}\n" + "".join(" ".join(row) + "\n" for row in rows)
+        code, out, err = run_cli(["decompose", "--centro"] if centro else ["decompose"], text)
+        if expected is None:
+            assert (code, err) == (0, "")
+            return
+        message = ("decomposition input must be row-stochastic" if expected is NotStochasticError
+                   else "input must be centrosymmetric")
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["plain", "json"])
     def test_coefficient_too_long_to_print(self, run_cli, json_flag):

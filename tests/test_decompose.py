@@ -25,14 +25,17 @@ from centrostoch import (
     rotate_pi,
     split_noncentrosymmetric,
 )
+import centrostoch.core as core_module
 import centrostoch.decompose as decompose_module
 import greedy_reference
 from greedy_reference import (
+    REFUSALS,
     decompose_centro_halves,
     reference_decompose_centrosymmetric,
     reference_decompose_stochastic,
     reference_greedy_terms,
     reference_split,
+    refusal,
 )
 from matrixgen import random_centro_stochastic, random_stochastic
 
@@ -155,6 +158,10 @@ class TestDecomposeCentroHalves:
             decompose_centro_halves(Matrix([[2, -1], [-1, 2]]))
         with pytest.raises(NotCentrosymmetricError):
             decompose_centro_halves(Matrix([[1, 0], [1, 0]]))
+        for rows in REFUSALS:
+            a = Matrix(rows)
+            expected = refusal(reference_decompose_centrosymmetric, a)
+            assert expected is not None and refusal(decompose_centro_halves, a) is expected, rows
 
 
 class TestSplit:
@@ -261,6 +268,13 @@ class TestDecomposeCentrosymmetric:
             decompose_centrosymmetric(Matrix([[1, 1]]))
         with pytest.raises(NotCentrosymmetricError):
             decompose_centrosymmetric(Matrix([[1, 0], [1, 0]]))
+        # both routes refuse with the reference's class: a bad row anywhere,
+        # and NotStochasticError before NotCentrosymmetricError
+        for rows in REFUSALS:
+            a = Matrix(rows)
+            expected = refusal(reference_decompose_centrosymmetric, a)
+            assert expected is not None and refusal(decompose_centrosymmetric, a) is expected, rows
+            assert refusal(decompose_stochastic, a) is refusal(reference_decompose_stochastic, a), rows
 
 
 class TestCentroSplitRoute:
@@ -369,6 +383,31 @@ class TestMirroredSweep:
         monkeypatch.setattr(decompose_module, "_row_ints", counted)
         decompose_module._greedy_terms(a, mirrored=True)
         assert read == list(a.entries[: (m + 1) // 2])
+
+
+class TestEachRowReadOnce:
+    """The sweep is the decompositions' stochastic check, so each row the
+    sweep needs is converted to ints once and no other row is: all m rows
+    plain, the top ceil(m/2) centrosymmetric."""
+
+    @pytest.mark.parametrize("n", [1, 4])
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_rows_converted(self, monkeypatch, m, n):
+        rng = random.Random(2400 + 10 * m + n)
+        plain, centro = random_stochastic(rng, m, n), random_centro_stochastic(rng, m, n)
+        read = []
+
+        def counted(row, real=core_module._row_ints):
+            read.append(row)
+            return real(row)
+
+        monkeypatch.setattr(core_module, "_row_ints", counted)
+        monkeypatch.setattr(decompose_module, "_row_ints", counted)
+        decompose_stochastic(plain)
+        assert len(read) == m
+        read.clear()
+        decompose_centrosymmetric(centro)
+        assert len(read) == (m + 1) // 2
 
 
 class TestPropertiesOnEveryShape:
