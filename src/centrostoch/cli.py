@@ -2,6 +2,9 @@
 
 Matrix-reading commands take SMX text from --input FILE or stdin and print
 exact rational results; --json swaps the human layout for a JSON document.
+A file is read as bytes and decoded once as UTF-8, with no text wrapper:
+`parse_matrix` splits lines with `str.splitlines`, which takes \r\n, \r and
+\n alike. An empty path is a file name like any other, not stdin.
 Exit codes: 0 success, 1 domain error (bad matrix for the requested
 operation), 2 usage or parse error, input that does not decode included.
 
@@ -20,7 +23,11 @@ count included, goes through `_text`, the one place that refuses a number
 too long to print.
 
 `run_command` builds the argument parser on its first call and reuses it for
-the rest of the process; importing this module builds none.
+the rest of the process; importing this module builds none. A command line
+that starts with a command name is parsed once, by that command's parser,
+exactly as the top-level parser's subparsers action would; one the
+command's parser leaves arguments of, or that starts otherwise, goes to the
+top-level parser, so its usage errors, help and exit codes stay its own.
 """
 
 from __future__ import annotations
@@ -262,9 +269,9 @@ def _print_listing(vertices: list[_Vertex], n: int, as_json: bool, footer: dict)
 
 def _read_matrix(ns) -> Matrix:
     try:
-        if ns.input:
-            with open(ns.input, "r", encoding="utf-8") as handle:
-                text = handle.read()
+        if ns.input is not None:
+            with open(ns.input, "rb") as handle:
+                text = handle.read().decode("utf-8")
         else:
             text = sys.stdin.read()
     except UnicodeDecodeError as exc:
@@ -400,6 +407,12 @@ def _cmd_normalize(ns) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser, with one subparser per command."""
+    return _build_parsers()[0]
+
+
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    # the top-level parser and its command name -> subparser map
     parser = argparse.ArgumentParser(
         prog="centrostoch",
         description="Exact computations in the stochastic and centrosymmetric "
@@ -475,19 +488,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_norm.set_defaults(handler=_cmd_normalize)
 
-    return parser
+    return parser, sub.choices
 
 
 # built on the first run_command; argparse keeps no state between parse_args
 # calls (each makes a new Namespace, and errors and help look up sys.stderr
 # and sys.stdout when they are written)
-_parser = functools.cache(build_parser)
+_parsers = functools.cache(_build_parsers)
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """build_parser().parse_args(argv), reading argv once when it starts
+    with a command name.
+
+    The top-level parser's subparsers action hands argv[1:] to the command's
+    parser through parse_known_args and sets `command`; that is done here
+    directly. When the command's parser leaves arguments over, or argv does
+    not start with a command name, the top-level parser reads argv, so every
+    error, help text and exit code is its own.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is not None:
+        ns, rest = command.parse_known_args(argv[1:])
+        if not rest:
+            ns.command = argv[0]
+            return ns
+    return parser.parse_args(argv)
 
 
 def run_command(argv) -> int:
     """Parse argv (no program name) and run the command; returns the exit code."""
     try:
-        ns = _parser().parse_args(argv)
+        ns = _parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         if code is None:

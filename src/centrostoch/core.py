@@ -405,16 +405,25 @@ def _vertex_of(a: Matrix) -> _Vertex | None:
     """The key of `a` when it is a matrix `_unit_matrix` builds, else None.
 
     A matrix `_unit_matrix` built carries its key, which is returned as it
-    is; any other matrix has its key read off its entries.
+    is; any other matrix has its key read off its entries, top down, up to
+    the first row that rules a vertex out: a row other than a unit row,
+    except the middle row of an odd row count, which may be a centre row.
     """
     if a._key is not None:
         return a._key
-    cols = [_unit_column(row) for row in a.entries]
+    half = a.nrows // 2
+    # the one row that may be other than a unit row: the middle of odd m
+    middle = half if a.nrows % 2 else None
+    cols = []
+    for i, row in enumerate(a.entries):
+        col = _unit_column(row)
+        if col is None and i != middle:
+            return None
+        cols.append(col)
     if None not in cols:
         return _Vertex(tuple(cols), a.ncols, None)
-    half = a.nrows // 2
     row = a.entries[half]
-    if a.nrows % 2 and cols.count(None) == 1 and cols[half] is None and _HALF in row:
+    if _HALF in row:
         j = row.index(_HALF) + 1
         if row == _center_row(a.ncols, j):
             return _Vertex(tuple(cols[:half] + cols[half + 1 :]), a.ncols, j)

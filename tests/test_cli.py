@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import cycle, repeat
 from pathlib import Path
 
 import pytest
@@ -37,7 +38,14 @@ from centrostoch import (
     rank_of_family,
     rotate_pi,
 )
-from centrostoch.cli import _CentreRows, _print_json, build_parser, run_command
+from centrostoch.cli import (
+    _CentreRows,
+    _parse_args,
+    _parsers,
+    _print_json,
+    build_parser,
+    run_command,
+)
 from centrostoch.core import _unit_matrix, _vertex, _Vertex
 from greedy_reference import (
     REFUSALS,
@@ -670,6 +678,79 @@ class TestParserReuse:
         assert run_cli(["decompose", "--help"]) == (0, reference, "")
 
 
+def parse_outcome(parse, argv, capsys):
+    # (exit code or None, stdout, stderr, the namespace's vars or None)
+    try:
+        ns = parse(argv)
+    except SystemExit as exc:
+        code, ns = exc.code, None
+    else:
+        code = None
+    out, err = capsys.readouterr()
+    return code, out, err, None if ns is None else vars(ns)
+
+
+class TestParseOnce:
+    """run_command's parse hands argv[1:] straight to the command's parser
+    and equals the top-level parser's parse_args on every argv: exit code,
+    stdout, stderr and namespace."""
+
+    CORPUS = [
+        # help at both levels, abbreviated too
+        [], ["-h"], ["--help"], ["--he"], ["decompose", "--help"], ["face", "-h"],
+        ["enumerate", "--he"], ["basis", "--set", "square", "--n", "2", "-h"],
+        # abbreviations, --opt=value, --, repeated flags
+        ["decompose", "--cen", "--js"], ["enumerate", "--ext", "--m", "2", "--n", "3"],
+        ["enumerate", "--extremes", "--c", "--m", "1", "--n", "1"],
+        ["check", "--inp", "F"], ["check", "--input=F"], ["decompose", "--input=F", "--json"],
+        ["graph", "--input=", "--dot"], ["decompose", "--", "--json"], ["face", "--", "count"],
+        ["face", "count", "--"], ["--", "check"], ["decompose", "--json", "--json"],
+        ["enumerate", "--extremes", "--m", "1", "--m", "2", "--n", "1"],
+        ["check", "--input", "a", "--input", "b"], ["face", "vertices", "--cap", "3", "--centro"],
+        ["basis", "--set", "rect", "--m", "2", "--n", "3", "--verify", "--json"],
+        ["normalize", "--centro-and"], ["check", "--input", "-"],
+        # an unknown command, unknown flags and extra arguments after one
+        ["frobnicate"], ["Check"], ["decompose", "--bogus"], ["decompose", "--json", "extra"],
+        ["face", "count", "extra"], ["check", "--bogus", "--help"], ["check", "--help", "--bogus"],
+        # missing required flags and values, bad ints and choices
+        ["enumerate", "--m", "1", "--n", "2"], ["basis"], ["normalize"], ["face"],
+        ["check", "--input"], ["enumerate", "--extremes", "--m", "x", "--n", "1"],
+        ["enumerate", "--extremes", "--m", "-1", "--n", "1"], ["face", "count", "--cap", "1.5"],
+        ["face", "frob"], ["basis", "--set", "nope", "--n", "1"],
+        # an option before the command
+        ["--json", "check"], ["-h", "check"], ["--input", "F", "check"],
+    ]
+
+    @pytest.mark.parametrize("argv", CORPUS, ids=repr)
+    def test_equals_the_top_level_parser(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        expected = parse_outcome(build_parser().parse_args, argv, capsys)
+        assert parse_outcome(_parse_args, argv, capsys) == expected
+
+    def test_unknown_flag_after_a_command_has_the_top_level_usage(self, run_cli):
+        code, out, err = run_cli(["decompose", "--bogus"])
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: centrostoch [-h]")
+        assert err.endswith("centrostoch: error: unrecognized arguments: --bogus\n")
+
+    @pytest.mark.parametrize("argv", [["decompose", "--json"], ["face", "count", "--centro"],
+                                      ["enumerate", "--extremes", "--m", "1", "--n", "2"]])
+    def test_a_clean_command_line_skips_the_top_level_parser(self, monkeypatch, argv):
+        parser, _ = _parsers()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the top-level parser read argv")
+
+        monkeypatch.setattr(parser, "parse_args", refuse)
+        monkeypatch.setattr(parser, "parse_known_args", refuse)
+        ns = _parse_args(argv)
+        assert ns.command == argv[0]
+
+    def test_none_reads_sys_argv(self, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["centrostoch", "decompose", "--centro"])
+        assert vars(_parse_args(None)) == vars(build_parser().parse_args(None))
+
+
 class TestEnumerate:
     def test_human_count(self, run_cli):
         code, out, err = run_cli(
@@ -1000,9 +1081,59 @@ class TestErrors:
         assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1
         assert b"Traceback" not in proc.stderr
 
+    def test_empty_input_path_is_a_missing_file(self, run_cli):
+        # not stdin: an empty path names no file
+        code, out, err = run_cli(["check", "--input", ""], "1 1\n1\n")
+        assert (code, out) == (2, "")
+        assert err == "error: [Errno 2] No such file or directory: ''\n"
+
     def test_input_file(self, run_cli, tmp_path):
         path = tmp_path / "s.smx"
         path.write_text(S_TEXT)
         code, out, err = run_cli(["check", "--input", str(path)])
         assert code == 0
         assert "centrosymmetric=true" in out
+
+
+class TestInputLineBreaks:
+    """An --input file is read as bytes and decoded once; its line breaks
+    read as they do from stdin."""
+
+    READERS = [["check"], ["decompose"], ["decompose", "--centro", "--json"]]
+    # (SMX text, exit code): a line's number shows in the bad token's error
+    TEXTS = [(S_TEXT, 0), ("# a comment\n\n2 2\n1/2 1/2\n  1/2 1/2\n", 0), ("2 2\n1 0\nx 1\n", 2)]
+
+    def stdin_run(self, monkeypatch, capsys, argv, data):
+        # stdin as the interpreter opens it under a UTF-8 locale
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        code = run_command(argv)
+        return (code, *capsys.readouterr())
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r", "\f", "mixed"])
+    @pytest.mark.parametrize("text, code", TEXTS, ids=["centro", "comment", "bad token"])
+    @pytest.mark.parametrize("argv", READERS, ids=" ".join)
+    def test_same_output_as_lf(self, run_cli, monkeypatch, capsys, tmp_path, argv, text, code,
+                               newline):
+        lines = text.split("\n")
+        breaks = cycle(["\r\n", "\r", "\n", "\f"]) if newline == "mixed" else repeat(newline)
+        data = lines[0] + "".join(brk + line for brk, line in zip(breaks, lines[1:]))
+        lf_path, path = tmp_path / "lf.smx", tmp_path / "other.smx"
+        lf_path.write_bytes(text.encode())
+        path.write_bytes(data.encode())
+        expected = run_cli([*argv, "--input", str(lf_path)])
+        assert expected[0] == code
+        assert run_cli([*argv, "--input", str(path)]) == expected
+        assert self.stdin_run(monkeypatch, capsys, argv, data.encode()) == expected
+        assert self.stdin_run(monkeypatch, capsys, argv, text.encode()) == expected
+
+    @pytest.mark.parametrize("data, reason", [
+        (b"1 1\r\n\xff\r\n", "invalid start byte"),
+        (b"1 1\r1\r\xe2\x82", "unexpected end of data"),
+        (b"1 1\n1 \xc3\x28\n", "invalid continuation byte"),
+    ])
+    @pytest.mark.parametrize("argv", READERS, ids=" ".join)
+    def test_undecodable_file(self, run_cli, tmp_path, argv, data, reason):
+        path = tmp_path / "bad.smx"
+        path.write_bytes(data)
+        assert run_cli([*argv, "--input", str(path)]) == (
+            2, "", f"error: the input is not utf-8 text: {reason}\n")

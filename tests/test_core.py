@@ -681,6 +681,65 @@ class TestVertexKeys:
             assert comb.combine() == acc
 
 
+def every_row_vertex_of(a):
+    # `_vertex_of` on a key-less matrix as it read every row before it
+    # stopped early: the oracle for the early stop
+    cols = [core._unit_column(row) for row in a.entries]
+    if None not in cols:
+        return core._Vertex(tuple(cols), a.ncols, None)
+    half = a.nrows // 2
+    row = a.entries[half]
+    if a.nrows % 2 and cols.count(None) == 1 and cols[half] is None and Fraction(1, 2) in row:
+        j = row.index(Fraction(1, 2)) + 1
+        if row == core._center_row(a.ncols, j):
+            return core._Vertex(tuple(cols[:half] + cols[half + 1 :]), a.ncols, j)
+    return None
+
+
+class TestVertexOfStopsEarly:
+    """`_vertex_of` reads rows top down up to the first one that rules a
+    vertex out, with the same result as reading them all."""
+
+    @pytest.fixture
+    def unit_column_calls(self, monkeypatch):
+        calls = []
+        unit_column = core._unit_column
+
+        def counting(row):
+            calls.append(row)
+            return unit_column(row)
+
+        monkeypatch.setattr(core, "_unit_column", counting)
+        return calls
+
+    def test_a_first_row_that_is_not_a_unit_row_ends_the_read(self, unit_column_calls):
+        half = Fraction(1, 2)
+        a = Matrix([[half, half]] + [[1, 0]] * 999)
+        assert _vertex_of(a) is None
+        assert len(unit_column_calls) == 1
+
+    @pytest.mark.parametrize("m", [1, 3, 5, 7])
+    def test_the_middle_row_of_odd_m_is_read_past(self, unit_column_calls, m):
+        cols, n = tuple(range(1, m)), m + 2
+        a = Matrix(_unit_matrix(cols, n, 1).entries)
+        assert _vertex_of(a) == _vertex(cols, n, 1)
+        assert len(unit_column_calls) == m
+
+    def test_equals_reading_every_row(self):
+        rng = random.Random(20261019)
+        values = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3)]
+        for _ in range(3000):
+            m, n = rng.randint(1, 5), rng.randint(1, 4)
+            center = rng.randint(1, n) if m % 2 else None
+            rows = [list(row) for row in _unit_matrix(
+                [rng.randint(1, n) for _ in range(m - (center is not None))], n, center
+            ).entries]
+            for _ in range(rng.choice([0, 0, 1, 2])):
+                rows[rng.randrange(m)][rng.randrange(n)] = rng.choice(values)
+            a = Matrix(rows)
+            assert _vertex_of(a) == every_row_vertex_of(a)
+
+
 class TestRank:
     def test_empty_family(self):
         assert rank_of_family([]) == 0
