@@ -20,7 +20,8 @@ listing is one join of cached fragments in exactly that layout. The same
 writer, `_print_json`, prints the small documents of `check`, `graph`,
 `face count`, `face support` and `normalize`. Every printed number, a face
 count included, goes through `_text`, the one place that refuses a number
-too long to print.
+too long to print. A decomposition's coefficients are int pairs
+(`core._Ratio`) that print as their Fractions, so `decompose` builds none.
 
 `run_command` builds the argument parser on its first call and reuses it for
 the rest of the process; importing this module builds none. A command line

@@ -1,7 +1,7 @@
 """Exact rational matrices and the structural predicates shared by every module.
 
-Scalars are `fractions.Fraction` throughout, so every operation in this
-package is exact and every equality test is bit-for-bit; there are no
+Every scalar handed out is a `fractions.Fraction` (or an int pair held in
+its place), so every operation in this package is exact and every equality test is bit-for-bit; there are no
 tolerances anywhere. Matrices, row-pattern matrices and convex combinations
 are immutable values: operations return fresh objects, and instances are safe
 to hash, reuse and share.
@@ -23,10 +23,13 @@ members, `to_matrix`, combination terms) is made in O(1) and holds only its
 vertex. It is a `_VertexMatrix` until the first read of `entries` builds its
 rows from the vertex, from cached rows that all such matrices share, and
 makes it a plain Matrix; a listing that prints from the vertex builds none.
+A Matrix read from text (`_IntMatrix`) holds its rows as ints the same way.
 `_row_ints` is the one integer view of a row and `_is_stochastic_row` the
 one rule for a stochastic row on it; `is_stochastic` and the greedy sweep
-in `decompose` check rows with both, `rank_of_family` scales rows by the
-first, and none of them compares or adds a Fraction.
+in `decompose` check rows with both (`_int_rows` reads held ints with no
+Fraction), `rank_of_family` scales rows by the first, and none of them
+compares or adds a Fraction. A convex combination holds its coefficients
+as reduced int pairs (`_Ratio`).
 `Matrix(...)`, which converts and checks every entry, is for outside input;
 matrices derived from checked ones are assembled by `_trusted`.
 """
@@ -36,6 +39,7 @@ from __future__ import annotations
 import functools
 import operator
 from fractions import Fraction
+from itertools import starmap
 from math import gcd, lcm
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -137,9 +141,10 @@ class Matrix:
     TypeError. Entry access is 1-based via :meth:`at`.
 
     Equality and hashing read the entries alone. An extreme point built by
-    `_unit_matrix` holds its vertex in the private `_key` slot (None on any
-    other matrix), so `_vertex_of` reads it back in O(1), and leaves
-    `entries` unset until it is first read (`_VertexMatrix`).
+    `_unit_matrix` holds its vertex in the private `_key` slot, so
+    `_vertex_of` reads it back in O(1), and leaves `entries` unset until it
+    is first read (`_VertexMatrix`); on another matrix `_key` is None until
+    `_vertex_of` reads a vertex off the entries and keeps it.
     """
 
     __slots__ = ("nrows", "ncols", "entries", "_key")
@@ -325,9 +330,21 @@ def _keyed(key: _Vertex) -> Matrix:
     return a
 
 
-class _VertexMatrix(Matrix):
-    """An extreme point's Matrix before its rows are read: `__getattr__`
-    runs on the unset `entries` only, builds them from the vertex and makes
+def _held(rows: tuple[tuple[int, ...], ...], ncols: int, values: list[tuple[int, int]]) -> Matrix:
+    """The `_IntMatrix` whose entry (i, j) is values[rows[i][j]], each value
+    a distinct reduced (num, den) pair, den > 0, that some entry has; `rows`
+    must be a nonempty tuple of `ncols`-long tuples. Nothing is checked."""
+    a = _new(_IntMatrix)
+    _set_nrows(a, len(rows))
+    _set_ncols(a, ncols)
+    nums, dens = zip(*values)
+    _set_key(a, (rows, nums, dens))
+    return a
+
+
+class _LazyMatrix(Matrix):
+    """A Matrix before its rows are read: `__getattr__` runs on the unset
+    `entries` only, builds them from what `_key` holds (`_build`) and makes
     the object a plain Matrix, so no other Matrix pays for the hook. It
     names, reprs and pickles itself as a Matrix."""
 
@@ -336,17 +353,52 @@ class _VertexMatrix(Matrix):
     def __getattr__(self, name: str):
         if name != "entries":
             raise AttributeError(f"'Matrix' object has no attribute {name!r}", name=name, obj=self)
-        key = self._key
-        rows = [_unit_row(key.ncols, c) for c in key.cols]
-        if key.center is not None:
-            rows.insert(len(rows) // 2, _center_row(key.ncols, key.center))
-        rows = tuple(rows)
+        rows, key = self._build()
         _set_entries(self, rows)
+        _set_key(self, key)
         object.__setattr__(self, "__class__", Matrix)
         return rows
 
     def __reduce__(self):
         return (Matrix, (self.entries,))
+
+
+class _VertexMatrix(_LazyMatrix):
+    """An extreme point's Matrix: `_key` is its vertex, and stays."""
+
+    __slots__ = ()
+
+    def _build(self):
+        key = self._key
+        rows = [_unit_row(key.ncols, c) for c in key.cols]
+        if key.center is not None:
+            rows.insert(len(rows) // 2, _center_row(key.ncols, key.center))
+        return tuple(rows), key
+
+
+class _IntMatrix(_LazyMatrix):
+    """A Matrix read from text (`_held`): `_key` is (rows, nums, dens),
+    each row a tuple of indices of distinct values nums[k] / dens[k]. The
+    entries take one Fraction per value, and `_key` becomes None;
+    `support()` and `is_zero_one()` read no entry."""
+
+    __slots__ = ()
+
+    def _build(self):
+        rows, nums, dens = self._key
+        values = list(map(Fraction, nums, dens))
+        return tuple([tuple([values[k] for k in row]) for row in rows]), None
+
+    def support(self) -> frozenset[tuple[int, int]]:
+        rows, nums, _ = self._key
+        return frozenset(
+            (i + 1, j + 1) for i, row in enumerate(rows) for j, k in enumerate(row) if nums[k]
+        )
+
+    def is_zero_one(self) -> bool:
+        # every value is some entry's
+        _, nums, dens = self._key
+        return all(d == 1 and 0 <= n <= 1 for n, d in zip(nums, dens))
 
 
 def _unit_column(row: Sequence[Fraction]) -> int | None:
@@ -408,9 +460,11 @@ def _vertex_of(a: Matrix) -> _Vertex | None:
     is; any other matrix has its key read off its entries, top down, up to
     the first row that rules a vertex out: a row other than a unit row,
     except the middle row of an odd row count, which may be a centre row.
+    A key read off the entries is kept in `a`, so it is read once.
     """
-    if a._key is not None:
-        return a._key
+    key = a._key
+    if isinstance(key, _Vertex):
+        return key
     half = a.nrows // 2
     # the one row that may be other than a unit row: the middle of odd m
     middle = half if a.nrows % 2 else None
@@ -421,13 +475,15 @@ def _vertex_of(a: Matrix) -> _Vertex | None:
             return None
         cols.append(col)
     if None not in cols:
-        return _Vertex(tuple(cols), a.ncols, None)
-    row = a.entries[half]
-    if _HALF in row:
-        j = row.index(_HALF) + 1
-        if row == _center_row(a.ncols, j):
-            return _Vertex(tuple(cols[:half] + cols[half + 1 :]), a.ncols, j)
-    return None
+        key = _Vertex(tuple(cols), a.ncols, None)
+    else:
+        row = a.entries[half]
+        j = row.index(_HALF) + 1 if _HALF in row else None
+        if j is None or row != _center_row(a.ncols, j):
+            return None
+        key = _Vertex(tuple(cols[:half] + cols[half + 1 :]), a.ncols, j)
+    _set_key(a, key)
+    return key
 
 
 def _row_ints(row: Sequence[Fraction]) -> tuple[int, list[int]]:
@@ -439,6 +495,20 @@ def _row_ints(row: Sequence[Fraction]) -> tuple[int, list[int]]:
     return d, [x.numerator * (d // x.denominator) for x in row]
 
 
+def _int_rows(a: Matrix) -> Iterator[tuple[int, list[int]]]:
+    """The `_row_ints` of a's rows, top down and lazily; an `_IntMatrix`
+    gives them off its held ints, building no Fraction."""
+    if type(a) is not _IntMatrix:
+        return map(_row_ints, a.entries)
+    rows, nums, dens = a._key
+
+    def ints(row: tuple[int, ...]) -> tuple[int, list[int]]:
+        d = lcm(*{dens[k] for k in row})
+        return d, [nums[k] * (d // dens[k]) for k in row]
+
+    return map(ints, rows)
+
+
 def _is_stochastic_row(d: int, nums: list[int]) -> bool:
     """The stochastic-row rule on a row's `_row_ints` (d, nums): no num is
     negative, and the nums sum to d."""
@@ -447,13 +517,14 @@ def _is_stochastic_row(d: int, nums: list[int]) -> bool:
 
 def is_stochastic(a: Matrix) -> bool:
     """True iff every entry is nonnegative and every row sums to exactly 1."""
-    return all(_is_stochastic_row(*_row_ints(row)) for row in a.entries)
+    return all(starmap(_is_stochastic_row, _int_rows(a)))
 
 
 def is_centrosymmetric(a: Matrix) -> bool:
     """True iff the matrix equals its half-turn rotation: row i is row
-    m+1-i reversed."""
-    e = a.entries
+    m+1-i reversed. An `_IntMatrix`'s rows index distinct values, so they
+    compare as the entries do."""
+    e = a._key[0] if type(a) is _IntMatrix else a.entries
     return all(e[i] == e[-1 - i][::-1] for i in range((a.nrows + 1) // 2))
 
 
@@ -532,42 +603,69 @@ class RectPermMatrix(_Vertex):
 _new_rect_perm = functools.partial(tuple.__new__, RectPermMatrix)
 
 
+class _Ratio(NamedTuple):
+    """num / den reduced, den > 0, as a Fraction holds it; it prints as that
+    Fraction does."""
+
+    num: int
+    den: int
+
+    def __str__(self) -> str:
+        return str(self.num) if self.den == 1 else f"{self.num}/{self.den}"
+
+
+# _Ratio._make without its length check: the ratio of a reduced (num, den) tuple
+_new_ratio = functools.partial(tuple.__new__, _Ratio)
+
+
+def _ratio_sum(x: _Ratio, y: _Ratio) -> _Ratio:
+    """x + y, reduced."""
+    n, d = x.num * y.den + y.num * x.den, x.den * y.den
+    g = gcd(n, d)
+    return _new_ratio((n // g, d // g))
+
+
 class ConvexCombination:
     """Convex combination of equally shaped matrices.
 
     Terms are (coefficient, matrix) pairs. Construction merges repeated
     matrices by adding their coefficients (first occurrence fixes the order),
     then requires every merged coefficient to lie in (0, 1] and the total to
-    be exactly 1. Both checks run on ints: a coefficient n/d needs
-    0 < n <= d, and the total is a numerator and denominator reduced after
-    each addition, as Fraction addition reduces them; a Fraction is built
-    only for an error message. The partial sums of a greedy decomposition
-    are its breakpoints, so that total stays as small as its terms. (One
-    common denominator of all coefficients would not: their lcm grows with
-    every unrelated denominator.)
+    be exactly 1. Coefficients are held and checked as reduced int pairs
+    (`_Ratio`, as the decompositions give them; any other coefficient is
+    converted): a coefficient n/d needs 0 < n <= d, and the total is
+    reduced after each addition, as Fraction addition reduces it. The
+    partial sums of a greedy decomposition are its breakpoints, so that
+    total stays as small as its terms. (One common denominator of all
+    coefficients would not: their lcm grows with every unrelated
+    denominator.) `terms`, iteration, `combine()`, repr and pickling build
+    the coefficients' Fractions.
 
-    A term that is an extreme point, whether given as a Matrix or (by the
-    decompositions) as its vertex, is keyed by its vertex: merging hashes a
-    few ints instead of every entry, and `combine()` adds each coefficient
-    into one cell per row. The term matrices are made once, on the first
-    access to `terms` or the first iteration; a vertex's matrix holds only
-    the vertex until its entries are read.
+    A term that is an extreme point, whether given as a Matrix or as its
+    vertex (a `RectPermMatrix`, or the decompositions' `_Vertex`), is keyed
+    by its vertex: merging hashes a few ints instead of every entry, and
+    `combine()` adds each coefficient into one cell per row. The term
+    matrices are made once, on the first access to `terms` or the first
+    iteration; a vertex's matrix holds only the vertex until its entries
+    are read.
     """
 
     __slots__ = ("_coeffs", "_keys", "_shape", "_terms")
 
     def __init__(self, terms: Iterable[tuple]) -> None:
-        merged: dict[_Vertex | Matrix, Fraction] = {}
+        merged: dict[_Vertex | Matrix, _Ratio] = {}
         for coeff, term in terms:
-            if type(term) is _Vertex:
+            if isinstance(term, _Vertex):
                 key = term
             elif isinstance(term, Matrix):
                 key = _vertex_of(term) or term
             else:
-                raise TypeError("terms must pair a coefficient with a Matrix")
-            coeff = _to_rational(coeff)
+                raise TypeError("terms must pair a coefficient with a Matrix or a RectPermMatrix")
+            if type(coeff) is not _Ratio:
+                coeff = _to_rational(coeff)
+                coeff = _new_ratio((coeff.numerator, coeff.denominator))
             previous = merged.get(key)
-            merged[key] = coeff if previous is None else previous + coeff
+            merged[key] = coeff if previous is None else _ratio_sum(previous, coeff)
         if not merged:
             raise ShapeError("a convex combination needs at least one term")
         shapes = {key.shape for key in merged}
@@ -577,7 +675,7 @@ class ConvexCombination:
         # Fraction addition reduces it
         tn, td = 0, 1
         for coeff in merged.values():
-            n, d = coeff.numerator, coeff.denominator
+            n, d = coeff
             if not 0 < n <= d:
                 raise ValueError(f"coefficient {coeff} outside (0, 1]")
             g = gcd(td, d)
@@ -589,7 +687,7 @@ class ConvexCombination:
                 g2 = gcd(t, g)
                 tn, td = t // g2, s * (d // g2)
         if tn != td:
-            raise ValueError(f"coefficients sum to {Fraction(tn, td)}, not 1")
+            raise ValueError(f"coefficients sum to {_new_ratio((tn, td))}, not 1")
         object.__setattr__(self, "_keys", tuple(merged))
         object.__setattr__(self, "_shape", shapes.pop())
         object.__setattr__(self, "_coeffs", tuple(merged.values()))
@@ -599,25 +697,23 @@ class ConvexCombination:
         raise AttributeError("ConvexCombination is immutable")
 
     def __reduce__(self):
-        # a RectPermMatrix key (of a to_matrix() term) travels as its _Vertex
-        keys = [key if isinstance(key, Matrix) else _new_vertex(key) for key in self._keys]
-        return (ConvexCombination, (tuple(zip(self._coeffs, keys)),))
+        return (ConvexCombination, (tuple(zip(starmap(Fraction, self._coeffs), self._keys)),))
 
     @property
     def terms(self) -> tuple[tuple[Fraction, Matrix], ...]:
         """The merged (coefficient, Matrix) pairs, in first-occurrence order."""
         if self._terms is None:
             terms = tuple(
-                (c, key if isinstance(key, Matrix) else _keyed(key))
+                (Fraction(*c), key if isinstance(key, Matrix) else _keyed(key))
                 for c, key in zip(self._coeffs, self._keys)
             )
             object.__setattr__(self, "_terms", terms)
         return self._terms
 
-    def _vertex_terms(self) -> Iterator[tuple[Fraction, _Vertex | Matrix]]:
-        """(coefficient, vertex) pairs in order, building no matrix; a term
-        that is not an extreme point (never one of a decomposition) comes as
-        its Matrix."""
+    def _vertex_terms(self) -> Iterator[tuple[_Ratio, _Vertex | Matrix]]:
+        """(coefficient, vertex) pairs in order, each coefficient a `_Ratio`,
+        building no matrix and no Fraction; a term that is not an extreme
+        point (never one of a decomposition) comes as its Matrix."""
         return zip(self._coeffs, self._keys)
 
     def __len__(self) -> int:
@@ -635,7 +731,7 @@ class ConvexCombination:
         """
         m, n = self._shape
         acc = [[Fraction(0)] * n for _ in range(m)]
-        for coeff, key in zip(self._coeffs, self._keys):
+        for coeff, key in zip(starmap(Fraction, self._coeffs), self._keys):
             if isinstance(key, Matrix):
                 for row, entries in zip(acc, key.entries):
                     for j, x in enumerate(entries):

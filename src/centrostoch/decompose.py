@@ -14,14 +14,15 @@ renormalise), because a marked entry stays the smallest of its row until it
 is used up.
 
 The sweep runs on ints and is the one reader of its input: each row is
-read once, through `core._row_ints`, as ints over its own d, and checked
+read once, through `core._int_rows`, as ints over its own d, and checked
 by `core._is_stochastic_row` before any term is built. Its cumulative sums
 are ints over d, and each inner sum is one event that switches one row to
 its next column. Events are sorted by the float of s / d, which is
 correctly rounded and so in the exact order up to ties; when two floats
 are equal, which may hide distinct exact values, the list is sorted again
-by cross-multiplying. Each distinct breakpoint builds one Fraction, its
-term's coefficient, and no event builds one.
+by cross-multiplying. Each distinct breakpoint gives its term's
+coefficient, reduced by one gcd to an int pair (`core._Ratio`); no Fraction
+is built.
 
 The centrosymmetric route checks centrosymmetry first, then sweeps only
 the top ceil(m/2) rows: row m+1-i is row i reversed, so it has the same
@@ -34,8 +35,8 @@ reach `ConvexCombination` as vertices, never as dense matrices.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cmp_to_key
+from math import gcd
 from operator import itemgetter
 
 from centrostoch.core import (
@@ -45,11 +46,13 @@ from centrostoch.core import (
     NotStochasticError,
     RectPermMatrix,
     SplitError,
+    _int_rows,
     _is_stochastic_row,
+    _new_ratio,
     _new_rect_perm,
     _new_vertex,
+    _Ratio,
     _rotated,
-    _row_ints,
     _vertex,
     _Vertex,
     is_centrosymmetric,
@@ -70,7 +73,7 @@ _EXACT = cmp_to_key(lambda x, y: x[1] * y[2] - y[1] * x[2])
 
 
 def _greedy_terms(a: Matrix, mirrored: bool = False) -> list[tuple]:
-    # row i is read once, as its `_row_ints` (d, nums), and raises unless it
+    # row i is read once, as its `_int_rows` (d, nums), and raises unless it
     # is a stochastic row (mirrored, the caller has checked that `a` is
     # centrosymmetric, so the top rows stand for all). Its positive nums are
     # ranked, and each inner cumulative sum s is one event (s / d, s, d, i,
@@ -80,8 +83,7 @@ def _greedy_terms(a: Matrix, mirrored: bool = False) -> list[tuple]:
     # images, and a skewed term comes with half its weight, as it is split.
     m, n = a.shape
     events, cols, skew = [], [0] * m, 0
-    for i in range((m + 1) // 2 if mirrored else m):
-        d, nums = _row_ints(a.entries[i])
+    for i, (d, nums) in zip(range((m + 1) // 2 if mirrored else m), _int_rows(a)):
         if not _is_stochastic_row(d, nums):
             raise NotStochasticError("decomposition input must be row-stochastic")
         ranked = sorted([(v, j) for j, v in enumerate(nums, 1) if v])
@@ -109,7 +111,9 @@ def _greedy_terms(a: Matrix, mirrored: bool = False) -> list[tuple]:
     ps, pd = 0, 1  # the previous breakpoint, ps / pd
     for _, s, d, i, c, k, c2, flip in events:
         if s * pd != ps * d:
-            coeff = Fraction(s * pd - ps * d, d * pd << (skew > 0))
+            num, den = s * pd - ps * d, d * pd << (skew > 0)
+            g = gcd(num, den)
+            coeff = _new_ratio((num // g, den // g))
             terms.append((coeff, tuple(cols), skew) if mirrored else (coeff, tuple(cols)))
             ps, pd = s, d
         cols[i], cols[k] = c, c2
@@ -180,7 +184,7 @@ def decompose_centrosymmetric(a: Matrix) -> ConvexCombination:
         raise NotCentrosymmetricError("input must be centrosymmetric")
     m, n = a.shape
     half = m // 2
-    terms: list[tuple[Fraction, _Vertex]] = []
+    terms: list[tuple[_Ratio, _Vertex]] = []
     for coeff, cols, skew in _greedy_terms(a, mirrored=True):
         # columns the sweep read off a checked matrix, so trusted below
         top, bottom, center = cols[:half], cols[m - half :], cols[half] if m % 2 else None

@@ -9,12 +9,14 @@ Writing then reading a matrix reproduces it bit-for-bit.
 A token's text fixes its value, so each distinct token of an input is
 parsed and checked once, at its first occurrence; only tokens that parse
 are remembered, so an error names the first line where a bad token occurs.
-A token ``a`` or ``a/b`` of ASCII digits, as `format_matrix` writes every
-nonnegative entry, is read as the two ints Fraction's string parser would
-read, without that parser or the exponent check; any other token takes the
-string parser. Both routes give the same value and the same error. The
-checked rows of Fractions become the Matrix as they are, with no second
-conversion.
+A token is read as its value's reduced (num, den) int pair: a token ``a``
+or ``a/b`` of ASCII digits, as `format_matrix` writes every nonnegative
+entry, as the two ints Fraction's string parser would read, reduced by
+their gcd, without that parser or the exponent check; any other token by
+the string parser. Both routes give the same value and the same error. The
+Matrix holds each row as indices of its distinct values (`core._held`),
+with no second check; its entries, one Fraction per value, are built when
+they are first read.
 
 A decimal exponent (``1e-3``) may not exceed 4300 in absolute value, the
 interpreter's default limit on the digits of an int read from a string;
@@ -33,8 +35,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
-from centrostoch.core import Matrix, _trusted
+from centrostoch.core import Matrix, _held
 
 __all__ = ["SmxError", "parse_matrix", "format_matrix"]
 
@@ -62,8 +65,8 @@ def _data_lines(text: str):
         yield number, line
 
 
-def _rational(token: str, number: int) -> Fraction:
-    # the value of an entry token on line `number`
+def _rational(token: str, number: int) -> tuple[int, int]:
+    # the value of an entry token on line `number`, as its reduced (num, den)
     numerator, slash, denominator = token.partition("/")
     # `a` or `a/b` in ASCII digits: the two ints Fraction(token) would read
     digits = token.isascii() and numerator.isdigit() and (not slash or denominator.isdigit())
@@ -77,9 +80,12 @@ def _rational(token: str, number: int) -> Fraction:
             raise SmxError(f"line {number}: exponent outside -{_MAX_EXPONENT}..{_MAX_EXPONENT}")
     try:
         if not digits:
-            return Fraction(token)
-        value = int(numerator)
-        return Fraction(value, int(denominator)) if slash else Fraction(value)
+            return Fraction(token).as_integer_ratio()
+        num, den = int(numerator), int(denominator) if slash else 1
+        if not den:
+            raise ZeroDivisionError  # as Fraction(num, 0) does
+        g = gcd(num, den)
+        return num // g, den // g
     except (ValueError, ZeroDivisionError):
         raise SmxError(f"line {number}: bad rational {_quote(token)}") from None
 
@@ -102,7 +108,8 @@ def parse_matrix(text: str) -> Matrix:
         raise SmxError(f"line {header_no}: dimensions must be positive")
 
     rows = []
-    values: dict[str, Fraction] = {}  # each distinct token parsed once
+    index: dict[str, int] = {}  # each distinct token, parsed once -> its value's index
+    values: dict[tuple[int, int], int] = {}  # each distinct value -> its index
     for _ in range(nrows):
         try:
             number, line = next(lines)
@@ -117,15 +124,15 @@ def parse_matrix(text: str) -> Matrix:
             )
         row = []
         for token in tokens:
-            value = values.get(token)
-            if value is None:
-                value = values[token] = _rational(token, number)
-            row.append(value)
+            k = index.get(token)
+            if k is None:
+                k = index[token] = values.setdefault(_rational(token, number), len(values))
+            row.append(k)
         rows.append(tuple(row))
     for number, _ in lines:
         raise SmxError(f"line {number}: data after the final row")
-    # the rows are checked Fractions of width ncols: nothing to convert
-    return _trusted(tuple(rows), ncols)
+    # the rows are checked indices of width ncols: nothing to convert
+    return _held(tuple(rows), ncols, list(values))
 
 
 def format_matrix(a: Matrix) -> str:

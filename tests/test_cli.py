@@ -4,6 +4,7 @@ import io
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
 from itertools import cycle, repeat
@@ -820,6 +821,37 @@ class TestModuleEntryPoint:
         code, out, err = run_cli(argv)
         assert proc.returncode == code == 0
         assert proc.stdout == out
+
+    def test_console_script_command_lines(self):
+        # through the installed `centrostoch` script when there is one
+        script = shutil.which("centrostoch")
+        command = [script] if script else [sys.executable, "-m", "centrostoch"]
+        env = {**os.environ, "PYTHONIOENCODING": "utf-8"}
+        if not script:
+            env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+
+        def run(*argv, stdin=b""):
+            proc = subprocess.run([*command, *argv], input=stdin, capture_output=True, env=env,
+                                  timeout=60)
+            return proc.returncode, proc.stdout.decode(), proc.stderr.decode().splitlines()
+
+        code, out, _ = run("enumerate", "--extremes", "--m", "2", "--n", "2")
+        assert code == 0 and out.startswith("[1]\n")
+        # undecodable stdin is a usage error: exit 2, not a traceback
+        assert run("check", stdin=b"1 1\n\xff\n")[0] == 2
+        # a bad bottom row on a matrix that is not centrosymmetric is refused
+        # as not stochastic: exit 1, nothing on stdout
+        code, out, err = run("decompose", "--centro", stdin=b"2 2\n1 0\n2 -1\n")
+        assert (code, out) == (1, "")
+        assert "error: decomposition input must be row-stochastic" in err
+        # an unknown flag after a command gets the top-level usage: exit 2
+        code, _, err = run("decompose", "--bogus")
+        assert code == 2 and err[0].startswith("usage: centrostoch [-h]")
+        assert run("decompose", "--help")[0] == 0
+        # an empty --input path names no file: exit 2, nothing on stdout
+        code, out, err = run("check", "--input", "", stdin=b"1 1\n1\n")
+        assert (code, out) == (2, "")
+        assert "error: [Errno 2] No such file or directory: ''" in err
 
 
 class TestBasis:

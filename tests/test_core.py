@@ -28,6 +28,7 @@ from centrostoch import (
     enumerate_extreme_centro,
     enumerate_extreme_stochastic,
     enumerate_face_vertices,
+    format_matrix,
     is_centrosymmetric,
     is_extreme_oracle,
     is_stochastic,
@@ -492,10 +493,16 @@ class TestConvexCombination:
         with pytest.raises(AttributeError):
             comb.terms = ()
 
-    def test_a_term_must_be_a_matrix(self):
-        # a RectPermMatrix is the likely slip: pass its to_matrix()
+    def test_a_term_is_a_matrix_or_a_rect_perm_matrix(self):
+        # a RectPermMatrix is its own vertex key: it merges with its to_matrix()
+        r = RectPermMatrix([2, 1], 3)
+        comb = ConvexCombination([("1/4", r), ("1/2", r.to_matrix()), ("1/4", r.rotate_pi())])
+        assert comb.terms == ((Fraction(3, 4), r.to_matrix()),
+                              (Fraction(1, 4), r.rotate_pi().to_matrix()))
+        assert comb.combine() == Matrix([[0, "3/4", "1/4"], ["3/4", "1/4", 0]])
+        assert pickle.loads(pickle.dumps(comb)).terms == comb.terms
         with pytest.raises(TypeError, match="Matrix"):
-            ConvexCombination([(1, RectPermMatrix([1], 2))])
+            ConvexCombination([(1, [[1, 0]])])
 
     def test_repr(self):
         comb = ConvexCombination([("1/3", Matrix([[1, 0]])), ("2/3", Matrix([[0, 1]]))])
@@ -573,7 +580,8 @@ class TestCoefficientChecks:
             terms = coefficient_case(rng)
 
             def library():
-                return tuple(ConvexCombination(terms)._vertex_terms())
+                pairs = ConvexCombination(terms)._vertex_terms()
+                return tuple((Fraction(*c), key) for c, key in pairs)
 
             def reference():
                 merged = reference_merge(terms)
@@ -594,8 +602,8 @@ class TestCoefficientChecks:
         # 1/6 + 1/3 + 1/2: the running total reduces to 1/2, then to 1
         comb = ConvexCombination([("1/6", _vertex((1,), 3)), ("1/3", _vertex((2,), 3)),
                                   ("1/2", _vertex((3,), 3))])
-        assert [c for c, _ in comb._vertex_terms()] == [Fraction(1, 6), Fraction(1, 3),
-                                                       Fraction(1, 2)]
+        assert [Fraction(*c) for c, _ in comb._vertex_terms()] == [Fraction(1, 6), Fraction(1, 3),
+                                                                  Fraction(1, 2)]
         with pytest.raises(ValueError, match=r"^coefficients sum to 5/6, not 1$"):
             ConvexCombination([("1/6", _vertex((1,), 3)), ("2/3", _vertex((2,), 3))])
 
@@ -696,21 +704,22 @@ def every_row_vertex_of(a):
     return None
 
 
+@pytest.fixture
+def unit_column_calls(monkeypatch):
+    calls = []
+    unit_column = core._unit_column
+
+    def counting(row):
+        calls.append(row)
+        return unit_column(row)
+
+    monkeypatch.setattr(core, "_unit_column", counting)
+    return calls
+
+
 class TestVertexOfStopsEarly:
     """`_vertex_of` reads rows top down up to the first one that rules a
     vertex out, with the same result as reading them all."""
-
-    @pytest.fixture
-    def unit_column_calls(self, monkeypatch):
-        calls = []
-        unit_column = core._unit_column
-
-        def counting(row):
-            calls.append(row)
-            return unit_column(row)
-
-        monkeypatch.setattr(core, "_unit_column", counting)
-        return calls
 
     def test_a_first_row_that_is_not_a_unit_row_ends_the_read(self, unit_column_calls):
         half = Fraction(1, 2)
@@ -738,6 +747,39 @@ class TestVertexOfStopsEarly:
                 rows[rng.randrange(m)][rng.randrange(n)] = rng.choice(values)
             a = Matrix(rows)
             assert _vertex_of(a) == every_row_vertex_of(a)
+
+
+class TestVertexKept:
+    """A vertex `_vertex_of` reads off a matrix's entries is kept in the
+    matrix, so it is read once; equality, hashing and pickling still read
+    the entries alone."""
+
+    def test_check_reads_a_centre_row_vertex_once(self, run_cli, unit_column_calls):
+        # both extremality predicates read the vertex of the 7x7 input
+        a = _unit_matrix((1, 2, 3, 5, 6, 7), 7, 2)
+        code, out, err = run_cli(["check"], format_matrix(a))
+        assert (code, err) == (0, "")
+        assert out == ("stochastic=true\ncentrosymmetric=true\nextreme_stochastic=false\n"
+                       "extreme_centrosymmetric=true\n")
+        assert len(unit_column_calls) == 7
+
+    @pytest.mark.parametrize("center", [None, 2])
+    def test_a_kept_vertex_changes_no_value(self, unit_column_calls, center):
+        rows = _unit_matrix((3, 1, 2, 3), 4, center).entries
+        a, b = Matrix(rows), Matrix(rows)
+        assert a._key is None
+        vertex = _vertex_of(a)
+        assert a._key is vertex and _vertex_of(a) is vertex
+        assert len(unit_column_calls) == a.nrows
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        for c in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+            assert type(c) is Matrix and c == a and c._key is None
+        if center is None:
+            assert FacePattern(a)._key is vertex
+
+    def test_a_matrix_that_is_no_vertex_keeps_none(self):
+        a = Matrix([["1/2", "1/2"], [1, 0]])
+        assert _vertex_of(a) is None and a._key is None
 
 
 class TestRank:

@@ -19,9 +19,11 @@ from centrostoch import (
     SplitError,
     decompose_centrosymmetric,
     decompose_stochastic,
+    format_matrix,
     is_centrosymmetric,
     is_extreme_centro,
     is_extreme_stochastic,
+    parse_matrix,
     rotate_pi,
     split_noncentrosymmetric,
 )
@@ -376,11 +378,11 @@ class TestMirroredSweep:
         a = random_centro_stochastic(random.Random(m), m, 5)
         read = []
 
-        def counted(row, real=decompose_module._row_ints):
+        def counted(row, real=core_module._row_ints):
             read.append(row)
             return real(row)
 
-        monkeypatch.setattr(decompose_module, "_row_ints", counted)
+        monkeypatch.setattr(core_module, "_row_ints", counted)
         decompose_module._greedy_terms(a, mirrored=True)
         assert read == list(a.entries[: (m + 1) // 2])
 
@@ -402,7 +404,6 @@ class TestEachRowReadOnce:
             return real(row)
 
         monkeypatch.setattr(core_module, "_row_ints", counted)
-        monkeypatch.setattr(decompose_module, "_row_ints", counted)
         decompose_stochastic(plain)
         assert len(read) == m
         read.clear()
@@ -467,14 +468,6 @@ def inner_sums(row):
     return list(accumulate(sorted(x for x in row if x > 0)))[:-1]
 
 
-def collided_events(a):
-    # events (inner breakpoints, one per row that has it) whose float is
-    # shared with another event
-    floats = [float(s) for row in a.entries for s in inner_sums(row)]
-    counts = Counter(floats)
-    return sum(1 for f in floats if counts[f] > 1)
-
-
 def float_collisions(a):
     # floats that stand for more than one distinct exact breakpoint
     exact = defaultdict(set)
@@ -537,7 +530,7 @@ def thirty_bit_rows(rng, count, n):
 class TestEventSweep:
     """The integer event sweep gives the peel loop's terms, in order, where
     floats collide, on ties, on edge shapes and on unrelated row lcms, and
-    builds no Fraction per event."""
+    builds no Fraction."""
 
     EPSILONS = (Fraction(1, 2**60), Fraction(1, 2**80), Fraction(1, 2**1100))
 
@@ -567,7 +560,8 @@ class TestEventSweep:
 
     def assert_equals_reference(self, a):
         expected = [(c, r.row_to_col) for c, r in reference_greedy_terms(a)]
-        assert decompose_module._greedy_terms(a) == expected
+        terms = decompose_module._greedy_terms(a)
+        assert [(Fraction(*c), cols) for c, cols in terms] == expected
         assert list(decompose_stochastic(a)) == list(reference_decompose_stochastic(a))
         if is_centrosymmetric(a):
             assert list(decompose_centrosymmetric(a)) == list(reference_decompose_centrosymmetric(a))
@@ -592,8 +586,9 @@ class TestEventSweep:
 
     def test_no_fraction_per_event(self, monkeypatch):
         # every Fraction built while the sweep runs (through Python 3.11,
-        # Fraction arithmetic builds its results through __new__ too): at
-        # most one per term, plus one per event whose float collides
+        # Fraction arithmetic builds its results through __new__ too): none,
+        # as the coefficients are int pairs and colliding floats are ordered
+        # by cross-multiplying ints
         new = Fraction.__new__
         built = []
 
@@ -607,4 +602,44 @@ class TestEventSweep:
             monkeypatch.setattr(Fraction, "__new__", counting)
             terms = decompose_module._greedy_terms(a)
             monkeypatch.undo()
-            assert len(built) <= len(terms) + collided_events(a), a.shape
+            assert built == [] and terms, a.shape
+
+
+class TestNoFraction:
+    """From SMX text to printed coefficients, a decomposition builds no
+    Fraction: the parsed matrix holds ints, the sweep reads them, and the
+    coefficients stay reduced int pairs until printed. The terms built
+    later, as Fractions, are still the reference's."""
+
+    def inputs(self):
+        rng = random.Random(2701)
+        plain = [random_stochastic(rng, m, n, rng.choice([2, 9, 10**6]))
+                 for m in range(1, 9) for n in (1, 3, 6)]
+        centro = [random_centro_stochastic(rng, m, n, rng.choice([2, 9, 10**6]))
+                  for m in range(1, 9) for n in (1, 3, 6)]
+        return plain, centro
+
+    def test_the_command_builds_none(self, run_cli, monkeypatch):
+        new = Fraction.__new__
+        built = []
+
+        def counting(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        plain, centro = self.inputs()
+        runs = [(a, flags) for a in plain for flags in ([], ["--json"])]
+        runs += [(a, ["--centro", *json]) for a in centro for json in ([], ["--json"])]
+        for a, flags in runs:
+            text = format_matrix(a)
+            monkeypatch.setattr(Fraction, "__new__", counting)
+            code, out, err = run_cli(["decompose", *flags], text)
+            monkeypatch.undo()
+            assert (code, err, built) == (0, "", []), (text, flags)
+            comb = (decompose_centrosymmetric if "--centro" in flags else decompose_stochastic)(
+                parse_matrix(text))
+            if "--centro" in flags:
+                assert list(comb) == list(reference_decompose_centrosymmetric(a))
+            else:
+                assert list(comb) == list(reference_decompose_stochastic(a))
+            assert all(type(c) is Fraction for c, _ in comb.terms)

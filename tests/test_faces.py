@@ -298,29 +298,32 @@ class TestPatternBuiltOnce:
     @pytest.mark.parametrize("action", ["count", "support"])
     @pytest.mark.parametrize("centro", [False, True], ids=["plain", "centro"])
     def test_cli_builds_one_matrix(self, run_cli, monkeypatch, action, centro):
-        # a Matrix is built by its constructor, or by core._trusted from rows
-        # that are already checked Fractions (as the parse does): count both
+        # a Matrix is built by its constructor, by core._trusted from rows
+        # that are already checked Fractions, or by core._held from checked
+        # int rows (as the parse does): count all three
         built = []
         init = Matrix.__init__
-        trusted = core._trusted
 
         def counting(self, rows):
             built.append(type(self))
             init(self, rows)
 
-        def counting_trusted(*args):
-            a = trusted(*args)
-            built.append(type(a))
-            return a
+        def counting_builder(builder):
+            def build(*args):
+                a = builder(*args)
+                built.append(type(a))
+                return a
+            return build
 
         monkeypatch.setattr(Matrix, "__init__", counting)
-        for name, module in list(sys.modules.items()):
-            if name.startswith("centrostoch") and getattr(module, "_trusted", None) is trusted:
-                monkeypatch.setattr(module, "_trusted", counting_trusted)
+        for builder in (core._trusted, core._held):
+            for name, module in list(sys.modules.items()):
+                if name.startswith("centrostoch") and getattr(module, builder.__name__, None) is builder:
+                    monkeypatch.setattr(module, builder.__name__, counting_builder(builder))
         argv = ["face", action, *(["--centro"] if centro else []), "--json"]
         code, out, err = run_cli(argv, "3 3\n1 1 0\n1 0 1\n0 1 1\n")
         assert (code, err) == (0, "")
-        assert built == [Matrix]
+        assert built == [core._IntMatrix]
 
     @pytest.mark.parametrize("centro", [False, True], ids=["plain", "centro"])
     def test_cli_count_walks_the_pattern_once(self, run_cli, monkeypatch, centro):

@@ -1,5 +1,7 @@
 """SMX text format: exact parsing, formatting, round trips."""
 
+import copy
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -8,7 +10,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from centrostoch import Matrix, SmxError, core, format_matrix, parse_matrix, smx
+from centrostoch import (
+    FacePattern,
+    Matrix,
+    SmxError,
+    core,
+    format_matrix,
+    is_centrosymmetric,
+    is_stochastic,
+    parse_matrix,
+    smx,
+)
+from test_fuzz import _noise, _valid
 
 rationals = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 17))
 
@@ -204,8 +217,8 @@ class TestDigitTokens:
 
 
 class TestTrustedParse:
-    """The parsed rows are already checked Fractions, so they become the
-    Matrix as they are: no entry is converted a second time."""
+    """The parsed rows are already checked, so they become the Matrix as
+    they are: no entry is converted a second time."""
 
     def test_no_entry_is_converted_again(self, monkeypatch):
         converted = []
@@ -229,6 +242,110 @@ class TestTrustedParse:
             assert all(type(row) is tuple for row in a.entries)
             with pytest.raises(AttributeError):
                 a.entries = b.entries
+
+
+def reference_parse(text):
+    """SMX read token by token through Fraction(token), with the decimal
+    exponent limit: the token rows, or the SmxError message."""
+    data = [(number, line.strip()) for number, line in enumerate(text.splitlines(), 1)
+            if line.strip() and not line.strip().startswith("#")]
+    if not data:
+        return "empty input: expected a dimension line 'm n'"
+    (number, header), data = data[0], data[1:]
+    parts = header.split()
+    if len(parts) != 2:
+        return f"line {number}: expected 'm n', got {smx._quote(header)}"
+    try:
+        m, n = int(parts[0]), int(parts[1])
+    except ValueError:
+        return f"line {number}: dimensions must be integers"
+    if m < 1 or n < 1:
+        return f"line {number}: dimensions must be positive"
+    rows = []
+    for number, line in data[:m]:
+        tokens = line.split()
+        if len(tokens) != n:
+            return f"line {number}: expected {n} entries, found {len(tokens)}"
+        for token in tokens:
+            exponent = smx._EXPONENT.search(token)
+            if exponent and abs(int(exponent[1])) > smx._MAX_EXPONENT:
+                return f"line {number}: exponent outside -4300..4300"
+            outcome = fraction_outcome(token, number)
+            if type(outcome) is str:
+                return outcome
+        rows.append(tokens)
+    if len(rows) < m:
+        return f"expected {m} rows, found only {len(rows)}"
+    if len(data) > m:
+        return f"line {data[m][0]}: data after the final row"
+    return rows
+
+
+# spellings of one value, so a mirrored row may spell its entries otherwise
+SPELLINGS = {"0": ["0", "-0", "0/7", "0.0"], "1": ["1", "1/1", "1.0", "+1"],
+             "1/2": ["1/2", "2/4", "0.5", "5e-1"], "1/4": ["1/4", "0.25", "25E-2"],
+             "3/4": ["3/4", "6/8", "0.75"], "1/3": ["1/3", "2/6"], "2/3": ["2/3", "4/6"]}
+
+
+def differential_texts():
+    # the token pools above, fuzz-shaped text good and bad, and
+    # centrosymmetric token rows whose mirrors are spelt otherwise
+    rng = random.Random(271828)
+    pool = ["0", "1", "-3", "+2", "1/2", "2/4", "0.5", "-7/3", "0.125", "1e-3", "25E-2",
+            "1_000", "3/1_0", "-0", "12.5e1", "99999999999/7", "007/010"]
+    texts = []
+    for _ in range(300):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        lines = [" ".join(rng.choice(pool) for _ in range(n)) for _ in range(m)]
+        texts.append(f"{m} {n}\n" + "".join(line + "\n" for line in lines))
+    for _ in range(300):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        top = [[rng.choice(list(SPELLINGS)) for _ in range(n)] for _ in range((m + 1) // 2)]
+        if m % 2:
+            top[-1][n // 2 :] = top[-1][: (n + 1) // 2][::-1]
+        rows = top + [row[::-1] for row in top[: m // 2][::-1]]
+        if rng.random() < 0.3:
+            rows[rng.randrange(m)][rng.randrange(n)] = rng.choice(pool)
+        lines = [" ".join(rng.choice(SPELLINGS.get(t, [t])) for t in row) for row in rows]
+        texts.append(f"{m} {n}\n" + "".join(line + "\n" for line in lines))
+    texts += [_valid(rng) for _ in range(400)] + [_noise(rng) for _ in range(400)]
+    return texts
+
+
+class TestParseDifferential:
+    """parse_matrix against Matrix(token rows): the same matrix, read as
+    the same ints before any entry is, and the same errors."""
+
+    def test_equals_the_matrix_of_the_tokens(self):
+        outcomes = {"parsed": 0, "refused": 0, "centrosymmetric": 0}
+        for text in differential_texts():
+            expected = reference_parse(text)
+            try:
+                a = parse_matrix(text)
+            except SmxError as exc:
+                assert type(exc) is SmxError and str(exc) == expected, text
+                outcomes["refused"] += 1
+                continue
+            assert type(expected) is list, (text, expected)
+            b = Matrix(expected)
+            # read off the held ints first: no entry is built for these
+            assert type(a) is core._IntMatrix
+            assert list(core._int_rows(a)) == [core._row_ints(row) for row in b.entries]
+            assert is_stochastic(a) == is_stochastic(b)
+            assert is_centrosymmetric(a) == is_centrosymmetric(b)
+            assert a.support() == b.support() and a.is_zero_one() == b.is_zero_one()
+            assert type(a) is core._IntMatrix
+            assert repr(a) == repr(b) and a == b and hash(a) == hash(b)
+            assert a.entries == b.entries and type(a) is Matrix and a._key is None
+            for c in (pickle.loads(pickle.dumps(parse_matrix(text))),
+                      copy.deepcopy(parse_matrix(text))):
+                assert type(c) is Matrix and c == b
+            if b.is_zero_one():
+                p = FacePattern(parse_matrix(text))
+                assert p == b and p._key is None and p.entries == b.entries
+            outcomes["parsed"] += 1
+            outcomes["centrosymmetric"] += is_centrosymmetric(b) and b.nrows > 1
+        assert min(outcomes.values()) > 150, outcomes
 
 
 class TestFormat:
