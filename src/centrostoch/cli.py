@@ -15,13 +15,17 @@ once per command and shared by every matrix that has it. One writer,
 `_print_blocks`, numbers and joins the texts of every listing in C; a
 matrix without a centre row is one join of its cached rows, so only centre
 rows cost a Python call per matrix. In JSON a rendered row is its finished
-`json.dumps(indent=2)` text at the nesting the command puts it, so a
-listing is one join of cached fragments in exactly that layout. The same
-writer, `_print_json`, prints the small documents of `check`, `graph`,
-`face count`, `face support` and `normalize`. Every printed number, a face
-count included, goes through `_text`, the one place that refuses a number
-too long to print. A decomposition's coefficients are int pairs
-(`core._Ratio`) that print as their Fractions, so `decompose` builds none.
+`json.dumps(indent=2)` text at the nesting the command puts it, and
+`_print_items` writes such a document as a fixed head, one `str.format` per
+item (a decomposition term or a listed matrix) around the join of its
+rows, and a tail; the items go to stdout one at a time, so the document is
+never held whole. The small flat documents of `check`, `graph`, `face
+count`, `face support` and `normalize` print through `json.dumps`
+(`_print_json`). Every printed number, a face count included, goes through
+`_text`, the one place that refuses a number too long to print, and every
+refusal comes before the first write, so a refused command leaves stdout
+empty. A decomposition's coefficients are int pairs (`core._Ratio`) that
+print as their Fractions, so `decompose` builds none.
 
 `run_command` builds the argument parser on its first call and reuses it for
 the rest of the process; importing this module builds none. A command line
@@ -38,7 +42,6 @@ import functools
 import json
 import sys
 from itertools import chain, count, repeat
-from json.encoder import encode_basestring_ascii as _quoted
 from operator import attrgetter
 
 from centrostoch.bases import (
@@ -51,7 +54,6 @@ from centrostoch.core import (
     DEFAULT_ENUMERATION_CAP,
     CentrostochError,
     Matrix,
-    RectPermMatrix,
     _Vertex,
     is_centrosymmetric,
     is_stochastic,
@@ -130,14 +132,14 @@ class _Rows(dict):
             lines.insert(len(lines) // 2, rows[None])
         return lines
 
-    def texts(self, vertices):
-        """The text of each vertex's matrix, lazily; only a listing with
-        centre rows assembles each matrix by a Python call, any other is
-        joined from its column tuple in C."""
+    def texts(self, vertices, sep: str = "\n"):
+        """The text of each vertex's matrix, its rows joined by `sep`,
+        lazily; only a listing with centre rows assembles each matrix by a
+        Python call, any other is joined from its column tuple in C."""
         if any(map(attrgetter("center"), vertices)):
-            return map("\n".join, map(self.matrix, vertices))
+            return map(sep.join, map(self.matrix, vertices))
         cols = map(attrgetter("cols"), vertices)
-        return map("\n".join, map(map, repeat(self[None].__getitem__), cols))
+        return map(sep.join, map(map, repeat(self[None].__getitem__), cols))
 
 
 class _CentreRows(dict):
@@ -175,63 +177,22 @@ class _CentreRows(dict):
 
 
 def _print_json(doc: dict) -> None:
-    """print(json.dumps(doc, indent=2)) for every JSON document the CLI
-    writes, with each listed extreme point held as its vertex (`_Vertex`).
+    # a small flat document: check, graph, face count or support, normalize
+    print(json.dumps(doc, indent=2))
 
-    The document is built of dicts with str keys, lists, str, int, bool,
-    None and vertices; the writer dispatches on each value's exact type. In
-    the indent=2 layout a row's text depends only on its nesting, so each
-    distinct row is rendered once per nesting by `_Rows`, and each key's
-    line head (indent, quoted key, ": ") once per nesting; the document is
-    one join of these shared fragments, with strings written by
-    `encode_basestring_ascii` and other scalars by json.dumps. Every
-    fragment is rendered before anything is written, so a failure leaves
-    stdout empty.
+
+def _print_items(head: str, item: str, tail: str, *fields) -> None:
+    """Write head, then item.format(sep, *values) for each values of
+    zip(*fields), then tail and a newline, to stdout one item at a time.
+
+    sep is a comma before every item but the first. This is a JSON document
+    in the indent=2 layout when head, item and tail are its fragments around
+    the list of items; the items are never held together.
     """
-    out: list[str] = []
-    caches: dict[tuple[int, str], _Rows] = {}  # (n, pad of the matrix) -> its rows
-    heads: dict[str, dict[str, str]] = {}  # indent -> key -> its line head
-
-    def put(value, pad: str) -> None:
-        # append value's text; pad is a newline and the indent of its line
-        kind = type(value)
-        if kind is str:
-            out.append(_quoted(value))
-        elif kind is _Vertex or kind is RectPermMatrix:
-            rows = caches.get((value.ncols, pad))
-            if rows is None:
-                rows = caches[value.ncols, pad] = _Rows(value.ncols, pad + "  ")
-            out.append("[")
-            # each row then a comma; the last comma becomes the bracket
-            out.extend(chain.from_iterable(zip(rows.matrix(value), repeat(","))))
-            out[-1] = pad + "]"
-        elif kind is dict and value:
-            inner = pad + "  "
-            names = heads.get(inner)
-            if names is None:
-                names = heads[inner] = {}
-            out.append("{")
-            for key, item in value.items():
-                head = names.get(key)
-                if head is None:
-                    head = names[key] = f"{inner}{json.dumps(key)}: "
-                out.append(head)
-                put(item, inner)
-                out.append(",")
-            out[-1] = pad + "}"
-        elif kind is list and value:
-            inner = pad + "  "
-            out.append("[")
-            for item in value:
-                out.append(inner)
-                put(item, inner)
-                out.append(",")
-            out[-1] = pad + "]"
-        else:
-            out.append(json.dumps(value))
-
-    put(doc, "\n")
-    print("".join(out))
+    out = sys.stdout
+    out.write(head)
+    out.writelines(map(item.format, chain([""], repeat(",")), *fields))
+    out.write(tail + "\n")
 
 
 def _print_blocks(bodies, suffixes=repeat(""), tail: str | None = None) -> None:
@@ -258,10 +219,14 @@ _KEY = attrgetter("_key")  # a listed extreme point's vertex, read in C
 
 def _print_listing(vertices: list[_Vertex], n: int, as_json: bool, footer: dict) -> int:
     # numbered matrices, then the footer's key=value pairs on one line when
-    # there are any; in JSON the count and the matrices, then the footer (a
-    # count there is the same count and keeps its place)
+    # there are any; in JSON the count and the matrices, then the footer's
+    # other pairs. A listing is never empty: every row has a column to choose
     if as_json:
-        _print_json({"count": len(vertices), "matrices": vertices, **footer})
+        rest = "".join(f',\n  "{key}": {_word(value)}' for key, value in footer.items()
+                       if key != "count")
+        texts = _Rows(n, "\n      ").texts(vertices, ",")
+        _print_items(f'{{\n  "count": {len(vertices)},\n  "matrices": [', "{}\n    [{}\n    ]",
+                     f"\n  ]{rest}\n}}", texts)
     else:
         tail = " ".join(f"{key}={_word(value)}" for key, value in footer.items())
         _print_blocks(_Rows(n).texts(vertices), tail=tail or None)
@@ -296,14 +261,18 @@ def _cmd_check(ns) -> int:
     return _print_report(report, ns.json)
 
 
+# a decomposition term in JSON: the separator, the coefficient, its rows
+_TERM = '{}\n    {{\n      "coefficient": "{}",\n      "matrix": [{}\n      ]\n    }}'
+
+
 def _cmd_decompose(ns) -> int:
     mat = _read_matrix(ns)
     comb = decompose_centrosymmetric(mat) if ns.centro else decompose_stochastic(mat)
-    terms = [(_text(c), v) for c, v in comb._vertex_terms()]
+    coeffs, vertices = zip(*[(_text(c), v) for c, v in comb._vertex_terms()])
     if ns.json:
-        _print_json({"terms": [{"coefficient": c, "matrix": v} for c, v in terms]})
+        texts = _Rows(mat.ncols, "\n        ").texts(vertices, ",")
+        _print_items('{\n  "terms": [', _TERM, "\n  ]\n}", coeffs, texts)
     else:
-        coeffs, vertices = zip(*terms)
         _print_blocks(_Rows(mat.ncols).texts(vertices), map(" coefficient={}".format, coeffs))
     return 0
 

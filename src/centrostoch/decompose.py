@@ -18,11 +18,11 @@ read once, through `core._int_rows`, as ints over its own d, and checked
 by `core._is_stochastic_row` before any term is built. Its cumulative sums
 are ints over d, and each inner sum is one event that switches one row to
 its next column. Events are sorted by the float of s / d, which is
-correctly rounded and so in the exact order up to ties; when two floats
-are equal, which may hide distinct exact values, the list is sorted again
-by cross-multiplying. Each distinct breakpoint gives its term's
-coefficient, reduced by one gcd to an int pair (`core._Ratio`); no Fraction
-is built.
+correctly rounded and so in the exact order up to ties. Below d = 2^26 a
+tie is an equal value; from there, when two floats are equal, which may
+hide distinct exact values, the list is sorted again by cross-multiplying.
+Each distinct breakpoint gives its term's coefficient, reduced by one gcd
+to an int pair (`core._Ratio`); no Fraction is built.
 
 The centrosymmetric route checks centrosymmetry first, then sweeps only
 the top ceil(m/2) rows: row m+1-i is row i reversed, so it has the same
@@ -82,10 +82,11 @@ def _greedy_terms(a: Matrix, mirrored: bool = False) -> list[tuple]:
     # `skew`, moved by flip, counts the top rows whose columns are not mirror
     # images, and a skewed term comes with half its weight, as it is split.
     m, n = a.shape
-    events, cols, skew = [], [0] * m, 0
+    events, cols, skew, dmax = [], [0] * m, 0, 1
     for i, (d, nums) in zip(range((m + 1) // 2 if mirrored else m), _int_rows(a)):
         if not _is_stochastic_row(d, nums):
             raise NotStochasticError("decomposition input must be row-stochastic")
+        dmax = max(dmax, d)
         ranked = sorted([(v, j) for j, v in enumerate(nums, 1) if v])
         k = m - 1 - i if mirrored else i
         flipped = sorted([(v, n + 1 - j) for v, j in ranked]) if k != i else ranked
@@ -100,11 +101,14 @@ def _greedy_terms(a: Matrix, mirrored: bool = False) -> list[tuple]:
             was = now
     # int / int is correctly rounded, so the floats order the events exactly
     # but among equal floats, which may hold distinct exact values; a stable
-    # exact sort then fixes them, near linear on the nearly sorted list. Each
+    # exact sort then fixes them, near linear on the nearly sorted list. It
+    # is needed only from d = 2^26: below, two distinct breakpoints differ by
+    # at least 1 / (d1 d2) > 2^-52, and values in (0, 1] that round to one
+    # float differ by at most 2^-52, so equal floats are equal values. Each
     # distinct breakpoint ends one cell: its term takes the columns in force
     # before it, then the rows that end there switch.
     events.sort(key=itemgetter(0))
-    if len(set(map(itemgetter(0), events))) < len(events):
+    if dmax >= 1 << 26 and len(set(map(itemgetter(0), events))) < len(events):
         events.sort(key=_EXACT)
     events.append((1.0, 1, 1, 0, 0, 0, 0, 0))  # the end point 1; its switch is never read
     terms = []

@@ -584,6 +584,19 @@ class TestEventSweep:
         for a in self.thirty_bit_inputs():
             self.assert_equals_reference(a)
 
+    def test_exact_sort_only_where_floats_can_hide_values(self, monkeypatch):
+        # every event the sweep keys by _EXACT: none below row lcm 2^26, as
+        # equal floats there are equal values; some on colliding floats
+        exact, keyed = decompose_module._EXACT, []
+        monkeypatch.setattr(decompose_module, "_EXACT",
+                            lambda event: keyed.append(event) or exact(event))
+        for a in self.tie_inputs():
+            self.assert_equals_reference(a)
+        assert keyed == []
+        for a in self.colliding_inputs():
+            self.assert_equals_reference(a)
+        assert keyed
+
     def test_no_fraction_per_event(self, monkeypatch):
         # every Fraction built while the sweep runs (through Python 3.11,
         # Fraction arithmetic builds its results through __new__ too): none,
