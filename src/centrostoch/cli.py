@@ -11,10 +11,10 @@ operation), 2 usage or parse error, input that does not decode included.
 Every matrix that `decompose`, `enumerate`, `face vertices` and `basis` list
 is an extreme point, so it is printed from its vertex (`core._Vertex`, as
 each `RectPermMatrix` item of a plain `enumerate` is): each row is rendered
-once per command and shared by every matrix that has it. One writer,
-`_print_blocks`, numbers and joins the texts of every listing in C; a
-matrix without a centre row is one join of its cached rows, so only centre
-rows cost a Python call per matrix. In JSON a rendered row is its finished
+once per command and shared by every matrix that has it. Every matrix is
+one join of its cached rows in C, a centre row joined onto the row above
+it; one writer, `_print_blocks`, numbers the texts of a listing and writes
+them 256 blocks at a time. In JSON a rendered row is its finished
 `json.dumps(indent=2)` text at the nesting the command puts it, and
 `_print_items` writes such a document as a fixed head, one `str.format` per
 item (a decomposition term or a listed matrix) around the join of its
@@ -41,7 +41,7 @@ import argparse
 import functools
 import json
 import sys
-from itertools import chain, count, repeat
+from itertools import chain, count, islice, repeat
 from operator import attrgetter
 
 from centrostoch.bases import (
@@ -117,46 +117,50 @@ class _Rows(dict):
     """
 
     def __init__(self, n: int, pad: str | None = None) -> None:
-        super().__init__()
         self.n, self.pad = n, pad
 
     def __missing__(self, centre: int | None) -> _CentreRows:
         rows = self[centre] = _CentreRows(self.n, self.pad, centre)
         return rows
 
-    def matrix(self, vertex: _Vertex) -> list[str]:
-        """The rendered rows of the vertex's matrix, top to bottom."""
-        rows = self[vertex.center]
-        lines = list(map(rows.__getitem__, vertex.cols))
-        if vertex.center is not None:
-            lines.insert(len(lines) // 2, rows[None])
-        return lines
-
     def texts(self, vertices, sep: str = "\n"):
-        """The text of each vertex's matrix, its rows joined by `sep`,
-        lazily; only a listing with centre rows assembles each matrix by a
-        Python call, any other is joined from its column tuple in C."""
-        if any(map(attrgetter("center"), vertices)):
-            return map(sep.join, map(self.matrix, vertices))
+        """The text of each vertex's matrix, its rows joined by `sep` in C,
+        lazily. Each centre has a layout, a row dict per place of the column
+        tuple; the one at the last top-half place appends `sep` and the
+        centre row. A one-row matrix is its one row."""
         cols = map(attrgetter("cols"), vertices)
-        return map(sep.join, map(map, repeat(self[None].__getitem__), cols))
+        if not any(map(attrgetter("center"), vertices)):
+            return map(sep.join, map(map, repeat(self[None].__getitem__), cols))
+        centres = list(map(attrgetter("center"), vertices))
+        m = vertices[0].shape[0]
+        if m == 1:
+            return [self[v.center][None] if v.center else self[None][v.cols[0]] for v in vertices]
+        half, layouts = m // 2, {None: (self[None],) * m} if None in centres else {}
+        for c in set(centres) - {None}:
+            rows = self[c]
+            joined = _CentreRows(self.n, self.pad, c, rows, sep)
+            layouts[c] = (rows,) * (half - 1) + (joined,) + (rows,) * half
+        return map(sep.join, map(map, repeat(dict.__getitem__), map(layouts.get, centres), cols))
 
 
 class _CentreRows(dict):
     """column -> the rendered unit row with its 1 in `column`, and None ->
     the centre row, 1/2 in columns centre and n+1-centre, of the matrices
-    whose centre is `centre`; each is built on first use.
+    whose centre is `centre`; each is built on first use. With `above`,
+    a column's row is instead `above`'s, `sep` and `above`'s centre row.
 
     In text the two centre columns are three characters wide in every row
     of such a matrix and the others one, so a row renders the same whatever
     rows surround it.
     """
 
-    def __init__(self, n: int, pad: str | None, centre: int | None) -> None:
-        super().__init__()
-        self.n, self.pad, self.centre = n, pad, centre
+    def __init__(self, n: int, pad: str | None, centre: int | None, above=None, sep="") -> None:
+        self.n, self.pad, self.centre, self.above, self.sep = n, pad, centre, above, sep
 
     def __missing__(self, column: int | None) -> str:
+        if self.above is not None:
+            text = self[column] = self.above[column] + self.sep + self.above[None]
+            return text
         # the cells as JSON strings, or as text
         zero, one, half = ('"0"', '"1"', '"1/2"') if self.pad is not None else ("0", "1", "1/2")
         cells = [zero] * self.n
@@ -197,11 +201,14 @@ def _print_items(head: str, item: str, tail: str, *fields) -> None:
 
 def _print_blocks(bodies, suffixes=repeat(""), tail: str | None = None) -> None:
     # each body (a matrix's text) under its header "[k]<suffix>", with a
-    # blank line between consecutive blocks and before the tail line; all
-    # of it is rendered before any is written, so a failure leaves stdout
-    # empty
-    blocks = map("[{}]{}\n{}".format, count(1), suffixes, bodies)
-    print("\n\n".join(blocks if tail is None else chain(blocks, [tail])))
+    # blank line between consecutive blocks and before the tail line, joined
+    # and written 256 blocks at a time; every refusal comes before the first
+    # write, so a failure leaves stdout empty
+    out, blocks = sys.stdout, map("[{}]{}\n{}".format, count(1), suffixes, bodies)
+    out.write("\n\n".join(islice(blocks, 256)))
+    for chunk in iter(lambda: "\n\n".join(islice(blocks, 256)), ""):
+        out.write("\n\n" + chunk)
+    out.write("\n" if tail is None else f"\n\n{tail}\n")
 
 
 def _print_report(report: dict, as_json: bool) -> int:

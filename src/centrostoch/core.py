@@ -19,9 +19,9 @@ back off a Matrix; it is the one statement of what an extreme point looks
 like, and the extremality predicates read it.
 
 The Matrix of an extreme point (`_unit_matrix`: enumerated points, basis
-members, `to_matrix`, combination terms) is made in O(1) and holds only its
-vertex. It is a `_VertexMatrix` until the first read of `entries` builds its
-rows from the vertex, from cached rows that all such matrices share, and
+members, `to_matrix`, combination terms) sets one slot, `_key`, to its
+vertex, and reads its shape off it until the first read of `entries` builds
+its rows from cached rows that all such matrices share, sets its shape and
 makes it a plain Matrix; a listing that prints from the vertex builds none.
 A Matrix read from text (`_IntMatrix`) holds its rows as ints the same way.
 `_row_ints` is the one integer view of a row and `_is_stochastic_row` the
@@ -142,9 +142,9 @@ class Matrix:
 
     Equality and hashing read the entries alone. An extreme point built by
     `_unit_matrix` holds its vertex in the private `_key` slot, so
-    `_vertex_of` reads it back in O(1), and leaves `entries` unset until it
-    is first read (`_VertexMatrix`); on another matrix `_key` is None until
-    `_vertex_of` reads a vertex off the entries and keeps it.
+    `_vertex_of` reads it back in O(1), and leaves the rest unset until
+    `entries` is first read (`_VertexMatrix`); on another matrix `_key` is
+    None until `_vertex_of` reads a vertex off the entries and keeps it.
     """
 
     __slots__ = ("nrows", "ncols", "entries", "_key")
@@ -321,11 +321,10 @@ def _unit_matrix(cols: Sequence[int], n: int, center: int | None = None) -> Matr
 
 
 def _keyed(key: _Vertex) -> Matrix:
-    """The Matrix of the canonical vertex `key` in O(1): its rows are built
-    from the key on the first read of `entries` (`_VertexMatrix`)."""
+    """The Matrix of the canonical vertex `key` in O(1), `_key` its one set
+    slot: its rows are built from the key on the first read of `entries`
+    (`_VertexMatrix`)."""
     a = _new(_VertexMatrix)
-    _set_nrows(a, len(key.cols) + (key.center is not None))
-    _set_ncols(a, key.ncols)
     _set_key(a, key)
     return a
 
@@ -343,8 +342,8 @@ def _held(rows: tuple[tuple[int, ...], ...], ncols: int, values: list[tuple[int,
 
 
 class _LazyMatrix(Matrix):
-    """A Matrix before its rows are read: `__getattr__` runs on the unset
-    `entries` only, builds them from what `_key` holds (`_build`) and makes
+    """A Matrix before its rows are read: `__getattr__` runs on unset slots
+    only, builds `entries` and the shape from `_key` (`_build`) and makes
     the object a plain Matrix, so no other Matrix pays for the hook. It
     names, reprs and pickles itself as a Matrix."""
 
@@ -352,8 +351,12 @@ class _LazyMatrix(Matrix):
 
     def __getattr__(self, name: str):
         if name != "entries":
+            if name == "nrows" or name == "ncols":  # unset only on a `_VertexMatrix`
+                return self._key.shape[name == "ncols"]
             raise AttributeError(f"'Matrix' object has no attribute {name!r}", name=name, obj=self)
         rows, key = self._build()
+        _set_nrows(self, len(rows))
+        _set_ncols(self, len(rows[0]))
         _set_entries(self, rows)
         _set_key(self, key)
         object.__setattr__(self, "__class__", Matrix)
@@ -668,7 +671,9 @@ class ConvexCombination:
             merged[key] = coeff if previous is None else _ratio_sum(previous, coeff)
         if not merged:
             raise ShapeError("a convex combination needs at least one term")
-        shapes = {key.shape for key in merged}
+        # a vertex's shape is read off its fields, with no Python call per key
+        shapes = {(len(key.cols) + (key.center is not None), key.ncols)
+                  if isinstance(key, _Vertex) else key.shape for key in merged}
         if len(shapes) != 1:
             raise ShapeError(f"terms mix shapes: {sorted(shapes)}")
         # on ints: the exact total tn / td, reduced after each step as
@@ -823,8 +828,9 @@ def rank_of_family(family: Iterable[Matrix]) -> int:
     mats = list(family)
     if not mats:
         return 0
+    rows = _integer_rows(mats)  # first: a vertex's Matrix then holds its shape
     shape = mats[0].shape
     for mat in mats:
         if mat.shape != shape:
             raise ShapeError(f"shape mismatch: {shape} vs {mat.shape}")
-    return _rank(_integer_rows(mats))
+    return _rank(rows)

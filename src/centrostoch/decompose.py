@@ -52,8 +52,6 @@ from centrostoch.core import (
     _new_rect_perm,
     _new_vertex,
     _Ratio,
-    _rotated,
-    _vertex,
     _Vertex,
     is_centrosymmetric,
     is_stochastic,
@@ -155,15 +153,17 @@ def split_noncentrosymmetric(
     compared. Requires an even number of rows and a non-centrosymmetric R;
     raises SplitError otherwise.
     """
-    if r.nrows % 2 != 0:
+    cols, n, n1, q1, q2 = r.cols, r.ncols, r.ncols + 1, [], []
+    if len(cols) % 2 != 0:
         raise SplitError("splitting needs an even number of rows")
-    cols, n, h = r.row_to_col, r.ncols, r.nrows // 2
-    top, mirror = cols[:h], _rotated(cols[h:], n)
-    if top == mirror:
+    for a, c in zip(cols, cols[: len(cols) // 2 - 1 : -1]):  # top row i, and row m + 1 - i
+        b = n1 - c
+        q1.append(a if a < b else b)
+        q2.append(b if a < b else a)
+    if q1 == q2:
         raise SplitError("input is already centrosymmetric")
-    q1, q2 = tuple(map(min, top, mirror)), tuple(map(max, top, mirror))
-    return (_new_rect_perm((q1 + _rotated(q1, n), n, None)),
-            _new_rect_perm((q2 + _rotated(q2, n), n, None)))
+    return (_new_rect_perm((tuple(q1 + [n1 - c for c in reversed(q1)]), n, None)),
+            _new_rect_perm((tuple(q2 + [n1 - c for c in reversed(q2)]), n, None)))
 
 
 def decompose_centrosymmetric(a: Matrix) -> ConvexCombination:
@@ -190,11 +190,18 @@ def decompose_centrosymmetric(a: Matrix) -> ConvexCombination:
     half = m // 2
     terms: list[tuple[_Ratio, _Vertex]] = []
     for coeff, cols, skew in _greedy_terms(a, mirrored=True):
-        # columns the sweep read off a checked matrix, so trusted below
-        top, bottom, center = cols[:half], cols[m - half :], cols[half] if m % 2 else None
+        # columns the sweep read off a checked matrix, so trusted below; the
+        # key made once: the middle column stays in the tuple, a centre goes
+        centre = mid = None
+        if m % 2 and 2 * cols[half] == n + 1:
+            mid = cols[half]
+        elif m % 2:
+            centre, cols = min(cols[half], n + 1 - cols[half]), cols[:half] + cols[half + 1 :]
         if not skew:
-            terms.append((coeff, _vertex(top + bottom, n, center)))
+            terms.append((coeff, _new_vertex((cols, n, centre))))
             continue
-        for q in split_noncentrosymmetric(_new_rect_perm((top + bottom, n, None))):
-            terms.append((coeff, _vertex(q.cols, n, center)))
+        rect = cols if mid is None else cols[:half] + cols[half + 1 :]
+        for q in split_noncentrosymmetric(_new_rect_perm((rect, n, None))):
+            q = q.cols if mid is None else q.cols[:half] + (mid,) + q.cols[half:]
+            terms.append((coeff, _new_vertex((q, n, centre))))
     return ConvexCombination(terms)

@@ -16,8 +16,8 @@ support yields the vertices of that pattern's face; `faces` counts them as
 the size of the same product. `pattern=` asks `is_zero_one()`, free on a
 `FacePattern`; a plain Matrix is read for it and again for the supports.
 A plain point is a `RectPermMatrix`, its own vertex key, built in C with
-no Python call; a centrosymmetric point costs one, `core._keyed` on its key
-(odd m adds a step of `_odd_keys`). No enumerator builds a dense row.
+no Python call; a centrosymmetric point's key is built in C too, and the
+point is `core._keyed` of it, one slot set. No enumerator builds a dense row.
 Without a pattern nothing read from input bounds the rows, so `cap` bounds
 the number of free rows as well as the count.
 """
@@ -152,27 +152,21 @@ def _choices(
 
 
 def _mirrored_keys(kept: list[Sequence[int]], m: int, n: int) -> Iterator[_Vertex]:
-    # picks of the top half (then the centre, for odd m) in lockstep with
-    # picks of its mirrored columns n + 1 - c, whose reversal is the bottom
-    # half; even m makes no Python call per key
+    # picks of the top half (then the centre, for odd m, cycling fastest) in
+    # lockstep with picks of its mirrored columns n + 1 - c, whose reversal
+    # (without the centre) is the bottom half; no Python call per key. A
+    # centre j <= n + 1 - j is canonical; the middle one stays in the tuple.
     half = m // 2
     mirrored = [[n + 1 - c for c in choice] for choice in kept[:half]]
     if m % 2 == 0:
         bottoms = map(operator.itemgetter(slice(None, None, -1)), itertools.product(*mirrored))
         cols = map(operator.add, itertools.product(*kept), bottoms)
         return map(_new_vertex, zip(cols, itertools.repeat(n), itertools.repeat(None)))
-    pairs = zip(itertools.product(*kept), itertools.product(*mirrored, kept[half]))
-    return _odd_keys(pairs, half, n)
-
-
-def _odd_keys(pairs, half: int, n: int) -> Iterator[_Vertex]:
-    # mirror[-2::-1]: the mirrored top half reversed, without the centre. A
-    # centre j <= n + 1 - j is canonical; the middle one joins cols.
-    for pick, mirror in pairs:
-        if 2 * pick[half] == n + 1:
-            yield _new_vertex((pick + mirror[-2::-1], n, None))
-        else:
-            yield _new_vertex((pick[:half] + mirror[-2::-1], n, pick[half]))
+    cuts = itertools.cycle([slice(half + (2 * c == n + 1)) for c in kept[half]])
+    tops = map(operator.getitem, itertools.product(*kept), cuts)
+    bottoms = map(operator.itemgetter(slice(-2, None, -1)), itertools.product(*mirrored, kept[half]))
+    centres = itertools.cycle([None if 2 * c == n + 1 else c for c in kept[half]])
+    return map(_new_vertex, zip(map(operator.add, tops, bottoms), itertools.repeat(n), centres))
 
 
 def enumerate_extreme_stochastic(

@@ -5,8 +5,9 @@ op through `cli.run_command`, and hashes the standard output of the ops in
 order, as perfbench/run.py judges a pass. The digests are the published
 `stdout_sha256` of the default seed and the held-out seed; a change that
 alters any byte of a listing, a refusal or a report changes them. The
-decomposition terms and the calls of `split_noncentrosymmetric` are counted
-the same way, through the names the ops call them by. A full
+decomposition terms, the calls of `split_noncentrosymmetric` and the points
+the census lists are counted the same way, through the names the ops call
+them by. A full
 `perfbench/run.py --workload all --seconds 0` checks the same bytes in
 about 18 s; this takes about half a second per seed. Nothing under
 perfbench/ is written.
@@ -15,12 +16,13 @@ perfbench/ is written.
 import hashlib
 import io
 import sys
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from centrostoch import cli, decompose
+from centrostoch import cli, decompose, faces
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -45,6 +47,18 @@ DIGESTS = {
 WORK = {
     20260819: {"stoch-decompose": (1413, 0), "centro-decompose": (846, 303), "census": (0, 0)},
     4099: {"stoch-decompose": (1403, 0), "centro-decompose": (821, 306), "census": (0, 0)},
+}
+
+
+# (extremes.enumerated, faces.candidates, faces.kept) per pass: the listing
+# counts of the traced run, counted through the same names, so a change that
+# lists the census's points by another route fails here as well as under
+# --trace 1
+LISTED = {
+    20260819: {"stoch-decompose": (0, 0, 0), "centro-decompose": (0, 0, 0),
+               "census": (17989, 4520, 4520)},
+    4099: {"stoch-decompose": (0, 0, 0), "centro-decompose": (0, 0, 0),
+           "census": (17989, 4520, 4520)},
 }
 
 
@@ -95,3 +109,30 @@ def test_engine_work_counts(workloads, monkeypatch, tmp_path, seed, workload):
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
             assert cli.run_command(list(op.argv)) == op.expect_rc, op.label
     assert (counts["terms"], counts["splits"]) == WORK[seed][workload]
+
+
+@pytest.mark.parametrize("workload", ["stoch-decompose", "centro-decompose", "census"])
+@pytest.mark.parametrize("seed", sorted(LISTED))
+def test_listing_counts(workloads, monkeypatch, tmp_path, seed, workload):
+    ops, _ = workloads.build(workload, seed, tmp_path)
+    counts = Counter()
+
+    def tally(items, names):
+        for item in items:
+            counts.update(names)
+            yield item
+
+    def counted(fn, names):
+        # called at once, as the op calls it; its items are counted as read
+        return lambda *args, **kwargs: tally(fn(*args, **kwargs), names)
+
+    for kind in ("stochastic", "centro"):
+        name = f"enumerate_extreme_{kind}"
+        monkeypatch.setattr(cli, name, counted(getattr(cli, name), ["enumerated"]))
+        monkeypatch.setattr(faces, name, counted(getattr(faces, name), ["enumerated", "candidates"]))
+    monkeypatch.setattr(cli, "enumerate_face_vertices",
+                        counted(cli.enumerate_face_vertices, ["kept"]))
+    for op in ops:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            assert cli.run_command(list(op.argv)) == op.expect_rc, op.label
+    assert (counts["enumerated"], counts["candidates"], counts["kept"]) == LISTED[seed][workload]

@@ -425,6 +425,53 @@ class TestListingRendering:
         assert code == 0 and len(row_builds) == 5
 
 
+def centre_pattern(rng, m, n, middle):
+    # a random centrosymmetric pattern of odd m whose centre row holds the
+    # middle column (odd n) or does not, and at least one other column
+    # pair when it does not
+    pattern = [list(row) for row in random_pattern(rng, m, n, True).entries]
+    centre = pattern[m // 2]
+    if n % 2:
+        centre[n // 2] = int(middle)
+    if not any(centre) or (n > 1 and middle and rng.random() < 0.5):
+        centre[0] = centre[-1] = 1
+    return Matrix(pattern)
+
+
+class TestCentreRowListings:
+    """Odd-m centrosymmetric listings, whose matrices join a centre row onto
+    their unit rows: every shape from 1 to 7 rows, a one-row listing (odd n
+    mixes centre rows with the middle column's unit row), and faces whose
+    centre row holds the middle column or not, in both layouts."""
+
+    @JSON_FLAGS
+    def test_enumerate(self, run_cli, json_flag):
+        for m in (1, 3, 5, 7):
+            for n in range(1, 7):
+                mats = list(enumerate_extreme_centro(m, n))
+                argv = ["enumerate", "--extremes", "--centro", "--m", str(m), "--n", str(n),
+                        *json_flag]
+                expected = reference_listing_output(mats, bool(json_flag), f"count={len(mats)}")
+                assert run_cli(argv) == (0, expected, ""), (m, n)
+
+    @JSON_FLAGS
+    @pytest.mark.parametrize("middle", [True, False], ids=["middle", "no-middle"])
+    def test_face_vertices(self, run_cli, middle, json_flag):
+        rng = random.Random(2903 + middle)
+        for m in (1, 3, 5):
+            for n in range(1, 7):
+                if middle and n % 2 == 0 or not middle and n == 1:
+                    continue
+                for _ in range(3):
+                    pattern = centre_pattern(rng, m, n, middle)
+                    mats = list(enumerate_face_vertices(pattern, centro=True))
+                    assert any(a._key.center is None for a in mats) == middle
+                    expected = reference_listing_output(mats, bool(json_flag),
+                                                        f"count={len(mats)}")
+                    argv = ["face", "vertices", "--centro", *json_flag]
+                    assert run_cli(argv, format_matrix(pattern)) == (0, expected, ""), pattern
+
+
 class TestJsonFragments:
     """The JSON listings, written from cached row fragments, at the edges of
     the indent=2 layout."""
@@ -566,6 +613,24 @@ class TestStreamedJson:
             tracemalloc.stop()
         assert code == 0 and sink.size > 10**7
         assert peak < sink.size / 10, (peak, sink.size)
+
+    def test_a_text_listing_is_not_held_either(self, monkeypatch):
+        # the listed points are held in both layouts; the text's blocks are
+        # joined and written a chunk at a time, so the text form (4.6 MB)
+        # needs little more than the JSON form (45 MB) does
+        peaks, sizes = [], []
+        for layout in ([], ["--json"]):
+            sink = CountingSink()
+            monkeypatch.setattr(sys, "stdout", sink)
+            tracemalloc.start()
+            try:
+                code = run_command(["enumerate", "--extremes", "--m", "16", "--n", "2", *layout])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            sizes.append(sink.size)
+        assert peaks[0] <= peaks[1] + sizes[0] / 4, (peaks, sizes)
 
     def test_a_reader_that_closes_mid_document(self, tmp_path):
         # the listing (about 2 MB) is far larger than a pipe's buffer, so

@@ -483,6 +483,27 @@ class TestConvexCombination:
         with pytest.raises(ShapeError):
             ConvexCombination([("1/2", Matrix([[1]])), ("1/2", Matrix([[1, 0]]))])
 
+    def test_a_centre_vertex_and_a_plain_vertex_of_one_shape_mix(self):
+        # a centre row makes up for the shorter column tuple
+        centre, plain = core._Vertex((1, 3), 3, 1), core._Vertex((1, 2, 3), 3, None)
+        comb = ConvexCombination([("1/2", centre), ("1/2", plain)])
+        assert comb.combine() == Matrix([[1, 0, 0], ["1/4", "1/2", "1/4"], [0, 0, 1]])
+        assert [t.shape for _, t in comb] == [(3, 3), (3, 3)]
+
+    def test_a_shape_mix_names_every_shape_sorted(self):
+        centre = core._Vertex((1, 3), 3, 1)
+        cases = [
+            ([centre, core._Vertex((1, 3), 3, None)], "[(2, 3), (3, 3)]"),
+            ([Matrix([[1, 0]]), centre, RectPermMatrix([1, 2], 3), centre],
+             "[(1, 2), (2, 3), (3, 3)]"),
+            ([_unit_matrix((2, 1), 2, 1), Matrix([["1/2", "1/2"]]), _unit_matrix((1, 1), 1)],
+             "[(1, 2), (2, 1), (3, 2)]"),
+        ]
+        for terms, shapes in cases:
+            with pytest.raises(ShapeError) as exc:
+                ConvexCombination([(Fraction(1, len(terms)), t) for t in terms])
+            assert str(exc.value) == f"terms mix shapes: {shapes}"
+
     def test_empty_rejected(self):
         with pytest.raises(ShapeError):
             ConvexCombination([])

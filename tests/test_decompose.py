@@ -203,6 +203,28 @@ class TestSplit:
         with pytest.raises(SplitError):
             split_noncentrosymmetric(RectPermMatrix([1, 3, 2, 4], 4))
 
+    def test_random_splits_equal_the_dense_rule(self):
+        # seeded random R at every even m from 2 to 40 and n from 1 to 25,
+        # with a mirrored R of each size refused: Q1 and Q2 as the dense rule
+        # gives them, in that order
+        rng = random.Random(2901)
+        for m in range(2, 41, 2):
+            for n in range(1, 26):
+                top = [rng.randint(1, n) for _ in range(m // 2)]
+                mirrored = RectPermMatrix(top + [n + 1 - c for c in reversed(top)], n)
+                with pytest.raises(SplitError, match="^input is already centrosymmetric$"):
+                    split_noncentrosymmetric(mirrored)
+                for _ in range(3):
+                    r = RectPermMatrix([rng.randint(1, n) for _ in range(m)], n)
+                    if not r.is_centrosymmetric():
+                        split = split_noncentrosymmetric(r)
+                        assert type(split) is tuple and split == reference_split(r), r
+
+    @pytest.mark.parametrize("cols", [[1], [1, 2, 1], [2, 1, 1, 2, 2]])
+    def test_an_odd_row_count_is_refused_in_its_own_words(self, cols):
+        with pytest.raises(SplitError, match="^splitting needs an even number of rows$"):
+            split_noncentrosymmetric(RectPermMatrix(cols, 2))
+
     def test_every_small_split_equals_the_dense_rule(self):
         # every R up to 4 x 3: odd row counts and centrosymmetric R are
         # refused, every other R splits as the dense rule does, in order

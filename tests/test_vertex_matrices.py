@@ -192,6 +192,38 @@ def test_the_vertex_is_read_without_building_rows(source):
             assert not built(a)
 
 
+def slots_set(a):
+    # the Matrix slots that hold a value, read past Matrix.__getattr__
+    names = []
+    for name in Matrix.__slots__:
+        try:
+            getattr(Matrix, name).__get__(a, Matrix)
+        except AttributeError:
+            continue
+        names.append(name)
+    return names
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=list(SOURCES))
+def test_the_shape_is_read_off_the_vertex_until_the_rows_are_built(source):
+    # a point sets `_key` alone; its shape comes from the vertex until the
+    # first `entries` read sets every slot, and it agrees with the dense
+    # matrix's either way, as do a pattern, a pickle, == and hash
+    for m, n in SHAPES:
+        for a, rows in SOURCES[source](m, n):
+            expected = Matrix(rows)
+            shape = (expected.nrows, expected.ncols, expected.shape)
+            assert slots_set(a) == ["_key"], (m, n)
+            assert (a.nrows, a.ncols, a.shape) == shape
+            assert slots_set(a) == ["_key"]
+            assert a.entries == expected.entries and type(a) is Matrix
+            assert slots_set(a) == list(Matrix.__slots__)
+            assert (a.nrows, a.ncols, a.shape) == shape
+            assert a == expected and hash(a) == hash(expected)
+            assert pickle.loads(pickle.dumps(a)) == expected
+            assert face_pattern(a) == face_pattern(expected)
+
+
 @pytest.mark.parametrize("source", SOURCES, ids=list(SOURCES))
 def test_the_first_read_builds_the_rows_once(source):
     for m, n in SHAPES:
