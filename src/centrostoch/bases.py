@@ -6,7 +6,9 @@ column matrices. The square family spans n x n stochastic matrices, the
 rectangular family m x n; stacking a rectangular basis against its half-turn
 rotation (with an optional fixed center row) spans the centrosymmetric
 polytope for even and odd row counts. `verify_basis` checks the claimed
-dimension count together with exact linear independence.
+dimension count together with exact linear independence. `_family_size`
+states each family's shape rules and its size in closed form, so a caller
+can bound a family before any member is built.
 """
 
 from __future__ import annotations
@@ -40,6 +42,29 @@ def renumber_position(i: int, j: int, side: int) -> int:
     return value if value else side * side
 
 
+def _family_size(family: str, m: int | None, n: int) -> int:
+    """The member count of a family ("square", "rect", "centro-even" or
+    "centro-odd") at m x n, m unused by "square": n^2 - n + 1, m(n-1) + 1,
+    (m/2)(n-1) + 1 and ((m-1)/2)(n-1) + (n+1)//2. Builds no member; raises
+    the family's ShapeError for a shape it does not take, m's rule first."""
+    if family == "square":
+        name, m_rule, size = "square", None, n * n - n + 1
+    elif family == "rect":
+        name, size = "rectangular", m * (n - 1) + 1
+        m_rule = None if m >= 1 else "m >= 1"
+    elif family == "centro-even":
+        name, size = "even centrosymmetric", (m // 2) * (n - 1) + 1
+        m_rule = None if m >= 2 and m % 2 == 0 else "even m >= 2"
+    else:
+        name, size = "odd centrosymmetric", (m // 2) * (n - 1) + (n + 1) // 2
+        m_rule = None if m >= 3 and m % 2 == 1 else "odd m >= 3"
+    if m_rule is not None:
+        raise ShapeError(f"the {name} family needs {m_rule}")
+    if n < 2:
+        raise ShapeError(f"the {name} family needs n >= 2")
+    return size
+
+
 def _near_permutation(start: int, side: int) -> list[tuple[int, int]]:
     # the side-1 consecutively numbered cells start, start+1, ... (wrapping
     # past side^2 back to 1); one row and one column stay empty. Inverting
@@ -71,8 +96,7 @@ def basis_square(n: int) -> list[Matrix]:
     in all. Requires n >= 2.
     """
     n = _as_int(n)
-    if n < 2:
-        raise ShapeError("the square family needs n >= 2")
+    _family_size("square", None, n)
     side = n - 1
     family = [
         _unit_matrix(_complete_to_permutation(_near_permutation(start, side), side), n)
@@ -85,10 +109,6 @@ def basis_square(n: int) -> list[Matrix]:
 def _rect_columns(m: int, n: int):
     # column tuples of the rectangular family: each B_{i,j} (j outermost),
     # then the all-ones column C_n
-    if m < 1:
-        raise ShapeError("the rectangular family needs m >= 1")
-    if n < 2:
-        raise ShapeError("the rectangular family needs n >= 2")
     for j in range(1, n):
         for i in range(m):
             yield (j + 1,) * i + (j,) + (j + 1,) * (m - 1 - i)
@@ -103,6 +123,7 @@ def basis_rect(m: int, n: int) -> list[Matrix]:
     C_n: m(n-1) + 1 matrices. Requires m >= 1 and n >= 2.
     """
     m, n = _as_int(m), _as_int(n)
+    _family_size("rect", m, n)
     return [_unit_matrix(cols, n) for cols in _rect_columns(m, n)]
 
 
@@ -113,10 +134,7 @@ def basis_centro_even(m: int, n: int) -> list[Matrix]:
     its half-turn rotation. Requires even m >= 2 and n >= 2.
     """
     m, n = _as_int(m), _as_int(n)
-    if m < 2 or m % 2 != 0:
-        raise ShapeError("the even centrosymmetric family needs even m >= 2")
-    if n < 2:
-        raise ShapeError("the even centrosymmetric family needs n >= 2")
+    _family_size("centro-even", m, n)
     return [_unit_matrix(top + _rotated(top, n), n) for top in _rect_columns(m // 2, n)]
 
 
@@ -129,10 +147,7 @@ def basis_centro_odd(m: int, n: int) -> list[Matrix]:
     the matching half-half center row. Requires odd m >= 3 and n >= 2.
     """
     m, n = _as_int(m), _as_int(n)
-    if m < 3 or m % 2 == 0:
-        raise ShapeError("the odd centrosymmetric family needs odd m >= 3")
-    if n < 2:
-        raise ShapeError("the odd centrosymmetric family needs n >= 2")
+    _family_size("centro-odd", m, n)
     half = (m - 1) // 2
     fixed_center = (n + 1) // 2
     family = [

@@ -29,10 +29,16 @@ print as their Fractions, so `decompose` builds none.
 
 `run_command` builds the argument parser on its first call and reuses it for
 the rest of the process; importing this module builds none. A command line
-that starts with a command name is parsed once, by that command's parser,
-exactly as the top-level parser's subparsers action would; one the
-command's parser leaves arguments of, or that starts otherwise, goes to the
-top-level parser, so its usage errors, help and exit codes stay its own.
+is read by one of two routes, both giving what `build_parser().parse_args`
+gives: a clean line (a command name, then only exact flags, exact one-value
+options with values that do not start with "-", and positionals, every
+value valid) in one pass from the command parser's own actions; every other
+line (help, an abbreviation, `--opt=value`, `--`, a value that starts with
+"-", a bad value, a missing or extra argument) by the top-level parser, so
+its usage errors, help and exit codes stay its own. See `_parse_args`.
+
+`basis` refuses a family of more than DEFAULT_ENUMERATION_CAP members from
+its size in closed form (`bases._family_size`), before any member is built.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ from itertools import chain, count, islice, repeat
 from operator import attrgetter
 
 from centrostoch.bases import (
+    _family_size,
     basis_centro_even,
     basis_centro_odd,
     basis_rect,
@@ -53,6 +60,7 @@ from centrostoch.bases import (
 from centrostoch.core import (
     DEFAULT_ENUMERATION_CAP,
     CentrostochError,
+    EnumerationCapError,
     Matrix,
     _Vertex,
     is_centrosymmetric,
@@ -297,10 +305,16 @@ def _cmd_basis(ns) -> int:
     if ns.set == "square":
         if ns.m is not None:
             return _usage_error("--m does not apply to the square family")
+    elif ns.m is None:
+        return _usage_error(f"--m is required for the {ns.set} family")
+    # the closed-form size is checked before any member is built
+    if _family_size(ns.set, ns.m, ns.n) > DEFAULT_ENUMERATION_CAP:
+        raise EnumerationCapError(
+            f"the number of basis members exceeds the cap of {DEFAULT_ENUMERATION_CAP}"
+        )
+    if ns.set == "square":
         family = basis_square(ns.n)
     else:
-        if ns.m is None:
-            return _usage_error(f"--m is required for the {ns.set} family")
         builder = {
             "rect": basis_rect,
             "centro-even": basis_centro_even,
@@ -474,25 +488,84 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
 _parsers = functools.cache(_build_parsers)
 
 
-def _parse_args(argv) -> argparse.Namespace:
-    """build_parser().parse_args(argv), reading argv once when it starts
-    with a command name.
+def _exact_reader(command: argparse.ArgumentParser):
+    """A function of the arguments after `command`'s name: the Namespace
+    `command` makes of them, without `command` set, when they are a clean
+    line (see `_parse_args`), and None otherwise. The kinds it reads are
+    store_const flags (store_true and store_false among them) and one-value
+    store options and positionals; a line that uses an action of any other
+    kind, help among them, is left to argparse.
+    """
+    options, positionals, defaults = {}, [], {"handler": command.get_default("handler")}
+    for action in command._actions:
+        kind = type(action).__call__
+        if kind is argparse._StoreConstAction.__call__ or (
+            kind is argparse._StoreAction.__call__ and action.nargs is None
+        ):
+            if action.option_strings:
+                options.update(dict.fromkeys(action.option_strings, action))
+            else:
+                positionals.append(action)
+        if argparse.SUPPRESS not in (action.dest, action.default):
+            defaults[action.dest] = action.default
+    required = {action for action in command._actions if action.required}
 
-    The top-level parser's subparsers action hands argv[1:] to the command's
-    parser through parse_known_args and sets `command`; that is done here
-    directly. When the command's parser leaves arguments over, or argv does
-    not start with a command name, the top-level parser reads argv, so every
-    error, help text and exit code is its own.
+    def read(args):
+        values, seen, tokens, places = dict(defaults), set(), iter(args), iter(positionals)
+        for token in tokens:
+            action = options.get(token)
+            if action is None:
+                action = None if token.startswith("-") else next(places, None)
+                if action is None:
+                    return None
+            elif action.nargs == 0:
+                values[action.dest] = action.const
+                seen.add(action)
+                continue
+            else:
+                token = next(tokens, "-")
+                if token.startswith("-"):
+                    return None
+            try:
+                value = token if action.type is None else action.type(token)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+            values[action.dest] = value
+            seen.add(action)
+        return argparse.Namespace(**values) if required <= seen else None
+
+    return read
+
+
+@functools.cache
+def _readers() -> dict:
+    # command name -> its _exact_reader, for the parsers of _parsers()
+    return {name: _exact_reader(command) for name, command in _parsers()[1].items()}
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """build_parser().parse_args(argv), in one pass over a clean line.
+
+    A line is clean when it starts with a command name and every later token
+    is the exact option string of one of that command's flags, the exact
+    option string of a one-value option followed by a value that does not
+    start with "-", or fills the command's next positional; every value
+    converts with its action's `type` and is in its `choices`, and every
+    required action is seen. The command's `_exact_reader` reads such a line
+    and `command` is set, as the top-level parser's subparsers action would.
+    Every other line goes to the top-level parser, so help, abbreviations,
+    `--opt=value`, `--`, a value that starts with "-", a bad int or choice,
+    and a missing or extra argument get its own output and exit code.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser, commands = _parsers()
-    command = commands.get(argv[0]) if argv else None
-    if command is not None:
-        ns, rest = command.parse_known_args(argv[1:])
-        if not rest:
-            ns.command = argv[0]
-            return ns
-    return parser.parse_args(argv)
+    read = _readers().get(argv[0]) if argv else None
+    ns = None if read is None else read(argv[1:])
+    if ns is None:
+        return _parsers()[0].parse_args(argv)
+    ns.command = argv[0]
+    return ns
 
 
 def run_command(argv) -> int:

@@ -17,7 +17,7 @@ from centrostoch import (
     renumber_position,
     verify_basis,
 )
-from centrostoch.bases import _complete_to_permutation, _near_permutation
+from centrostoch.bases import _complete_to_permutation, _family_size, _near_permutation
 
 H = Fraction(1, 2)
 
@@ -244,3 +244,23 @@ class TestVerifyBasis:
         fam = basis_rect(2, 2)
         dependent = fam[:-1] + [fam[0]]
         assert not verify_basis(dependent, len(dependent) - 1)
+
+
+class TestFamilySize:
+    """`_family_size` is each builder's member count in closed form, and
+    refuses exactly the shapes the builder refuses, in its words."""
+
+    BUILDERS = {"square": lambda m, n: basis_square(n), "rect": basis_rect,
+                "centro-even": basis_centro_even, "centro-odd": basis_centro_odd}
+
+    @pytest.mark.parametrize("family", sorted(BUILDERS))
+    def test_equals_the_built_family(self, family):
+        for m in range(-1, 9):
+            for n in range(-1, 8):
+                try:
+                    built = len(self.BUILDERS[family](m, n))
+                except ShapeError as exc:
+                    with pytest.raises(ShapeError, match=f"^{exc}$"):
+                        _family_size(family, m, n)
+                else:
+                    assert _family_size(family, m, n) == built, (m, n)

@@ -1,5 +1,6 @@
 """Command-line interface: golden outputs, exit codes, JSON shapes."""
 
+import contextlib
 import io
 import json
 import os
@@ -7,12 +8,14 @@ import random
 import shutil
 import subprocess
 import sys
+import time
 import tracemalloc
 from itertools import cycle, repeat
 from pathlib import Path
 
 import pytest
 
+from centrostoch import bases
 from centrostoch import (
     Matrix,
     NotStochasticError,
@@ -45,6 +48,7 @@ from centrostoch.cli import (
     _parse_args,
     _parsers,
     _print_json,
+    _readers,
     build_parser,
     run_command,
 )
@@ -808,6 +812,9 @@ class TestParseOnce:
         ["face", "frob"], ["basis", "--set", "nope", "--n", "1"],
         # an option before the command
         ["--json", "check"], ["-h", "check"], ["--input", "F", "check"],
+        # a positional after an option, one positional too many, values int() strips
+        ["face", "--json", "count"], ["face", "count", "vertices"],
+        ["enumerate", "--extremes", "--m", " 2", "--n", "1_0"],
     ]
 
     @pytest.mark.parametrize("argv", CORPUS, ids=repr)
@@ -822,22 +829,142 @@ class TestParseOnce:
         assert err.startswith("usage: centrostoch [-h]")
         assert err.endswith("centrostoch: error: unrecognized arguments: --bogus\n")
 
-    @pytest.mark.parametrize("argv", [["decompose", "--json"], ["face", "count", "--centro"],
-                                      ["enumerate", "--extremes", "--m", "1", "--n", "2"]])
-    def test_a_clean_command_line_skips_the_top_level_parser(self, monkeypatch, argv):
-        parser, _ = _parsers()
+    # one clean line per command, with every option it declares but help
+    CLEAN = [
+        ["check", "--input", "F", "--json"],
+        ["decompose", "--json", "--input", "F", "--centro"],
+        ["enumerate", "--extremes", "--centro", "--m", "2", "--n", "3", "--json", "--cap", "5"],
+        ["basis", "--set", "rect", "--m", "2", "--n", "3", "--verify", "--json"],
+        ["graph", "--input", "F", "--json", "--dot", "--fill"],
+        ["face", "--centro", "vertices", "--input", "F", "--json", "--cap", "4"],
+        ["normalize", "--input", "", "--json", "--centro-and"],
+    ]
+
+    def test_the_clean_lines_cover_every_command_and_option(self):
+        _, commands = _parsers()
+        assert sorted(line[0] for line in self.CLEAN) == sorted(commands)
+        for name, *args in self.CLEAN:
+            for action in commands[name]._actions:
+                if "-h" not in action.option_strings:
+                    used = set(action.option_strings) & set(args) if action.option_strings \
+                        else set(action.choices) & set(args)
+                    assert used, (name, action.dest)
+
+    @pytest.mark.parametrize("argv", CLEAN)
+    def test_a_clean_command_line_skips_the_top_level_parser(self, monkeypatch, capsys, argv):
+        parser, commands = _parsers()
 
         def refuse(*args, **kwargs):
-            raise AssertionError("the top-level parser read argv")
+            raise AssertionError("an argparse parser read argv")
 
-        monkeypatch.setattr(parser, "parse_args", refuse)
-        monkeypatch.setattr(parser, "parse_known_args", refuse)
+        for reader in (parser, commands[argv[0]]):
+            monkeypatch.setattr(reader, "parse_args", refuse)
+            monkeypatch.setattr(reader, "parse_known_args", refuse)
         ns = _parse_args(argv)
+        monkeypatch.undo()
         assert ns.command == argv[0]
+        assert vars(ns) == parse_outcome(build_parser().parse_args, argv, capsys)[3]
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--input=F"], ["check", "--inp", "F"], ["decompose", "-h"],
+        ["face", "--", "count"], ["enumerate", "--extremes", "--m", "-1", "--n", "1"],
+    ], ids=repr)
+    def test_other_lines_reach_the_top_level_parser(self, monkeypatch, capsys, argv):
+        parser, _ = _parsers()
+        reached = []
+
+        def record(argv):
+            reached.append(argv)
+            return parse_args(argv)
+
+        parse_args = parser.parse_args
+        monkeypatch.setattr(parser, "parse_args", record)
+        outcome = parse_outcome(_parse_args, argv, capsys)
+        assert reached == [argv]
+        monkeypatch.undo()
+        assert outcome == parse_outcome(build_parser().parse_args, argv, capsys)
 
     def test_none_reads_sys_argv(self, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["centrostoch", "decompose", "--centro"])
         assert vars(_parse_args(None)) == vars(build_parser().parse_args(None))
+
+
+def differential_lines(rng, commands, count):
+    """`count` random command lines: mostly a command name and up to seven
+    tokens drawn from its option strings, the values and choices it takes,
+    and awkward tokens; some are a clean line with one token changed."""
+    awkward = ["", "-", "--", "-1", "+3", " 2", "1_0", "x", "--m=2", "--inp", "-h", "--bogus"]
+    names = sorted(commands)
+    for _ in range(count):
+        name = rng.choice(names + ["frobnicate", "--json"]) if rng.random() < 0.05 \
+            else rng.choice(names)
+        actions = commands[name]._actions if name in commands else []
+        words = []
+        for action in actions:
+            if action.choices is not None:
+                values = list(action.choices)
+            elif action.type is int:
+                values = ["0", "1", "2", "3", "7", " 2", "1_0", "+3"]
+            else:
+                values = ["F", "", "a b", "x=1"]
+            words.append((action.option_strings, values, action.nargs))
+        line = [name]
+        # a clean line: every required action, then a few others, shuffled
+        if words and rng.random() < 0.5:
+            pieces = []
+            for action, (strings, values, nargs) in zip(actions, words):
+                if "-h" in strings or not (action.required or rng.random() < 0.5):
+                    continue
+                piece = [rng.choice(strings)] if strings else []
+                if nargs != 0:
+                    piece.append(rng.choice(values))
+                pieces.append(piece)
+            rng.shuffle(pieces)
+            line += [token for piece in pieces for token in piece]
+            if rng.random() < 0.4 and len(line) > 1:
+                line[rng.randrange(1, len(line))] = rng.choice(awkward)
+        else:
+            for _ in range(rng.randint(0, 7)):
+                kind = rng.random()
+                if words and kind < 0.55:
+                    strings, values, nargs = rng.choice(words)
+                    line.append(rng.choice(strings) if strings else rng.choice(values))
+                    if strings and nargs != 0 and rng.random() < 0.85:
+                        line.append(rng.choice(values))
+                elif words and kind < 0.7:
+                    line.append(rng.choice(rng.choice(words)[1]))
+                else:
+                    line.append(rng.choice(awkward))
+        yield line
+
+
+class TestExactRead:
+    """_parse_args reads a clean line from the command's own option table
+    and hands every other line to the top-level parser; on seeded random
+    lines both routes equal build_parser().parse_args."""
+
+    def test_random_lines_equal_the_top_level_parser(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        reference, (_, commands) = build_parser(), _parsers()
+        read = {True: 0, False: 0}
+
+        def outcome(parse, argv):
+            out, err = io.StringIO(), io.StringIO()
+            try:
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    ns = parse(argv)
+            except SystemExit as exc:
+                return exc.code, out.getvalue(), err.getvalue(), None
+            return None, out.getvalue(), err.getvalue(), vars(ns)
+
+        for argv in differential_lines(random.Random(3001), commands, 3000):
+            expected = outcome(reference.parse_args, argv)
+            assert outcome(_parse_args, argv) == expected, argv
+            clean = argv[0] in commands and _readers()[argv[0]](argv[1:]) is not None
+            read[clean] += 1
+            assert not clean or expected[0] is None, argv
+        # both routes are exercised
+        assert min(read.values()) > 600, read
 
 
 class TestEnumerate:
@@ -976,6 +1103,31 @@ class TestBasis:
         code, out, err = run_cli(["basis", "--set", "centro-even", "--m", "2", "--n", "1"])
         assert (code, out) == (1, "")
         assert err == "error: the even centrosymmetric family needs n >= 2\n"
+
+    @pytest.mark.parametrize("size", [["--set", "rect", "--m", "100000", "--n", "100000"],
+                                      ["--set", "square", "--n", "1001"],
+                                      ["--set", "rect", "--m", "1000000", "--n", "2"],
+                                      ["--set", "centro-even", "--m", "2000000", "--n", "2"],
+                                      ["--set", "centro-odd", "--m", "2000001", "--n", "2"]],
+                             ids=repr)
+    def test_a_family_over_the_cap_is_refused_before_any_member(self, run_cli, monkeypatch,
+                                                                size):
+        # each family has just over DEFAULT_ENUMERATION_CAP members, or far more
+        def refuse(*args):
+            raise AssertionError("a basis member was built")
+
+        monkeypatch.setattr(bases, "_unit_matrix", refuse)
+        start = time.perf_counter()
+        code, out, err = run_cli(["basis", *size, "--verify"])
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (1, "")
+        assert err == "error: the number of basis members exceeds the cap of 1000000\n"
+
+    def test_a_huge_shape_the_family_does_not_take_keeps_its_error(self, run_cli):
+        code, out, err = run_cli(["basis", "--set", "centro-even", "--m", "100001",
+                                  "--n", "100000"])
+        assert (code, out) == (1, "")
+        assert err == "error: the even centrosymmetric family needs even m >= 2\n"
 
 
 class TestGraph:
