@@ -27,28 +27,29 @@ refusal comes before the first write, so a refused command leaves stdout
 empty. A decomposition's coefficients are int pairs (`core._Ratio`) that
 print as their Fractions, so `decompose` builds none.
 
-`run_command` builds the argument parser on its first call and reuses it for
-the rest of the process; importing this module builds none. A command line
-is read by one of two routes, both giving what `build_parser().parse_args`
-gives: a clean line (a command name, then only exact flags, exact one-value
-options with values that do not start with "-", and positionals, every
-value valid) in one pass from the command parser's own actions; every other
-line (help, an abbreviation, `--opt=value`, `--`, a value that starts with
-"-", a bad value, a missing or extra argument) by the top-level parser, so
-its usage errors, help and exit codes stay its own. See `_parse_args`.
+The table `_COMMANDS` is the grammar: each command's options, stated once.
+A command line is read by one of two routes, both giving what
+`build_parser().parse_args` gives: a clean line (a command name, then only
+exact flags, exact one-value options with values that do not start with
+"-", and positionals, every value valid) in one pass over the table; every
+other line (help, an abbreviation, `--opt=value`, `--`, a value that starts
+with "-", a bad value, a missing or extra argument) by an argparse parser
+built from the table on first need, so help, usage errors and exit codes
+stay argparse's. Only that route imports argparse, and only `_print_json`
+json, so a clean line loads neither. See `_parse_args`.
 
-`basis` refuses a family of more than DEFAULT_ENUMERATION_CAP members from
-its size in closed form (`bases._family_size`), before any member is built.
+`basis` refuses a family of more than DEFAULT_ENUMERATION_CAP members or
+_BASIS_CELL_CAP cells from its closed-form size (`bases._family_size`),
+before any member is built.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
-import json
 import sys
 from itertools import chain, count, islice, repeat
 from operator import attrgetter
+from types import SimpleNamespace
 
 from centrostoch.bases import (
     _family_size,
@@ -190,6 +191,8 @@ class _CentreRows(dict):
 
 def _print_json(doc: dict) -> None:
     # a small flat document: check, graph, face count or support, normalize
+    import json
+
     print(json.dumps(doc, indent=2))
 
 
@@ -301,6 +304,9 @@ def _cmd_enumerate(ns) -> int:
     return _print_listing(vertices, ns.n, ns.json, {"count": len(vertices)})
 
 
+_BASIS_CELL_CAP = 10**7  # the most cells (members x m x n) of a listed basis family
+
+
 def _cmd_basis(ns) -> int:
     if ns.set == "square":
         if ns.m is not None:
@@ -308,9 +314,14 @@ def _cmd_basis(ns) -> int:
     elif ns.m is None:
         return _usage_error(f"--m is required for the {ns.set} family")
     # the closed-form size is checked before any member is built
-    if _family_size(ns.set, ns.m, ns.n) > DEFAULT_ENUMERATION_CAP:
+    size = _family_size(ns.set, ns.m, ns.n)
+    if size > DEFAULT_ENUMERATION_CAP:
         raise EnumerationCapError(
             f"the number of basis members exceeds the cap of {DEFAULT_ENUMERATION_CAP}"
+        )
+    if size * (ns.m or ns.n) * ns.n > _BASIS_CELL_CAP:
+        raise EnumerationCapError(
+            f"the number of basis cells (members x m x n) exceeds the cap of {_BASIS_CELL_CAP}"
         )
     if ns.set == "square":
         family = basis_square(ns.n)
@@ -397,167 +408,157 @@ def _cmd_normalize(ns) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The top-level parser, with one subparser per command."""
+# The grammar: command name -> (help, handler, options). An option is its
+# option string (a positional's is its dest) and its add_argument keywords;
+# it is a flag (action "store_true") or takes one value. `_exact_reader`
+# reads clean lines from it, and `_build_parsers` builds argparse's parsers.
+_INPUT = ("--input", dict(metavar="FILE", help="read SMX text from FILE instead of stdin"))
+_JSON = ("--json", dict(action="store_true", help="emit JSON"))
+_CENTRO = ("--centro", dict(action="store_true", help="use the centrosymmetric polytope"))
+_CAP = dict(type=int, default=DEFAULT_ENUMERATION_CAP, metavar="N",
+            help="refuse enumerations longer than N")
+_COMMANDS = {
+    "check": ("report the structural predicates of a matrix", _cmd_check, [_INPUT, _JSON]),
+    "decompose": ("decompose into extreme points", _cmd_decompose, [
+        _INPUT, _JSON,
+        ("--centro", dict(action="store_true", help="decompose in the centrosymmetric polytope")),
+    ]),
+    "enumerate": ("enumerate extreme points", _cmd_enumerate, [
+        ("--extremes", dict(action="store_true", required=True, help="enumerate extreme points")),
+        _CENTRO,
+        ("--m", dict(type=int, required=True, help="row count")),
+        ("--n", dict(type=int, required=True, help="column count")),
+        _JSON,
+        ("--cap", dict(_CAP, help=_CAP["help"] + ", or over more than N free rows "
+                       "(m, or ceil(m/2) with --centro)")),
+    ]),
+    "basis": ("emit a basis family", _cmd_basis, [
+        ("--set", dict(required=True, choices=["square", "rect", "centro-even", "centro-odd"],
+                       help="which family to build")),
+        ("--m", dict(type=int, help="row count (not used by square)")),
+        ("--n", dict(type=int, required=True, help="column count")),
+        ("--verify", dict(action="store_true", help="append an exact rank check")),
+        _JSON,
+    ]),
+    "graph": ("bipartite graph of the zero pattern", _cmd_graph, [
+        _INPUT, _JSON,
+        ("--dot", dict(action="store_true", help="emit a DOT document")),
+        ("--fill", dict(action="store_true", help="include the fill ratio")),
+    ]),
+    "face": ("faces cut out by a (0,1) pattern", _cmd_face, [
+        ("action", dict(choices=["count", "vertices", "support"])),
+        _INPUT, _JSON, _CENTRO, ("--cap", _CAP),
+    ]),
+    "normalize": ("normalize a pattern", _cmd_normalize, [
+        _INPUT, _JSON,
+        ("--centro-and", dict(action="store_true", required=True,
+                              help="entrywise minimum with the half-turn rotation")),
+    ]),
+}
+
+
+def build_parser():
+    """The top-level argparse parser, with one subparser per command."""
     return _build_parsers()[0]
 
 
-def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    # the top-level parser and its command name -> subparser map
+def _build_parsers():
+    # the top-level parser and its command name -> subparser map, built from
+    # _COMMANDS; only help and errors need them, so only they import argparse
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="centrostoch",
         description="Exact computations in the stochastic and centrosymmetric "
         "stochastic matrix polytopes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def with_io(p):
-        p.add_argument("--input", metavar="FILE", help="read SMX text from FILE instead of stdin")
-        p.add_argument("--json", action="store_true", help="emit JSON")
-
-    def with_cap(p, also=""):
-        p.add_argument(
-            "--cap",
-            type=int,
-            default=DEFAULT_ENUMERATION_CAP,
-            metavar="N",
-            help="refuse enumerations longer than N" + also,
-        )
-
-    p_check = sub.add_parser("check", help="report the structural predicates of a matrix")
-    with_io(p_check)
-    p_check.set_defaults(handler=_cmd_check)
-
-    p_dec = sub.add_parser("decompose", help="decompose into extreme points")
-    with_io(p_dec)
-    p_dec.add_argument("--centro", action="store_true", help="decompose in the centrosymmetric polytope")
-    p_dec.set_defaults(handler=_cmd_decompose)
-
-    p_enum = sub.add_parser("enumerate", help="enumerate extreme points")
-    p_enum.add_argument("--extremes", action="store_true", required=True, help="enumerate extreme points")
-    p_enum.add_argument("--centro", action="store_true", help="use the centrosymmetric polytope")
-    p_enum.add_argument("--m", type=int, required=True, help="row count")
-    p_enum.add_argument("--n", type=int, required=True, help="column count")
-    p_enum.add_argument("--json", action="store_true", help="emit JSON")
-    with_cap(p_enum, ", or over more than N free rows (m, or ceil(m/2) with --centro)")
-    p_enum.set_defaults(handler=_cmd_enumerate)
-
-    p_basis = sub.add_parser("basis", help="emit a basis family")
-    p_basis.add_argument(
-        "--set",
-        required=True,
-        choices=["square", "rect", "centro-even", "centro-odd"],
-        help="which family to build",
-    )
-    p_basis.add_argument("--m", type=int, help="row count (not used by square)")
-    p_basis.add_argument("--n", type=int, required=True, help="column count")
-    p_basis.add_argument("--verify", action="store_true", help="append an exact rank check")
-    p_basis.add_argument("--json", action="store_true", help="emit JSON")
-    p_basis.set_defaults(handler=_cmd_basis)
-
-    p_graph = sub.add_parser("graph", help="bipartite graph of the zero pattern")
-    with_io(p_graph)
-    p_graph.add_argument("--dot", action="store_true", help="emit a DOT document")
-    p_graph.add_argument("--fill", action="store_true", help="include the fill ratio")
-    p_graph.set_defaults(handler=_cmd_graph)
-
-    p_face = sub.add_parser("face", help="faces cut out by a (0,1) pattern")
-    p_face.add_argument("action", choices=["count", "vertices", "support"])
-    with_io(p_face)
-    p_face.add_argument("--centro", action="store_true", help="use the centrosymmetric polytope")
-    with_cap(p_face)
-    p_face.set_defaults(handler=_cmd_face)
-
-    p_norm = sub.add_parser("normalize", help="normalize a pattern")
-    with_io(p_norm)
-    p_norm.add_argument(
-        "--centro-and",
-        dest="centro_and",
-        action="store_true",
-        required=True,
-        help="entrywise minimum with the half-turn rotation",
-    )
-    p_norm.set_defaults(handler=_cmd_normalize)
-
+    for name, (text, handler, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=text)
+        for option, keywords in options:
+            command.add_argument(option, **keywords)
+        command.set_defaults(handler=handler)
     return parser, sub.choices
 
 
-# built on the first run_command; argparse keeps no state between parse_args
-# calls (each makes a new Namespace, and errors and help look up sys.stderr
-# and sys.stdout when they are written)
+# built on the first line that needs them; argparse keeps no state between
+# parse_args calls (each makes a new Namespace, and errors and help look up
+# sys.stderr and sys.stdout when they are written)
 _parsers = functools.cache(_build_parsers)
 
 
-def _exact_reader(command: argparse.ArgumentParser):
-    """A function of the arguments after `command`'s name: the Namespace
-    `command` makes of them, without `command` set, when they are a clean
-    line (see `_parse_args`), and None otherwise. The kinds it reads are
-    store_const flags (store_true and store_false among them) and one-value
-    store options and positionals; a line that uses an action of any other
-    kind, help among them, is left to argparse.
+def _exact_reader(handler, options):
+    """A function of the arguments after a command's name: a namespace with
+    the attributes argparse would set, `command` aside, when they are a
+    clean line (see `_parse_args`), and None otherwise. `handler` and
+    `options` are the command's entries in _COMMANDS; each option's dest,
+    default and required are argparse's.
     """
-    options, positionals, defaults = {}, [], {"handler": command.get_default("handler")}
-    for action in command._actions:
-        kind = type(action).__call__
-        if kind is argparse._StoreConstAction.__call__ or (
-            kind is argparse._StoreAction.__call__ and action.nargs is None
-        ):
-            if action.option_strings:
-                options.update(dict.fromkeys(action.option_strings, action))
-            else:
-                positionals.append(action)
-        if argparse.SUPPRESS not in (action.dest, action.default):
-            defaults[action.dest] = action.default
-    required = {action for action in command._actions if action.required}
+    named, positionals, defaults, required = {}, [], {"handler": handler}, set()
+    for option, keywords in options:
+        flag = keywords.get("action") == "store_true"
+        dest = option.lstrip("-").replace("-", "_")
+        spec = (dest, flag, keywords.get("type"), keywords.get("choices"))
+        if option.startswith("-"):
+            named[option] = spec
+        else:
+            positionals.append(spec)
+        defaults[dest] = keywords.get("default", False if flag else None)
+        if keywords.get("required") or not option.startswith("-"):
+            required.add(dest)
 
     def read(args):
         values, seen, tokens, places = dict(defaults), set(), iter(args), iter(positionals)
         for token in tokens:
-            action = options.get(token)
-            if action is None:
-                action = None if token.startswith("-") else next(places, None)
-                if action is None:
+            spec = named.get(token)
+            if spec is None:
+                spec = None if token.startswith("-") else next(places, None)
+                if spec is None:
                     return None
-            elif action.nargs == 0:
-                values[action.dest] = action.const
-                seen.add(action)
+            elif spec[1]:  # a flag
+                values[spec[0]] = True
+                seen.add(spec[0])
                 continue
             else:
                 token = next(tokens, "-")
                 if token.startswith("-"):
                     return None
+            dest, _, kind, choices = spec
             try:
-                value = token if action.type is None else action.type(token)
-            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                value = token if kind is None else kind(token)
+            except (TypeError, ValueError):
                 return None
-            if action.choices is not None and value not in action.choices:
+            if choices is not None and value not in choices:
                 return None
-            values[action.dest] = value
-            seen.add(action)
-        return argparse.Namespace(**values) if required <= seen else None
+            values[dest] = value
+            seen.add(dest)
+        return SimpleNamespace(**values) if required <= seen else None
 
     return read
 
 
 @functools.cache
 def _readers() -> dict:
-    # command name -> its _exact_reader, for the parsers of _parsers()
-    return {name: _exact_reader(command) for name, command in _parsers()[1].items()}
+    # command name -> its _exact_reader
+    return {name: _exact_reader(handler, options)
+            for name, (_, handler, options) in _COMMANDS.items()}
 
 
-def _parse_args(argv) -> argparse.Namespace:
-    """build_parser().parse_args(argv), in one pass over a clean line.
+def _parse_args(argv):
+    """build_parser().parse_args(argv), or for a clean line a namespace
+    with the same attributes, read in one pass.
 
     A line is clean when it starts with a command name and every later token
     is the exact option string of one of that command's flags, the exact
     option string of a one-value option followed by a value that does not
     start with "-", or fills the command's next positional; every value
-    converts with its action's `type` and is in its `choices`, and every
-    required action is seen. The command's `_exact_reader` reads such a line
-    and `command` is set, as the top-level parser's subparsers action would.
-    Every other line goes to the top-level parser, so help, abbreviations,
-    `--opt=value`, `--`, a value that starts with "-", a bad int or choice,
-    and a missing or extra argument get its own output and exit code.
+    converts with its option's `type` and is in its `choices`, and every
+    required option is seen. The command's `_exact_reader` reads such a line
+    from _COMMANDS, with no argparse, and `command` is set, as the top-level
+    parser's subparsers action would. Every other line goes to the top-level
+    parser, so help, abbreviations, `--opt=value`, `--`, a value that starts
+    with "-", a bad int or choice, and a missing or extra argument get its
+    own output and exit code.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
     read = _readers().get(argv[0]) if argv else None

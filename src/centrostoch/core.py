@@ -38,10 +38,11 @@ from __future__ import annotations
 
 import functools
 import operator
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import starmap
 from math import gcd, lcm
-from typing import Iterable, Iterator, NamedTuple, Sequence
 
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
@@ -419,16 +420,15 @@ def _rotated(cols: Sequence[int], n: int) -> tuple[int, ...]:
     return tuple(map((n + 1).__sub__, reversed(cols)))
 
 
-class _Vertex(NamedTuple):
-    """The key of the extreme point `_unit_matrix(cols, ncols, center)`.
+class _Vertex(namedtuple("_Vertex", "cols ncols center")):
+    """The key of the extreme point `_unit_matrix(cols, ncols, center)`:
+    `cols` a tuple of ints, `ncols` an int, `center` an int or None.
 
     Built by `_vertex` or `_vertex_of`, which keep `center` canonical, so
     two keys are equal exactly when their matrices are.
     """
 
-    cols: tuple[int, ...]
-    ncols: int
-    center: int | None
+    __slots__ = ()
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -561,7 +561,7 @@ class RectPermMatrix(_Vertex):
 
     @classmethod
     def _make(cls, iterable) -> "RectPermMatrix":
-        # NamedTuple's `_replace` builds its result through `_make` too
+        # namedtuple's `_replace` builds its result through `_make` too
         cols, ncols, center = iterable
         if center is not None:
             raise ShapeError("a rectangular permutation matrix has no centre row")
@@ -606,12 +606,11 @@ class RectPermMatrix(_Vertex):
 _new_rect_perm = functools.partial(tuple.__new__, RectPermMatrix)
 
 
-class _Ratio(NamedTuple):
+class _Ratio(namedtuple("_Ratio", "num den")):
     """num / den reduced, den > 0, as a Fraction holds it; it prints as that
     Fraction does."""
 
-    num: int
-    den: int
+    __slots__ = ()
 
     def __str__(self) -> str:
         return str(self.num) if self.den == 1 else f"{self.num}/{self.den}"

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from typing import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from centrostoch.core import (
     DEFAULT_ENUMERATION_CAP,

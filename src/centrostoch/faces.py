@@ -14,8 +14,8 @@ B-rotated is read off B's rows.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterator
 from math import prod
-from typing import Iterator
 
 from centrostoch.core import (
     DEFAULT_ENUMERATION_CAP,

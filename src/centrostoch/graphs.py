@@ -14,8 +14,8 @@ its edge count equals its vertex count less its component count.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
 
 from centrostoch.core import (
     Matrix,

@@ -15,8 +15,9 @@ from pathlib import Path
 
 import pytest
 
-from centrostoch import bases
+from centrostoch import bases, cli
 from centrostoch import (
+    CentrostochError,
     Matrix,
     NotStochasticError,
     basis_centro_even,
@@ -44,6 +45,7 @@ from centrostoch import (
     rotate_pi,
 )
 from centrostoch.cli import (
+    _COMMANDS,
     _CentreRows,
     _parse_args,
     _parsers,
@@ -841,25 +843,18 @@ class TestParseOnce:
     ]
 
     def test_the_clean_lines_cover_every_command_and_option(self):
-        _, commands = _parsers()
-        assert sorted(line[0] for line in self.CLEAN) == sorted(commands)
+        assert sorted(line[0] for line in self.CLEAN) == sorted(_COMMANDS)
         for name, *args in self.CLEAN:
-            for action in commands[name]._actions:
-                if "-h" not in action.option_strings:
-                    used = set(action.option_strings) & set(args) if action.option_strings \
-                        else set(action.choices) & set(args)
-                    assert used, (name, action.dest)
+            for strings, choices, *_ in table_options(name)[1:]:
+                assert set(strings or choices) & set(args), (name, strings)
 
     @pytest.mark.parametrize("argv", CLEAN)
     def test_a_clean_command_line_skips_the_top_level_parser(self, monkeypatch, capsys, argv):
-        parser, commands = _parsers()
+        def refuse():
+            raise AssertionError("an argparse parser was built or read")
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("an argparse parser read argv")
-
-        for reader in (parser, commands[argv[0]]):
-            monkeypatch.setattr(reader, "parse_args", refuse)
-            monkeypatch.setattr(reader, "parse_known_args", refuse)
+        # a clean line neither builds nor reads argparse's parsers
+        monkeypatch.setattr(cli, "_parsers", refuse)
         ns = _parse_args(argv)
         monkeypatch.undo()
         assert ns.command == argv[0]
@@ -889,31 +884,45 @@ class TestParseOnce:
         assert vars(_parse_args(None)) == vars(build_parser().parse_args(None))
 
 
-def differential_lines(rng, commands, count):
+def table_options(name):
+    """(option strings, choices, type, nargs, required) of each option of
+    command `name` in cli._COMMANDS, after -h/--help, which argparse adds
+    first to every command; a positional has no option strings and a flag
+    takes no value."""
+    rows = [(["-h", "--help"], None, None, 0, False)]
+    for option, keywords in _COMMANDS[name][2]:
+        positional = not option.startswith("-")
+        rows.append(([] if positional else [option], keywords.get("choices"),
+                     keywords.get("type"), 0 if keywords.get("action") == "store_true" else None,
+                     positional or keywords.get("required", False)))
+    return rows
+
+
+def differential_lines(rng, count):
     """`count` random command lines: mostly a command name and up to seven
     tokens drawn from its option strings, the values and choices it takes,
     and awkward tokens; some are a clean line with one token changed."""
     awkward = ["", "-", "--", "-1", "+3", " 2", "1_0", "x", "--m=2", "--inp", "-h", "--bogus"]
-    names = sorted(commands)
+    names = sorted(_COMMANDS)
     for _ in range(count):
         name = rng.choice(names + ["frobnicate", "--json"]) if rng.random() < 0.05 \
             else rng.choice(names)
-        actions = commands[name]._actions if name in commands else []
+        options = table_options(name) if name in _COMMANDS else []
         words = []
-        for action in actions:
-            if action.choices is not None:
-                values = list(action.choices)
-            elif action.type is int:
+        for strings, choices, kind, nargs, _ in options:
+            if choices is not None:
+                values = list(choices)
+            elif kind is int:
                 values = ["0", "1", "2", "3", "7", " 2", "1_0", "+3"]
             else:
                 values = ["F", "", "a b", "x=1"]
-            words.append((action.option_strings, values, action.nargs))
+            words.append((strings, values, nargs))
         line = [name]
-        # a clean line: every required action, then a few others, shuffled
+        # a clean line: every required option, then a few others, shuffled
         if words and rng.random() < 0.5:
             pieces = []
-            for action, (strings, values, nargs) in zip(actions, words):
-                if "-h" in strings or not (action.required or rng.random() < 0.5):
+            for (*_, required), (strings, values, nargs) in zip(options, words):
+                if "-h" in strings or not (required or rng.random() < 0.5):
                     continue
                 piece = [rng.choice(strings)] if strings else []
                 if nargs != 0:
@@ -945,7 +954,7 @@ class TestExactRead:
 
     def test_random_lines_equal_the_top_level_parser(self, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
-        reference, (_, commands) = build_parser(), _parsers()
+        reference = build_parser()
         read = {True: 0, False: 0}
 
         def outcome(parse, argv):
@@ -957,10 +966,10 @@ class TestExactRead:
                 return exc.code, out.getvalue(), err.getvalue(), None
             return None, out.getvalue(), err.getvalue(), vars(ns)
 
-        for argv in differential_lines(random.Random(3001), commands, 3000):
+        for argv in differential_lines(random.Random(3001), 3000):
             expected = outcome(reference.parse_args, argv)
             assert outcome(_parse_args, argv) == expected, argv
-            clean = argv[0] in commands and _readers()[argv[0]](argv[1:]) is not None
+            clean = argv[0] in _COMMANDS and _readers()[argv[0]](argv[1:]) is not None
             read[clean] += 1
             assert not clean or expected[0] is None, argv
         # both routes are exercised
@@ -1123,6 +1132,36 @@ class TestBasis:
         assert (code, out) == (1, "")
         assert err == "error: the number of basis members exceeds the cap of 1000000\n"
 
+    @pytest.mark.parametrize("size", [["--set", "rect", "--m", "4000", "--n", "2"],
+                                      ["--set", "rect", "--m", "2236", "--n", "2"],
+                                      ["--set", "square", "--n", "57"],
+                                      ["--set", "centro-odd", "--m", "45", "--n", "100"]],
+                             ids=repr)
+    def test_a_family_over_the_cell_cap_is_refused_before_any_member(self, run_cli, monkeypatch,
+                                                                     size):
+        # each family is under the member cap, and its members x m x n cells
+        # are just over 10^7, or (rect 4000 x 2, 32 million) far over
+        def refuse(*args):
+            raise AssertionError("a basis member was built")
+
+        monkeypatch.setattr(bases, "_unit_matrix", refuse)
+        code, out, err = run_cli(["basis", *size, "--json"])
+        assert (code, out) == (1, "")
+        assert err == ("error: the number of basis cells (members x m x n) exceeds the cap"
+                       " of 10000000\n")
+
+    @pytest.mark.parametrize("family, size", [
+        ("basis_rect", ["--set", "rect", "--m", "2235", "--n", "2"]),
+        ("basis_square", ["--set", "square", "--n", "56"]),
+        ("basis_centro_odd", ["--set", "centro-odd", "--m", "43", "--n", "100"]),
+    ], ids=repr)
+    def test_a_family_at_most_the_cell_cap_is_built(self, run_cli, monkeypatch, family, size):
+        def built(*args):
+            raise CentrostochError("built")
+
+        monkeypatch.setattr(cli, family, built)
+        assert run_cli(["basis", *size]) == (1, "", "error: built\n")
+
     def test_a_huge_shape_the_family_does_not_take_keeps_its_error(self, run_cli):
         code, out, err = run_cli(["basis", "--set", "centro-even", "--m", "100001",
                                   "--n", "100000"])
@@ -1238,8 +1277,6 @@ class TestFace:
     @pytest.fixture
     def counted(self, monkeypatch):
         # records the patterns whose vertices the CLI counts
-        import centrostoch.cli as cli
-
         calls = []
         for name in ("count_face_vertices_stochastic", "count_face_vertices_centro"):
             counter = getattr(cli, name)

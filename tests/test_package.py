@@ -1,7 +1,8 @@
 """The package surface is the union of the modules' __all__ lists, the
 package imports nothing outside the standard library and no name it never
-reads, importing the CLI builds no argument parser, and every name the
-benchmark's tracer wraps still exists."""
+reads, importing the CLI and reading a clean command line build no argument
+parser and load neither argparse nor json, and every name the benchmark's
+tracer wraps still exists."""
 
 import argparse
 import ast
@@ -105,8 +106,9 @@ def test_unused_imports_finds_a_dead_import():
     assert unused_imports(source) == {"json"}
 
 
-# counts the ArgumentParser objects made by importing the CLI, by one
-# build_parser(), and by each of two run_command calls
+# counts the ArgumentParser objects made by importing the CLI, by each of
+# two clean run_command lines, by two fallback lines (help, then a bad int)
+# and by one build_parser(), and records the exit codes
 PARSER_COUNT_SCRIPT = """
 import argparse, contextlib, io, json
 made = []
@@ -116,21 +118,22 @@ def counting(self, *args, **kwargs):
     init(self, *args, **kwargs)
 argparse.ArgumentParser.__init__ = counting
 import centrostoch.cli as cli
-counts = [len(made)]
+counts, codes = [len(made)], []
+clean = ["enumerate", "--extremes", "--m", "1", "--n", "2"]
+for argv in [clean, clean, ["--help"], ["enumerate", "--extremes", "--m", "x", "--n", "2"]]:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        codes.append(cli.run_command(argv))
+    counts.append(len(made))
 cli.build_parser()
 counts.append(len(made))
-for _ in range(2):
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.run_command(["enumerate", "--extremes", "--m", "1", "--n", "2"]) == 0
-    counts.append(len(made))
-print(json.dumps(counts))
+print(json.dumps([counts, codes]))
 """
 
 
 def test_cli_builds_its_parser_on_first_use_only():
-    # importing the CLI builds no parser, so a child interpreter's import
-    # does no argparse work; the first run_command builds one parser (the
-    # program's and its subcommands') and later calls reuse it
+    # importing the CLI and reading clean lines build no parser; the first
+    # line that needs argparse (help, an error) builds the program's parser
+    # and its subcommands' once, and later lines reuse them
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
         [sys.executable, "-c", PARSER_COUNT_SCRIPT],
@@ -140,9 +143,39 @@ def test_cli_builds_its_parser_on_first_use_only():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    imported, built, first, second = json.loads(proc.stdout)
-    assert imported == 0 and built > 1
-    assert first == second == 2 * built
+    (imported, first, second, helped, failed, built), codes = json.loads(proc.stdout)
+    assert codes == [0, 0, 0, 2]
+    assert imported == first == second == 0
+    assert helped > 1 and failed == helped and built == 2 * helped
+
+
+# which of argparse, json and typing are loaded after importing the CLI and
+# a clean enumerate line, then after a check --json line
+IMPORTS_SCRIPT = """
+import io, sys
+sys.path.insert(0, sys.argv[1])
+import centrostoch.cli as cli
+out, sys.stdout = sys.stdout, io.StringIO()
+loaded = lambda: " ".join(name for name in ("argparse", "json", "typing") if name in sys.modules)
+codes = [cli.run_command(["enumerate", "--extremes", "--m", "2", "--n", "2"])]
+after_enumerate = loaded()
+codes.append(cli.run_command(["check", "--json"]))
+out.write(repr((codes, after_enumerate, loaded())))
+"""
+
+
+def test_a_clean_line_loads_neither_argparse_nor_json():
+    # -S: no site module, so no .pth file preloads a module
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", IMPORTS_SCRIPT, str(src)],
+        input="2 2\n1 0\n0 1\n",
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert ast.literal_eval(proc.stdout) == ([0, 0], "", "json")
 
 
 def test_build_parser_returns_a_new_parser():
