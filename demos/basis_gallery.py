@@ -6,13 +6,13 @@ from centrostoch import (
     basis_rect,
     basis_square,
     rank_of_family,
-    verify_basis,
 )
 
 
 def report(name, family, expected_dim):
-    ok = verify_basis(family, expected_dim)
+    # a basis has dimension + 1 members, all linearly independent
     rank = rank_of_family(family)
+    ok = len(family) == expected_dim + 1 and rank == len(family)
     print(
         f"{name}: {len(family)} matrices, rank {rank}, "
         f"dimension {expected_dim} verified: {ok}"

@@ -9,7 +9,7 @@ from centrostoch import (
     decompose_centrosymmetric,
     enumerate_extreme_centro,
     is_extreme_centro,
-    is_extreme_oracle,
+    is_extreme_centro_via_graph,
     split_noncentrosymmetric,
 )
 
@@ -24,7 +24,7 @@ def main():
     print("A centrosymmetric stochastic matrix (equal to its half turn):")
     show(s)
     print("Structurally extreme:", is_extreme_centro(s))
-    print("Extreme by the rank oracle:", is_extreme_oracle(s, centro=True))
+    print("Extreme by its bipartite graph:", is_extreme_centro_via_graph(s))
 
     print("\nAll extreme points of the 3 x 3 centrosymmetric polytope:")
     for k, mat in enumerate(enumerate_extreme_centro(3, 3), 1):

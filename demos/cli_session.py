@@ -13,7 +13,8 @@ def run(argv, stdin_text=None):
     print(f"$ centrostoch {' '.join(argv)}")
     saved = sys.stdin
     if stdin_text is not None:
-        sys.stdin = io.StringIO(stdin_text)
+        # bytes behind a text wrapper, as the interpreter's own stdin
+        sys.stdin = io.TextIOWrapper(io.BytesIO(stdin_text.encode()), encoding="utf-8")
     buffer = io.StringIO()
     try:
         with redirect_stdout(buffer):

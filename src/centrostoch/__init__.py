@@ -1,6 +1,6 @@
 """Exact arithmetic for the polytopes of stochastic and centrosymmetric
 stochastic matrices: decompositions into extreme points, extreme-point
-predicates and enumerators, explicit bases with exact rank verification,
+predicates and enumerators, explicit bases and the exact rank of a family,
 bipartite zero-pattern graphs, and face vertex counting."""
 
 from centrostoch import bases, core, decompose, extremes, faces, graphs, smx

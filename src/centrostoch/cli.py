@@ -2,9 +2,10 @@
 
 Matrix-reading commands take SMX text from --input FILE or stdin and print
 exact rational results; --json swaps the human layout for a JSON document.
-A file is read as bytes and decoded once as UTF-8, with no text wrapper:
-`parse_matrix` splits lines with `str.splitlines`, which takes \r\n, \r and
-\n alike. An empty path is a file name like any other, not stdin.
+A file or stdin is read as bytes (`sys.stdin.buffer`, whatever the locale)
+and decoded once as UTF-8, with no text wrapper: `parse_matrix` splits
+lines with `str.splitlines`, which takes \r\n, \r and \n alike. An empty
+path is a file name like any other, not stdin.
 Exit codes: 0 success, 1 domain error (bad matrix for the requested
 operation), 2 usage or parse error, input that does not decode included.
 
@@ -39,8 +40,9 @@ stay argparse's. Only that route imports argparse, and only `_print_json`
 json, so a clean line loads neither. See `_parse_args`.
 
 `basis` refuses a family of more than DEFAULT_ENUMERATION_CAP members or
-_BASIS_CELL_CAP cells from its closed-form size (`bases._family_size`),
-before any member is built.
+_BASIS_CELL_CAP cells, or with --verify of more than _VERIFY_CELL_CAP
+cells, from its closed-form size (`bases._family_size`), before any member
+is built.
 """
 
 from __future__ import annotations
@@ -252,14 +254,15 @@ def _print_listing(vertices: list[_Vertex], n: int, as_json: bool, footer: dict)
 
 
 def _read_matrix(ns) -> Matrix:
+    if ns.input is None:
+        data = sys.stdin.buffer.read()
+    else:
+        with open(ns.input, "rb") as handle:
+            data = handle.read()
     try:
-        if ns.input is not None:
-            with open(ns.input, "rb") as handle:
-                text = handle.read().decode("utf-8")
-        else:
-            text = sys.stdin.read()
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise SmxError(f"the input is not {exc.encoding} text: {exc.reason}") from None
+        raise SmxError(f"the input is not utf-8 text: {exc.reason}") from None
     return parse_matrix(text)
 
 
@@ -305,6 +308,7 @@ def _cmd_enumerate(ns) -> int:
 
 
 _BASIS_CELL_CAP = 10**7  # the most cells (members x m x n) of a listed basis family
+_VERIFY_CELL_CAP = 10**6  # the most cells of a family whose exact rank --verify computes
 
 
 def _cmd_basis(ns) -> int:
@@ -319,9 +323,15 @@ def _cmd_basis(ns) -> int:
         raise EnumerationCapError(
             f"the number of basis members exceeds the cap of {DEFAULT_ENUMERATION_CAP}"
         )
-    if size * (ns.m or ns.n) * ns.n > _BASIS_CELL_CAP:
+    cells = size * (ns.m or ns.n) * ns.n
+    if cells > _BASIS_CELL_CAP:
         raise EnumerationCapError(
             f"the number of basis cells (members x m x n) exceeds the cap of {_BASIS_CELL_CAP}"
+        )
+    if ns.verify and cells > _VERIFY_CELL_CAP:
+        raise EnumerationCapError(
+            f"the number of basis cells (members x m x n) exceeds the --verify cap of "
+            f"{_VERIFY_CELL_CAP}"
         )
     if ns.set == "square":
         family = basis_square(ns.n)

@@ -9,12 +9,14 @@ def run_cli(monkeypatch, capsys):
     """Run the command line entry point with captured streams.
 
     Returns (exit_code, stdout, stderr); `stdin_text` feeds the command's
-    standard input.
+    standard input, encoded as UTF-8 behind a text wrapper, as the
+    interpreter's own stdin is.
     """
     from centrostoch.cli import run_command
 
     def run(argv, stdin_text=""):
-        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
+        stdin = io.TextIOWrapper(io.BytesIO(stdin_text.encode()), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdin", stdin)
         code = run_command(argv)
         captured = capsys.readouterr()
         return code, captured.out, captured.err

@@ -9,6 +9,12 @@ with them on every small matrix and on seeded random ones.
 
 `reference_extremes` lists the extreme points by brute force over every
 column tuple, in the order the library's enumerators promise.
+
+`is_extreme_oracle` knows nothing about the shape of the extreme points: it
+applies the general vertex criterion, testing by exact rank whether the
+only support-preserving perturbation with zero row sums (and, on request,
+half-turn symmetry) is zero. `verify_basis` checks a claimed basis by its
+size and exact rank. Tests play both against the library's routes.
 """
 
 from __future__ import annotations
@@ -17,11 +23,16 @@ from itertools import product
 
 from centrostoch.core import (
     Matrix,
+    NotCentrosymmetricError,
+    NotStochasticError,
+    _as_int,
     _center_row,
+    _rank,
     _unit_row,
     _unit_column,
     is_centrosymmetric,
     is_stochastic,
+    rank_of_family,
 )
 
 
@@ -89,3 +100,40 @@ def reference_extremes(m: int, n: int, pattern=None, centro: bool = False):
             a = Matrix(rows)
             assert (is_extreme_centro if centro else is_extreme_stochastic)(a)
             yield a
+
+
+def is_extreme_oracle(a: Matrix, centro: bool = False) -> bool:
+    """Vertex test straight from the definition, by exact rank.
+
+    `a` is extreme iff the only matrix supported inside supp(a) with zero
+    row sums (and equal to its own half-turn rotation when `centro`) is the
+    zero matrix. That solution space is the null space of a small exact
+    linear system; `a` is extreme iff the system's rank equals the number of
+    support positions. Raises NotStochasticError / NotCentrosymmetricError
+    when `a` is outside the polytope in question.
+    """
+    if not is_stochastic(a):
+        raise NotStochasticError("oracle input must be row-stochastic")
+    if centro and not is_centrosymmetric(a):
+        raise NotCentrosymmetricError("oracle input must be centrosymmetric")
+    m, n = a.shape
+    support = sorted(a.support())
+    # one zero-row-sum constraint per row (is_stochastic leaves none empty)
+    rows = [[1 if r == i else 0 for r, _ in support] for i in range(1, m + 1)]
+    if centro:
+        index = {pos: k for k, pos in enumerate(support)}
+        for k, (i, j) in enumerate(support):
+            mirror = index[(m + 1 - i, n + 1 - j)]
+            if k < mirror:
+                row = [0] * len(support)
+                row[k], row[mirror] = 1, -1
+                rows.append(row)
+    return _rank(rows) == len(support)
+
+
+def verify_basis(family, expected_dim: int) -> bool:
+    """Check a claimed basis: expected_dim + 1 matrices, full exact rank."""
+    expected_dim = _as_int(expected_dim)
+    mats = list(family)
+    count = len(mats)
+    return count == expected_dim + 1 and rank_of_family(mats) == count

@@ -35,14 +35,13 @@ from centrostoch import (
     is_centrosymmetric,
     is_extreme_centro,
     is_extreme_centro_via_graph,
-    is_extreme_oracle,
     is_extreme_stochastic,
     is_extreme_stochastic_via_graph,
     longest_path,
     parse_matrix,
     split_noncentrosymmetric,
-    verify_basis,
 )
+from extreme_reference import is_extreme_oracle, verify_basis
 from face_reference import reference_face_vertices
 from greedy_reference import (
     reference_decompose_centrosymmetric,

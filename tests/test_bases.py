@@ -15,9 +15,9 @@ from centrostoch import (
     is_stochastic,
     rank_of_family,
     renumber_position,
-    verify_basis,
 )
 from centrostoch.bases import _complete_to_permutation, _family_size, _near_permutation
+from extreme_reference import verify_basis
 
 H = Fraction(1, 2)
 

@@ -609,7 +609,8 @@ class TestStreamedJson:
         # at once stays a small part of it
         text = format_matrix(random_stochastic(random.Random(2804), 40, 40, 10**6))
         sink = CountingSink()
-        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(text.encode()),
+                                                           encoding="utf-8"))
         monkeypatch.setattr(sys, "stdout", sink)
         tracemalloc.start()
         try:
@@ -1154,6 +1155,11 @@ class TestBasis:
         ("basis_rect", ["--set", "rect", "--m", "2235", "--n", "2"]),
         ("basis_square", ["--set", "square", "--n", "56"]),
         ("basis_centro_odd", ["--set", "centro-odd", "--m", "43", "--n", "100"]),
+        # at most the --verify cap of 10^6 cells
+        ("basis_centro_even", ["--set", "centro-even", "--m", "36", "--n", "36", "--verify"]),
+        ("basis_square", ["--set", "square", "--n", "31", "--verify"]),
+        ("basis_rect", ["--set", "rect", "--m", "706", "--n", "2", "--verify"]),
+        ("basis_centro_odd", ["--set", "centro-odd", "--m", "999", "--n", "2", "--verify"]),
     ], ids=repr)
     def test_a_family_at_most_the_cell_cap_is_built(self, run_cli, monkeypatch, family, size):
         def built(*args):
@@ -1161,6 +1167,27 @@ class TestBasis:
 
         monkeypatch.setattr(cli, family, built)
         assert run_cli(["basis", *size]) == (1, "", "error: built\n")
+
+    @pytest.mark.parametrize("size", [["--set", "centro-even", "--m", "64", "--n", "64"],
+                                      ["--set", "centro-even", "--m", "38", "--n", "38"],
+                                      ["--set", "square", "--n", "32"],
+                                      ["--set", "rect", "--m", "707", "--n", "2"],
+                                      ["--set", "centro-odd", "--m", "1001", "--n", "2"]],
+                             ids=repr)
+    def test_verify_over_its_cell_cap_is_refused_before_any_member(self, run_cli, monkeypatch,
+                                                                  size):
+        # under both listing caps, but over 10^6 cells: 8.3 million for
+        # centro-even 64 x 64, just over 10^6 for the others
+        def refuse(*args):
+            raise AssertionError("a basis member was built")
+
+        monkeypatch.setattr(bases, "_unit_matrix", refuse)
+        start = time.perf_counter()
+        code, out, err = run_cli(["basis", *size, "--verify"])
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (1, "")
+        assert err == ("error: the number of basis cells (members x m x n) exceeds the --verify"
+                       " cap of 1000000\n")
 
     def test_a_huge_shape_the_family_does_not_take_keeps_its_error(self, run_cli):
         code, out, err = run_cli(["basis", "--set", "centro-even", "--m", "100001",
@@ -1446,3 +1473,42 @@ class TestInputLineBreaks:
         path.write_bytes(data)
         assert run_cli([*argv, "--input", str(path)]) == (
             2, "", f"error: the input is not utf-8 text: {reason}\n")
+
+
+class TestStdinDecodesAsAFile:
+    """Stdin is read as bytes and decoded as UTF-8, as a file is, whatever
+    the locale: in a fresh process the same bytes give the same exit code,
+    stdout and stderr from stdin and from --input."""
+
+    # LC_ALL, or None for PYTHONIOENCODING=utf-8; under the C and C.UTF-8
+    # locales the interpreter's own stdin decodes with surrogateescape
+    ENVIRONMENTS = ["C", "C.UTF-8", None]
+    BAD = "error: the input is not utf-8 text: invalid start byte\n"
+    # (bytes, exit code, stderr): a bad byte in a comment line and in a data
+    # line, then a comment that is UTF-8
+    INPUTS = [(b"# \xff\n1 1\n1\n", 2, BAD), (b"1 1\n\xff\n", 2, BAD),
+              ("# café\n1 1\n1\n".encode(), 0, "")]
+
+    @staticmethod
+    def run(argv, data, locale):
+        env = {key: value for key, value in os.environ.items()
+               if key not in ("PYTHONIOENCODING", "LC_ALL")}
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+        if locale is None:
+            env["PYTHONIOENCODING"] = "utf-8"
+        else:
+            env["LC_ALL"] = locale
+        proc = subprocess.run([sys.executable, "-m", "centrostoch", *argv], input=data,
+                              capture_output=True, env=env, timeout=60)
+        return proc.returncode, proc.stdout.decode(), proc.stderr.decode()
+
+    @pytest.mark.parametrize("data, code, err", INPUTS, ids=["comment", "data", "utf-8"])
+    @pytest.mark.parametrize("locale", ENVIRONMENTS, ids=str)
+    def test_stdin_and_a_file_read_alike(self, tmp_path, locale, data, code, err):
+        path = tmp_path / "input.smx"
+        path.write_bytes(data)
+        from_stdin = self.run(["check"], data, locale)
+        assert from_stdin == self.run(["check", "--input", str(path)], b"", locale)
+        assert from_stdin[0] == code and from_stdin[2] == err
+        if code:
+            assert from_stdin[1] == ""

@@ -30,16 +30,15 @@ from centrostoch import (
     enumerate_face_vertices,
     format_matrix,
     is_centrosymmetric,
-    is_extreme_oracle,
     is_stochastic,
     rank_of_family,
     renumber_position,
     rotate_pi,
-    verify_basis,
 )
 from centrostoch import core
 from centrostoch.core import _row_ints, _unit_matrix, _vertex, _vertex_of
 from convex_reference import reference_check, reference_merge
+from extreme_reference import is_extreme_oracle, verify_basis
 from matrixgen import (
     HALF,
     pattern_or_rotation,

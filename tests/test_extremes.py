@@ -22,12 +22,12 @@ from centrostoch import (
     enumerate_extreme_stochastic,
     is_centrosymmetric,
     is_extreme_centro,
-    is_extreme_oracle,
     is_extreme_stochastic,
     is_stochastic,
 )
 from centrostoch.core import _vertex_of
 import extreme_reference
+from extreme_reference import is_extreme_oracle
 from matrixgen import (
     pattern_or_rotation,
     random_centro_stochastic,

@@ -112,7 +112,8 @@ def test_every_command_exits_0_1_or_2_and_fails_silently(seed, monkeypatch, tmp_
     for _ in range(4000):
         argv = _argv(rng, missing)
         text = _valid(rng) if rng.random() < 0.5 else _noise(rng)
-        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(text.encode()),
+                                                           encoding="utf-8"))
         out, err = io.StringIO(), io.StringIO()
         try:
             with redirect_stdout(out), redirect_stderr(err):
