@@ -40,9 +40,8 @@ stay argparse's. Only that route imports argparse, and only `_print_json`
 json, so a clean line loads neither. See `_parse_args`.
 
 `basis` refuses a family of more than DEFAULT_ENUMERATION_CAP members or
-_BASIS_CELL_CAP cells, or with --verify of more than _VERIFY_CELL_CAP
-cells, from its closed-form size (`bases._family_size`), before any member
-is built.
+_BASIS_CELL_CAP cells, with or without --verify, from its closed-form size
+(`bases._family_size`), before any member is built.
 """
 
 from __future__ import annotations
@@ -307,8 +306,7 @@ def _cmd_enumerate(ns) -> int:
     return _print_listing(vertices, ns.n, ns.json, {"count": len(vertices)})
 
 
-_BASIS_CELL_CAP = 10**7  # the most cells (members x m x n) of a listed basis family
-_VERIFY_CELL_CAP = 10**6  # the most cells of a family whose exact rank --verify computes
+_BASIS_CELL_CAP = 10**7  # the most cells (members x m x n) of a listed or verified basis family
 
 
 def _cmd_basis(ns) -> int:
@@ -327,11 +325,6 @@ def _cmd_basis(ns) -> int:
     if cells > _BASIS_CELL_CAP:
         raise EnumerationCapError(
             f"the number of basis cells (members x m x n) exceeds the cap of {_BASIS_CELL_CAP}"
-        )
-    if ns.verify and cells > _VERIFY_CELL_CAP:
-        raise EnumerationCapError(
-            f"the number of basis cells (members x m x n) exceeds the --verify cap of "
-            f"{_VERIFY_CELL_CAP}"
         )
     if ns.set == "square":
         family = basis_square(ns.n)

@@ -425,10 +425,15 @@ class TestListingRendering:
             for json_flag in ([], ["--json"]):
                 code, out, err = run_cli([*argv, *json_flag], stdin_text)
                 assert (code, err) == (0, "") and out, argv
+        # the rank check reads each member's vector off its vertex too
+        for name, size in [("rect", ["--m", "2"]), ("centro-odd", ["--m", "5"]),
+                           ("centro-even", ["--m", "4"]), ("square", [])]:
+            code, out, err = run_cli(["basis", "--set", name, *size, "--n", "3", "--verify"])
+            assert (code, err) == (0, "") and "independent=true" in out, name
         assert row_builds == []
-        # the same counter sees the rank check build the members' rows
-        code, out, err = run_cli(["basis", "--set", "rect", "--m", "2", "--n", "3", "--verify"])
-        assert code == 0 and len(row_builds) == 5
+        # the same counter sees a read of one member's entries
+        member = basis_rect(1, 2)[0]
+        assert member.entries and row_builds == [member._key]
 
 
 def centre_pattern(rng, m, n, middle):
@@ -1090,6 +1095,16 @@ class TestBasis:
         assert payload["rank"] == 11
         assert payload["independent"] is True
 
+    @pytest.mark.parametrize("name, m", [("centro-odd", "999"), ("centro-even", "998")])
+    def test_verify_ranks_a_long_centrosymmetric_family_on_its_top_rows(self, run_cli, name, m):
+        # 500 members of 999 or 998 rows, ranked from their vertices on the
+        # top 500 or 499 rows
+        start = time.perf_counter()
+        code, out, err = run_cli(["basis", "--set", name, "--m", m, "--n", "2", "--verify"])
+        assert time.perf_counter() - start < 2
+        assert (code, err) == (0, "")
+        assert out.endswith("\nrank=500 independent=true\n")
+
     def test_square_needs_no_m(self, run_cli):
         code, out, err = run_cli(["basis", "--set", "square", "--n", "2"])
         assert code == 0
@@ -1155,11 +1170,11 @@ class TestBasis:
         ("basis_rect", ["--set", "rect", "--m", "2235", "--n", "2"]),
         ("basis_square", ["--set", "square", "--n", "56"]),
         ("basis_centro_odd", ["--set", "centro-odd", "--m", "43", "--n", "100"]),
-        # at most the --verify cap of 10^6 cells
-        ("basis_centro_even", ["--set", "centro-even", "--m", "36", "--n", "36", "--verify"]),
-        ("basis_square", ["--set", "square", "--n", "31", "--verify"]),
-        ("basis_rect", ["--set", "rect", "--m", "706", "--n", "2", "--verify"]),
-        ("basis_centro_odd", ["--set", "centro-odd", "--m", "999", "--n", "2", "--verify"]),
+        # --verify shares the cap: at most 10^7 cells
+        ("basis_centro_even", ["--set", "centro-even", "--m", "3160", "--n", "2", "--verify"]),
+        ("basis_square", ["--set", "square", "--n", "56", "--verify"]),
+        ("basis_rect", ["--set", "rect", "--m", "2235", "--n", "2", "--verify"]),
+        ("basis_centro_odd", ["--set", "centro-odd", "--m", "3161", "--n", "2", "--verify"]),
     ], ids=repr)
     def test_a_family_at_most_the_cell_cap_is_built(self, run_cli, monkeypatch, family, size):
         def built(*args):
@@ -1168,16 +1183,17 @@ class TestBasis:
         monkeypatch.setattr(cli, family, built)
         assert run_cli(["basis", *size]) == (1, "", "error: built\n")
 
-    @pytest.mark.parametrize("size", [["--set", "centro-even", "--m", "64", "--n", "64"],
-                                      ["--set", "centro-even", "--m", "38", "--n", "38"],
-                                      ["--set", "square", "--n", "32"],
-                                      ["--set", "rect", "--m", "707", "--n", "2"],
-                                      ["--set", "centro-odd", "--m", "1001", "--n", "2"]],
+    @pytest.mark.parametrize("size", [["--set", "centro-even", "--m", "128", "--n", "128"],
+                                      ["--set", "centro-even", "--m", "68", "--n", "68"],
+                                      ["--set", "square", "--n", "57"],
+                                      ["--set", "rect", "--m", "2236", "--n", "2"],
+                                      ["--set", "centro-odd", "--m", "3163", "--n", "2"]],
                              ids=repr)
     def test_verify_over_its_cell_cap_is_refused_before_any_member(self, run_cli, monkeypatch,
                                                                   size):
-        # under both listing caps, but over 10^6 cells: 8.3 million for
-        # centro-even 64 x 64, just over 10^6 for the others
+        # --verify's cap is the listing's: under the member cap, but over 10^7
+        # cells, 133 million for centro-even 128 x 128 and just over 10^7 for
+        # the others
         def refuse(*args):
             raise AssertionError("a basis member was built")
 
@@ -1186,8 +1202,8 @@ class TestBasis:
         code, out, err = run_cli(["basis", *size, "--verify"])
         assert time.perf_counter() - start < 0.5
         assert (code, out) == (1, "")
-        assert err == ("error: the number of basis cells (members x m x n) exceeds the --verify"
-                       " cap of 1000000\n")
+        assert err == ("error: the number of basis cells (members x m x n) exceeds the cap"
+                       " of 10000000\n")
 
     def test_a_huge_shape_the_family_does_not_take_keeps_its_error(self, run_cli):
         code, out, err = run_cli(["basis", "--set", "centro-even", "--m", "100001",

@@ -1018,6 +1018,80 @@ class TestRankLastColumnFirst:
         assert calls[0] == (3, 5)
 
 
+class TestRankFromVertices:
+    """`rank_of_family` reads an extreme point's vector off its vertex, and
+    ranks only the top ceil(m/2) rows when every member is centrosymmetric.
+    Mixed with plain copies of the same points, or with a member off the
+    centrosymmetric matrices, it still equals the Fraction elimination of
+    rank_reference."""
+
+    # odd m with centre rows, even m, and the plain families down to m = 1
+    SHAPES = [("centro-even", 2, 2), ("centro-even", 4, 3), ("centro-even", 6, 4),
+              ("centro-odd", 3, 2), ("centro-odd", 3, 3), ("centro-odd", 5, 4),
+              ("centro-odd", 7, 3), ("rect", 1, 2), ("rect", 1, 3), ("rect", 3, 3),
+              ("square", 3, 3)]
+    CENTRO = [shape for shape in SHAPES if shape[0].startswith("centro")]
+
+    @pytest.mark.parametrize("name, m, n", SHAPES)
+    def test_plain_copies_rank_as_their_vertices(self, name, m, n):
+        basis, points = TestRankCertificate.basis_and_points(name, m, n)
+        copies = [Matrix(a.entries) for a in TestRankCertificate.basis_and_points(name, m, n)[0]]
+        rng = random.Random(f"copies/{name}/{m}/{n}")
+        mixed = [rng.choice(pair) for pair in zip(basis, copies)]
+        assert rank_of_family(mixed) == rank_of_family(copies) == len(basis)
+        for point in rng.sample(points, min(4, len(points))):
+            family = mixed + [point, Matrix(point.entries)] + copies
+            rng.shuffle(family)
+            assert rank_of_family(family) == len(basis) == exact_rank(family)
+
+    @pytest.mark.parametrize("name, m, n", CENTRO)
+    def test_a_member_off_the_centrosymmetric_matrices_ranks_on_full_rows(self, name, m, n):
+        # the basis spans the centrosymmetric matrices, and each extra
+        # member lies off them; its top rows alone lie in the basis's span
+        basis = TestRankCertificate.basis_and_points(name, m, n)[0]
+        rng = random.Random(f"off/{name}/{m}/{n}")
+        point = _unit_matrix((1,) * m, n)  # the first row turned has its 1 in column n
+        for extra in (point, Matrix(point.entries), random_stochastic(rng, m, n)):
+            assert not is_centrosymmetric(extra)
+            family = basis + [extra]
+            rng.shuffle(family)
+            assert rank_of_family(family) == len(family) == exact_rank(family)
+
+    def test_the_top_rows_are_kept_only_when_every_member_is_centrosymmetric(self):
+        basis = basis_centro_odd(5, 4)
+        # rows 1..3 of 5 are the flat indices below 12, the centre row's included
+        assert max(j for v in core._integer_rows(basis, (5, 4)) for j in v) == 11
+        full = core._integer_rows(basis + [_unit_matrix((1, 1, 1, 1, 1), 4)], (5, 4))
+        assert max(j for v in full for j in v) == 19
+        # a centre row's vertex scales to 2 on its unit rows, as its copy does
+        (vector,) = core._integer_rows([_unit_matrix((1, 4), 4, 2)], (3, 4))
+        assert vector == {0: 2, 5: 1, 6: 1} == core._integer_rows(
+            [Matrix([[1, 0, 0, 0], [0, HALF, HALF, 0], [0, 0, 0, 1]])], (3, 4))[0]
+
+    def test_a_one_row_family(self):
+        # 1 x 3: only the middle column's point is centrosymmetric
+        middle, side = _unit_matrix((2,), 3), _unit_matrix((1,), 3)
+        assert rank_of_family([middle]) == rank_of_family([middle, Matrix(middle.entries)]) == 1
+        assert rank_of_family([middle, side, Matrix(side.entries)]) == 2
+
+    def test_vertex_members_build_no_fraction_and_no_dense_row(self, monkeypatch, row_builds):
+        families = [basis_centro_odd(5, 4), basis_centro_even(4, 3), basis_rect(3, 3),
+                    basis_square(4), list(enumerate_extreme_centro(3, 3))]
+        made = []
+        original = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            made.append(args)
+            return original(cls, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Fraction, "__new__", staticmethod(counting))
+            ranks = [rank_of_family(family) for family in families]
+        assert made == [] and row_builds == []
+        # the 3 x 3 centrosymmetric points span as many dimensions as that basis has members
+        assert ranks == [len(family) for family in families[:4]] + [len(basis_centro_odd(3, 3))]
+
+
 class TestSizesAreInts:
     """Every public size, position and dimension goes through core._as_int,
     so a float or a bool raises TypeError instead of standing for an int."""

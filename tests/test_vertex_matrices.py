@@ -234,8 +234,9 @@ def test_the_first_read_builds_the_rows_once(source):
 
 @pytest.mark.parametrize("m, n", SHAPES)
 def test_repeated_vertices_share_their_rows(m, n):
-    # two enumerations give equal points whose rows are the same objects, so
-    # `_integer_rows` scales each distinct row once
+    # two enumerations give equal points whose rows are the same objects;
+    # `_integer_rows` reads each point's vector off its vertex, and a plain
+    # copy of the point gives the same vector from its rows
     first = list(enumerate_extreme_centro(m, n))
     second = list(enumerate_extreme_centro(m, n))
     plain = [r.to_matrix() for r in enumerate_extreme_stochastic(m, n)]
@@ -244,7 +245,8 @@ def test_repeated_vertices_share_their_rows(m, n):
     for family in (first + second, plain + plain[::-1]):
         rows = [row for a in family for row in a.entries]
         assert len({id(row) for row in rows}) == len(set(rows))
-        assert _integer_rows(family) == _integer_rows([Matrix(a.entries) for a in family])
+        assert _integer_rows(family, (m, n)) == _integer_rows([Matrix(a.entries) for a in family],
+                                                              (m, n))
 
 
 @pytest.mark.parametrize("n", [1, 3, 5])
