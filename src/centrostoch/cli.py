@@ -11,22 +11,26 @@ operation), 2 usage or parse error, input that does not decode included.
 
 Every matrix that `decompose`, `enumerate`, `face vertices` and `basis` list
 is an extreme point, so it is printed from its vertex (`core._Vertex`, as
-each `RectPermMatrix` item of a plain `enumerate` is): each row is rendered
-once per command and shared by every matrix that has it. Every matrix is
-one join of its cached rows in C, a centre row joined onto the row above
-it; one writer, `_print_blocks`, numbers the texts of a listing and writes
-them 256 blocks at a time. In JSON a rendered row is its finished
-`json.dumps(indent=2)` text at the nesting the command puts it, and
-`_print_items` writes such a document as a fixed head, one `str.format` per
-item (a decomposition term or a listed matrix) around the join of its
-rows, and a tail; the items go to stdout one at a time, so the document is
-never held whole. The small flat documents of `check`, `graph`, `face
-count`, `face support` and `normalize` print through `json.dumps`
-(`_print_json`). Every printed number, a face count included, goes through
-`_text`, the one place that refuses a number too long to print, and every
-refusal comes before the first write, so a refused command leaves stdout
-empty. A decomposition's coefficients are int pairs (`core._Ratio`) that
-print as their Fractions, so `decompose` builds none.
+each `RectPermMatrix` item of a plain `enumerate` is): `_texts` renders
+each row once per command (`_CentreRows`), shares it among every matrix
+that has it, and gives each matrix as one join of its cached rows in C, a
+centre row joined onto the row above it. In JSON a rendered row is its
+finished `json.dumps(indent=2)` text at the nesting the command puts it.
+
+Two writers put those texts on stdout, with write policies that differ on
+purpose, as measured. `_print_blocks` numbers the matrices of a text
+listing and joins 256 blocks per write (a write per item cost census about
+2.6% `op_p90_ms`). `_print_items` writes a JSON document as a fixed head,
+one `str.format` per item (a decomposition term or a listed matrix) and a
+tail, one item per write, so the document is never held whole (joining
+4-6 KB items into 64 KB writes cost 16x16 and 20x20 `decompose --json`
+about 10%). `check`, `graph`, `face count`, `face support` and
+`normalize` print small flat documents through `json.dumps`
+(`_print_json`). Every printed number goes through `_text`, the one place
+that refuses a number too long to print, and every refusal comes before
+the first write, so a refused command leaves stdout empty. A
+decomposition's coefficients are int pairs (`core._Ratio`) that print as
+their Fractions, so `decompose` builds none.
 
 The table `_COMMANDS` is the grammar: each command's options, stated once.
 A command line is read by one of two routes, both giving what
@@ -114,43 +118,31 @@ def _matrix_json(mat: Matrix) -> list[list[str]]:
     return _text(mat.entries, lambda rows: [[str(x) for x in row] for row in rows])
 
 
-class _Rows(dict):
-    """The rendered rows of listed n-column extreme points: centre -> the
-    `_CentreRows` of the vertices with that centre (None for none), built
-    on first use.
+def _texts(vertices, n: int, pad: str | None = None, sep: str = "\n"):
+    """The text of each n-column vertex's matrix, its rows joined by `sep`
+    in C, lazily: a unit row per entry of its column tuple and, when its
+    centre is not None, the centre row in the middle. With `pad` (a newline
+    and a row's indent) a row is its JSON text in the indent=2 layout, from
+    that newline to its closing bracket; without, it is a text line.
 
-    A vertex's matrix has a unit row per entry of its column tuple and,
-    when its centre is not None, the centre row in the middle. With `pad`
-    (a newline and a row's indent) a row is its JSON text in the indent=2
-    layout, from that newline to its closing bracket; without, it is a text
-    line.
+    Each centre (None for none) has one `_CentreRows` and a layout, a row
+    dict per place of the column tuple; the one at the last top-half place
+    appends `sep` and the centre row. A one-row matrix is its one row.
     """
-
-    def __init__(self, n: int, pad: str | None = None) -> None:
-        self.n, self.pad = n, pad
-
-    def __missing__(self, centre: int | None) -> _CentreRows:
-        rows = self[centre] = _CentreRows(self.n, self.pad, centre)
-        return rows
-
-    def texts(self, vertices, sep: str = "\n"):
-        """The text of each vertex's matrix, its rows joined by `sep` in C,
-        lazily. Each centre has a layout, a row dict per place of the column
-        tuple; the one at the last top-half place appends `sep` and the
-        centre row. A one-row matrix is its one row."""
-        cols = map(attrgetter("cols"), vertices)
-        if not any(map(attrgetter("center"), vertices)):
-            return map(sep.join, map(map, repeat(self[None].__getitem__), cols))
-        centres = list(map(attrgetter("center"), vertices))
-        m = vertices[0].shape[0]
-        if m == 1:
-            return [self[v.center][None] if v.center else self[None][v.cols[0]] for v in vertices]
-        half, layouts = m // 2, {None: (self[None],) * m} if None in centres else {}
-        for c in set(centres) - {None}:
-            rows = self[c]
-            joined = _CentreRows(self.n, self.pad, c, rows, sep)
-            layouts[c] = (rows,) * (half - 1) + (joined,) + (rows,) * half
-        return map(sep.join, map(map, repeat(dict.__getitem__), map(layouts.get, centres), cols))
+    plain = _CentreRows(n, pad, None)
+    cols = map(attrgetter("cols"), vertices)
+    if not any(map(attrgetter("center"), vertices)):
+        return map(sep.join, map(map, repeat(plain.__getitem__), cols))
+    centres = list(map(attrgetter("center"), vertices))
+    rows = {c: _CentreRows(n, pad, c) for c in set(centres) - {None}}
+    m = vertices[0].shape[0]
+    if m == 1:
+        return [rows[v.center][None] if v.center else plain[v.cols[0]] for v in vertices]
+    half, layouts = m // 2, {None: (plain,) * m}
+    for c, centre_rows in rows.items():
+        joined = _CentreRows(n, pad, c, centre_rows, sep)
+        layouts[c] = (centre_rows,) * (half - 1) + (joined,) + (centre_rows,) * half
+    return map(sep.join, map(map, repeat(dict.__getitem__), map(layouts.get, centres), cols))
 
 
 class _CentreRows(dict):
@@ -243,12 +235,12 @@ def _print_listing(vertices: list[_Vertex], n: int, as_json: bool, footer: dict)
     if as_json:
         rest = "".join(f',\n  "{key}": {_word(value)}' for key, value in footer.items()
                        if key != "count")
-        texts = _Rows(n, "\n      ").texts(vertices, ",")
+        texts = _texts(vertices, n, "\n      ", ",")
         _print_items(f'{{\n  "count": {len(vertices)},\n  "matrices": [', "{}\n    [{}\n    ]",
                      f"\n  ]{rest}\n}}", texts)
     else:
         tail = " ".join(f"{key}={_word(value)}" for key, value in footer.items())
-        _print_blocks(_Rows(n).texts(vertices), tail=tail or None)
+        _print_blocks(_texts(vertices, n), tail=tail or None)
     return 0
 
 
@@ -290,10 +282,10 @@ def _cmd_decompose(ns) -> int:
     comb = decompose_centrosymmetric(mat) if ns.centro else decompose_stochastic(mat)
     coeffs, vertices = zip(*[(_text(c), v) for c, v in comb._vertex_terms()])
     if ns.json:
-        texts = _Rows(mat.ncols, "\n        ").texts(vertices, ",")
+        texts = _texts(vertices, mat.ncols, "\n        ", ",")
         _print_items('{\n  "terms": [', _TERM, "\n  ]\n}", coeffs, texts)
     else:
-        _print_blocks(_Rows(mat.ncols).texts(vertices), map(" coefficient={}".format, coeffs))
+        _print_blocks(_texts(vertices, mat.ncols), map(" coefficient={}".format, coeffs))
     return 0
 
 

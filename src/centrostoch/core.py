@@ -758,46 +758,43 @@ class ConvexCombination:
         return f"ConvexCombination([{inner}])"
 
 
-def _integer_rows(mats: list[Matrix], shape: tuple[int, int]) -> list[dict[int, int]]:
-    """Each matrix of the given shape as a sparse int vector {index: value},
-    flattened row-major and scaled by the lcm of its denominators: only rows
-    1..ceil(m/2) of it when every matrix is centrosymmetric."""
+def _integer_rows(members: list[_Vertex | Matrix], shape: tuple[int, int]) -> list[dict[int, int]]:
+    """Each member of the given shape, a vertex or a Matrix, as a sparse int
+    vector {index: value}, flattened row-major and scaled by the lcm of its
+    denominators: only rows 1..ceil(m/2) of it when every member is
+    centrosymmetric (a vertex is when its column tuple is)."""
     m, n = shape
-    keys = [a._key if isinstance(a._key, _Vertex) else None for a in mats]
-    top = all(is_centrosymmetric(a) if key is None
-              else all(c + d == n + 1 for c, d in zip(key.cols, reversed(key.cols)))
-              for a, key in zip(mats, keys))
+    top = all(a.cols == _rotated(a.cols, n) if isinstance(a, _Vertex) else is_centrosymmetric(a)
+              for a in members)
     rows = (m + 1) // 2 if top else m
     out = []
-    for a, key in zip(mats, keys):
-        if key is None:
+    for a in members:
+        if not isinstance(a, _Vertex):
             parts = list(islice(_int_rows(a), rows))
             d = lcm(*[rd for rd, _ in parts])
             out.append({i * n + j: x * (d // rd)
                         for i, (rd, ints) in enumerate(parts) for j, x in enumerate(ints) if x})
-        elif key.center is None:
-            out.append({i * n + c - 1: 1 for i, c in zip(range(rows), key.cols)})
+        elif a.center is None:
+            out.append({i * n + c - 1: 1 for i, c in zip(range(rows), a.cols)})
         else:  # 2 in each unit row's column, 1 in the centre row's two
-            half = len(key.cols) // 2
+            half = len(a.cols) // 2
             at = [*range(half), *range(half + 1, rows)]
-            vec = {i * n + c - 1: 2 for i, c in zip(at, key.cols)}
-            vec[half * n + key.center - 1] = vec[half * n + n - key.center] = 1
+            vec = {i * n + c - 1: 2 for i, c in zip(at, a.cols)}
+            vec[half * n + a.center - 1] = vec[half * n + n - a.center] = 1
             out.append(vec)
     return out
 
 
-def _rank(vectors: list[dict[int, int] | list[int]]) -> int:
-    """Rank over the rationals of int vectors, each a sparse {index: value}
-    dict (consumed) or a dense list, by elimination without division: each
-    vector in turn is reduced by the pivot at its highest index until it is
-    zero or the pivot at a new index, so the last index is eliminated first
-    (`basis_rect(20, 20)` ranks in 0.05 s instead of 0.9 s). Each reduced
-    vector is made primitive: it divides a vector of the family's minors.
+def _rank(vectors: list[dict[int, int]]) -> int:
+    """Rank over the rationals of sparse int vectors {index: value}
+    (consumed), by elimination without division: each vector in turn is
+    reduced by the pivot at its highest index until it is zero or the pivot
+    at a new index, so the last index is eliminated first (`basis_rect(20,
+    20)` ranks in 0.05 s instead of 0.9 s). Each reduced vector is made
+    primitive: it divides a vector of the family's minors.
     """
     pivots: dict[int, dict[int, int]] = {}  # highest index -> its pivot
     for v in vectors:
-        if type(v) is not dict:
-            v = {j: x for j, x in enumerate(v) if x}
         while v:
             top = max(v)
             p = pivots.get(top)
@@ -822,21 +819,29 @@ def _rank(vectors: list[dict[int, int] | list[int]]) -> int:
     return len(pivots)
 
 
-def rank_of_family(family: Iterable[Matrix]) -> int:
+def rank_of_family(family: Iterable[Matrix | RectPermMatrix]) -> int:
     """Exact rank of a family of equally shaped matrices, flattened row-major.
 
-    The empty family has rank 0. Shapes must agree. Each matrix becomes a
-    sparse int vector (`_integer_rows`): an extreme point's is read off its
-    vertex, shape included, with no Fraction and no dense row built; any
-    other matrix's comes from its `_int_rows`. When every member is
-    centrosymmetric, only the top ceil(m/2) rows are ranked: they determine
-    the rest. The vectors are eliminated highest index first (`_rank`).
+    Members are Matrix or RectPermMatrix values (TypeError otherwise). The
+    empty family has rank 0. Shapes must agree. Each member becomes a sparse
+    int vector (`_integer_rows`): an extreme point's is read off its vertex
+    (a RectPermMatrix is its own), shape included, with no Fraction and no
+    dense row built; any other matrix's comes from its `_int_rows`. When
+    every member is centrosymmetric, only the top ceil(m/2) rows are ranked:
+    they determine the rest. The vectors are eliminated highest index first
+    (`_rank`).
     """
-    mats = list(family)
-    if not mats:
+    members = []
+    for a in family:
+        if not isinstance(a, (_Vertex, Matrix)):
+            raise TypeError(f"a family member must be a Matrix or a RectPermMatrix, "
+                            f"not {type(a).__name__}")
+        key = getattr(a, "_key", a)  # a RectPermMatrix is its own vertex
+        members.append(key if isinstance(key, _Vertex) else a)
+    if not members:
         return 0
-    shapes = [a._key.shape if isinstance(a._key, _Vertex) else a.shape for a in mats]
+    shapes = [a.shape for a in members]
     for shape in shapes:
         if shape != shapes[0]:
             raise ShapeError(f"shape mismatch: {shapes[0]} vs {shape}")
-    return _rank(_integer_rows(mats, shapes[0]))
+    return _rank(_integer_rows(members, shapes[0]))

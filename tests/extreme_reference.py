@@ -11,14 +11,16 @@ with them on every small matrix and on seeded random ones.
 column tuple, in the order the library's enumerators promise.
 
 `is_extreme_oracle` knows nothing about the shape of the extreme points: it
-applies the general vertex criterion, testing by exact rank whether the
-only support-preserving perturbation with zero row sums (and, on request,
+applies the general vertex criterion, testing by exact rank (rank_reference's
+Fraction elimination, not the library's `_rank`) whether the only
+support-preserving perturbation with zero row sums (and, on request,
 half-turn symmetry) is zero. `verify_basis` checks a claimed basis by its
 size and exact rank. Tests play both against the library's routes.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
 
 from centrostoch.core import (
@@ -27,13 +29,13 @@ from centrostoch.core import (
     NotStochasticError,
     _as_int,
     _center_row,
-    _rank,
     _unit_row,
     _unit_column,
     is_centrosymmetric,
     is_stochastic,
     rank_of_family,
 )
+from rank_reference import _rank
 
 
 def _one_per_row(a: Matrix, skip_row: int = 0) -> bool:
@@ -109,7 +111,8 @@ def is_extreme_oracle(a: Matrix, centro: bool = False) -> bool:
     row sums (and equal to its own half-turn rotation when `centro`) is the
     zero matrix. That solution space is the null space of a small exact
     linear system; `a` is extreme iff the system's rank equals the number of
-    support positions. Raises NotStochasticError / NotCentrosymmetricError
+    support positions. The rank is rank_reference's Fraction elimination,
+    not the library's. Raises NotStochasticError / NotCentrosymmetricError
     when `a` is outside the polytope in question.
     """
     if not is_stochastic(a):
@@ -119,14 +122,15 @@ def is_extreme_oracle(a: Matrix, centro: bool = False) -> bool:
     m, n = a.shape
     support = sorted(a.support())
     # one zero-row-sum constraint per row (is_stochastic leaves none empty)
-    rows = [[1 if r == i else 0 for r, _ in support] for i in range(1, m + 1)]
+    one, zero = Fraction(1), Fraction(0)
+    rows = [[one if r == i else zero for r, _ in support] for i in range(1, m + 1)]
     if centro:
         index = {pos: k for k, pos in enumerate(support)}
         for k, (i, j) in enumerate(support):
             mirror = index[(m + 1 - i, n + 1 - j)]
             if k < mirror:
-                row = [0] * len(support)
-                row[k], row[mirror] = 1, -1
+                row = [zero] * len(support)
+                row[k], row[mirror] = one, -one
                 rows.append(row)
     return _rank(rows) == len(support)
 

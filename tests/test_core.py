@@ -945,8 +945,9 @@ class TestRankCertificate:
             assert rank_of_family(family) == len(family) - 1 == exact_rank(family)
 
     def test_no_fraction_arithmetic(self, monkeypatch):
-        # the rank and the oracle eliminate ints: no Fraction is subtracted,
-        # multiplied or divided, even on a deficient family
+        # the rank eliminates ints: no Fraction is subtracted, multiplied or
+        # divided, even on a deficient family (the oracle, which checks the
+        # library's routes, eliminates Fractions, and is called after)
         family = basis_rect(4, 4) + [RectPermMatrix([2, 4, 1, 3], 4).to_matrix()]
         points = list(enumerate_extreme_centro(3, 3))
         points.append(Matrix([[Fraction(1, 3)] * 3] * 3))
@@ -957,8 +958,8 @@ class TestRankCertificate:
                 return _original(*args)
             monkeypatch.setattr(Fraction, name, counted)
         rank = rank_of_family(family)
-        verdicts = [(is_extreme_oracle(a), is_extreme_oracle(a, centro=True)) for a in points]
         monkeypatch.undo()
+        verdicts = [(is_extreme_oracle(a), is_extreme_oracle(a, centro=True)) for a in points]
         assert calls == Counter()
         assert rank == len(family) - 1
         assert verdicts == [(_vertex_of(a).center is None, True) for a in points[:-1]] + [
@@ -1014,7 +1015,7 @@ class TestRankLastColumnFirst:
             return original(*args)
 
         monkeypatch.setattr(core, "gcd", recording)
-        assert core._rank([[2, 0, 3], [4, 0, 5]]) == 2
+        assert core._rank([{0: 2, 2: 3}, {0: 4, 2: 5}]) == 2
         assert calls[0] == (3, 5)
 
 
@@ -1058,13 +1059,13 @@ class TestRankFromVertices:
             assert rank_of_family(family) == len(family) == exact_rank(family)
 
     def test_the_top_rows_are_kept_only_when_every_member_is_centrosymmetric(self):
-        basis = basis_centro_odd(5, 4)
+        basis = [a._key for a in basis_centro_odd(5, 4)]
         # rows 1..3 of 5 are the flat indices below 12, the centre row's included
         assert max(j for v in core._integer_rows(basis, (5, 4)) for j in v) == 11
-        full = core._integer_rows(basis + [_unit_matrix((1, 1, 1, 1, 1), 4)], (5, 4))
+        full = core._integer_rows(basis + [_vertex((1, 1, 1, 1, 1), 4)], (5, 4))
         assert max(j for v in full for j in v) == 19
         # a centre row's vertex scales to 2 on its unit rows, as its copy does
-        (vector,) = core._integer_rows([_unit_matrix((1, 4), 4, 2)], (3, 4))
+        (vector,) = core._integer_rows([_vertex((1, 4), 4, 2)], (3, 4))
         assert vector == {0: 2, 5: 1, 6: 1} == core._integer_rows(
             [Matrix([[1, 0, 0, 0], [0, HALF, HALF, 0], [0, 0, 0, 1]])], (3, 4))[0]
 
@@ -1090,6 +1091,42 @@ class TestRankFromVertices:
         assert made == [] and row_builds == []
         # the 3 x 3 centrosymmetric points span as many dimensions as that basis has members
         assert ranks == [len(family) for family in families[:4]] + [len(basis_centro_odd(3, 3))]
+
+
+class TestRankMembers:
+    """`rank_of_family` takes Matrix and RectPermMatrix members alike: a
+    RectPermMatrix is its own vertex. Anything else is a TypeError, and a
+    shape mismatch a ShapeError, whichever kinds the members are."""
+
+    def test_a_rect_perm_matrix_member(self):
+        assert rank_of_family([RectPermMatrix([1, 2], 2)]) == 1
+
+    def test_a_family_mixing_the_three_forms(self):
+        basis = basis_rect(3, 3)
+        perms = [RectPermMatrix(a._key.cols, 3) for a in basis]
+        rng = random.Random("three forms")
+        for _ in range(20):
+            family = [rng.choice([r, r.to_matrix(), Matrix(a.entries)])
+                      for r, a in zip(perms, basis)]
+            family += rng.sample(perms, 2) + [Matrix(rng.choice(basis).entries)]
+            rng.shuffle(family)
+            matrices = [a.to_matrix() if isinstance(a, RectPermMatrix) else a for a in family]
+            assert rank_of_family(family) == len(basis) == exact_rank(matrices)
+
+    @pytest.mark.parametrize("member", [[1, 0], [[1, 0]], (1,), None, "10"],
+                             ids=["row", "rows", "tuple", "none", "str"])
+    def test_other_members_are_a_type_error(self, member):
+        with pytest.raises(TypeError):
+            rank_of_family([member])
+        with pytest.raises(TypeError):
+            rank_of_family([RectPermMatrix([1, 2], 2), member])
+
+    def test_a_shape_mismatch_across_the_kinds(self):
+        for family in ([RectPermMatrix([1, 2], 2), Matrix([[1, 0, 0]])],
+                       [Matrix([[1, 0], [0, 1]]), RectPermMatrix([1], 2)],
+                       [RectPermMatrix([1, 2], 2), RectPermMatrix([1, 2], 3)]):
+            with pytest.raises(ShapeError):
+                rank_of_family(family)
 
 
 class TestSizesAreInts:
