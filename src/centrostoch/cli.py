@@ -10,12 +10,18 @@ Exit codes: 0 success, 1 domain error (bad matrix for the requested
 operation), 2 usage or parse error, input that does not decode included.
 
 Every matrix that `decompose`, `enumerate`, `face vertices` and `basis` list
-is an extreme point, so it is printed from its vertex (`core._Vertex`, as
-each `RectPermMatrix` item of a plain `enumerate` is): `_texts` renders
-each row once per command (`_CentreRows`), shares it among every matrix
-that has it, and gives each matrix as one join of its cached rows in C, a
-centre row joined onto the row above it. In JSON a rendered row is its
-finished `json.dumps(indent=2)` text at the nesting the command puts it.
+is an extreme point, so it is printed from its rows: each row is rendered
+once per command (`_CentreRows`) and shared among every matrix that has
+it, and a matrix's text is one join of its cached rows in C. In JSON a
+rendered row is its finished `json.dumps(indent=2)` text at the nesting
+the command puts it. `decompose`, `face vertices` and `basis` hold their
+points' vertices (`core._Vertex`), and `_texts` renders those, a centre row
+joined onto the row above it. `enumerate` builds no point: a listing of a
+whole polytope is the product of each free row's column choices (the
+paper's Birkhoff theorem), which `extremes._choices` gives after every
+check and refusal of the public enumerators, so `_product_texts` joins the
+tuples of `itertools.product` over the rows' rendered rows, and the count
+is the product of the choices' sizes. No listing holds its texts.
 
 Two writers put those texts on stdout, with write policies that differ on
 purpose, as measured. `_print_blocks` numbers the matrices of a text
@@ -52,8 +58,9 @@ from __future__ import annotations
 
 import functools
 import sys
-from itertools import chain, count, islice, repeat
-from operator import attrgetter
+from itertools import chain, count, islice, product, repeat
+from math import prod
+from operator import add, attrgetter, itemgetter
 from types import SimpleNamespace
 
 from centrostoch.bases import (
@@ -68,7 +75,6 @@ from centrostoch.core import (
     CentrostochError,
     EnumerationCapError,
     Matrix,
-    _Vertex,
     is_centrosymmetric,
     is_stochastic,
     rank_of_family,
@@ -76,6 +82,7 @@ from centrostoch.core import (
 )
 from centrostoch.decompose import decompose_centrosymmetric, decompose_stochastic
 from centrostoch.extremes import (
+    _choices,
     enumerate_extreme_centro,
     enumerate_extreme_stochastic,
     is_extreme_centro,
@@ -143,6 +150,45 @@ def _texts(vertices, n: int, pad: str | None = None, sep: str = "\n"):
         joined = _CentreRows(n, pad, c, centre_rows, sep)
         layouts[c] = (centre_rows,) * (half - 1) + (joined,) + (centre_rows,) * half
     return map(sep.join, map(map, repeat(dict.__getitem__), map(layouts.get, centres), cols))
+
+
+_REVERSED = itemgetter(slice(None, None, -1))  # a tuple, reversed in C
+
+
+def _product_texts(kept, m: int, n: int, centro: bool, pad: str | None = None, sep: str = "\n"):
+    """The texts, as `_texts` gives them, of the extreme points whose free
+    rows choose their columns from `kept` (as `extremes._choices` gives
+    it), in the public enumerators' order, lazily and with no point built:
+    each is `sep` joined over one tuple of `itertools.product` over the
+    free rows' rendered rows.
+
+    Under the half turn the bottom half is the reversed tuple of a product
+    of the mirrored rows n + 1 - c, run in lockstep with the top half's.
+    For odd m each centre choice has its own stream, with its `_CentreRows`
+    (a middle-column centre is a plain unit row), and `zip` interleaves the
+    streams so that the centre cycles fastest.
+    """
+    plain = _CentreRows(n, pad, None)
+    if not centro:
+        return map(sep.join, product(*[map(plain.__getitem__, row) for row in kept]))
+    half = m // 2
+
+    def stream(rows, *centre):
+        # the points whose rows render as `rows`, `centre` their centre row
+        tops = product(*[map(rows.__getitem__, row) for row in kept[:half]], *centre)
+        bottoms = product(*[[rows[n + 1 - c] for c in row] for row in kept[:half]])
+        return map(sep.join, map(add, tops, map(_REVERSED, bottoms)))
+
+    if m % 2 == 0:
+        return stream(plain)
+    streams = []
+    for c in kept[half]:
+        if 2 * c == n + 1:
+            streams.append(stream(plain, [plain[c]]))
+        else:
+            rows = _CentreRows(n, pad, c)
+            streams.append(stream(rows, [rows[None]]))
+    return chain.from_iterable(zip(*streams))
 
 
 class _CentreRows(dict):
@@ -228,19 +274,19 @@ def _print_report(report: dict, as_json: bool) -> int:
 _KEY = attrgetter("_key")  # a listed extreme point's vertex, read in C
 
 
-def _print_listing(vertices: list[_Vertex], n: int, as_json: bool, footer: dict) -> int:
-    # numbered matrices, then the footer's key=value pairs on one line when
-    # there are any; in JSON the count and the matrices, then the footer's
-    # other pairs. A listing is never empty: every row has a column to choose
+def _print_listing(texts, size: int, as_json: bool, footer: dict) -> int:
+    # the `size` matrices that texts(pad, sep) renders as `_texts` does,
+    # numbered, then the footer's key=value pairs on one line when there are
+    # any; in JSON the count and the matrices, then the footer's other
+    # pairs. A listing is never empty: every row has a column to choose
     if as_json:
         rest = "".join(f',\n  "{key}": {_word(value)}' for key, value in footer.items()
                        if key != "count")
-        texts = _texts(vertices, n, "\n      ", ",")
-        _print_items(f'{{\n  "count": {len(vertices)},\n  "matrices": [', "{}\n    [{}\n    ]",
-                     f"\n  ]{rest}\n}}", texts)
+        _print_items(f'{{\n  "count": {size},\n  "matrices": [', "{}\n    [{}\n    ]",
+                     f"\n  ]{rest}\n}}", texts("\n      ", ","))
     else:
         tail = " ".join(f"{key}={_word(value)}" for key, value in footer.items())
-        _print_blocks(_texts(vertices, n), tail=tail or None)
+        _print_blocks(texts(), tail=tail or None)
     return 0
 
 
@@ -290,12 +336,11 @@ def _cmd_decompose(ns) -> int:
 
 
 def _cmd_enumerate(ns) -> int:
-    if ns.centro:
-        vertices = list(map(_KEY, enumerate_extreme_centro(ns.m, ns.n, cap=ns.cap)))
-    else:
-        # a rectangular permutation matrix is its own vertex key
-        vertices = list(enumerate_extreme_stochastic(ns.m, ns.n, cap=ns.cap))
-    return _print_listing(vertices, ns.n, ns.json, {"count": len(vertices)})
+    # the public enumerators' checks and refusals, with no point built
+    m, n, kept = _choices(ns.m, ns.n, ns.cap, None, ns.centro)
+    size = prod(map(len, kept))
+    texts = functools.partial(_product_texts, kept, m, n, ns.centro)
+    return _print_listing(texts, size, ns.json, {"count": size})
 
 
 _BASIS_CELL_CAP = 10**7  # the most cells (members x m x n) of a listed or verified basis family
@@ -331,7 +376,8 @@ def _cmd_basis(ns) -> int:
     if ns.verify:
         rank = rank_of_family(family)
         footer = {"rank": rank, "independent": rank == len(family)}
-    return _print_listing(list(map(_KEY, family)), ns.n, ns.json, footer)
+    texts = functools.partial(_texts, list(map(_KEY, family)), ns.n)
+    return _print_listing(texts, len(family), ns.json, footer)
 
 
 def _dot_document(graph: BipartiteGraph) -> str:
@@ -390,7 +436,8 @@ def _cmd_face(ns) -> int:
         return 0
     mats = enumerate_face_vertices(pattern, centro=ns.centro, cap=ns.cap)
     vertices = list(map(_KEY, mats))
-    return _print_listing(vertices, pattern.ncols, ns.json, {"count": len(vertices)})
+    texts = functools.partial(_texts, vertices, pattern.ncols)
+    return _print_listing(texts, len(vertices), ns.json, {"count": len(vertices)})
 
 
 def _cmd_normalize(ns) -> int:

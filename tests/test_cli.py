@@ -10,7 +10,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from itertools import cycle, repeat
+from itertools import cycle, product, repeat
 from pathlib import Path
 
 import pytest
@@ -627,9 +627,8 @@ class TestStreamedJson:
         assert peak < sink.size / 10, (peak, sink.size)
 
     def test_a_text_listing_is_not_held_either(self, monkeypatch):
-        # the listed points are held in both layouts; the text's blocks are
-        # joined and written a chunk at a time, so the text form (4.6 MB)
-        # needs little more than the JSON form (45 MB) does
+        # the text's blocks are joined and written a chunk at a time, so the
+        # text form (4.6 MB) needs little more than the JSON form (45 MB) does
         peaks, sizes = [], []
         for layout in ([], ["--json"]):
             sink = CountingSink()
@@ -643,6 +642,23 @@ class TestStreamedJson:
             assert code == 0
             sizes.append(sink.size)
         assert peaks[0] <= peaks[1] + sizes[0] / 4, (peaks, sizes)
+
+    @pytest.mark.parametrize("layout", [[], ["--json"]], ids=["text", "json"])
+    @pytest.mark.parametrize("shape", [["--m", "16"], ["--centro", "--m", "32"]],
+                             ids=["plain", "centro"])
+    def test_an_enumerated_listing_holds_no_point(self, monkeypatch, shape, layout):
+        # 2^16 points: neither the points nor their texts are held, so what
+        # is allocated at once is a small part of the output
+        sink = CountingSink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            code = run_command(["enumerate", "--extremes", *shape, "--n", "2", *layout])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and sink.size > 4 * 10**6
+        assert peak < sink.size / 20, (peak, sink.size)
 
     def test_a_reader_that_closes_mid_document(self, tmp_path):
         # the listing (about 2 MB) is far larger than a pipe's buffer, so
@@ -1030,6 +1046,27 @@ class TestEnumerate:
         code, out, err = run_cli(["enumerate", "--extremes", *centro, "--m", "5", "--n", "1"])
         assert (code, err) == (0, "")
         assert out == "[1]\n1\n1\n1\n1\n1\n\ncount=1\n"
+
+    @pytest.mark.parametrize("centro", [False, True], ids=["plain", "centro"])
+    def test_refusals_are_the_public_enumerators(self, run_cli, centro):
+        # sizes below 1, free rows past the cap and counts past the cap: the
+        # command's exit code and error line are those of the public
+        # enumerator's exception, with nothing on stdout
+        enumerator = enumerate_extreme_centro if centro else enumerate_extreme_stochastic
+        refused = 0
+        for m, n, cap in product([-1, 0, 1, 2, 3, 4, 7], [-2, 0, 1, 2, 3, 5],
+                                 [-1, 0, 1, 2, 3, 8, 100]):
+            argv = ["enumerate", "--extremes", *(["--centro"] if centro else []),
+                    "--m", str(m), "--n", str(n), "--cap", str(cap)]
+            try:
+                size = len(list(enumerator(m, n, cap=cap)))
+            except CentrostochError as exc:
+                refused += 1
+                assert run_cli(argv) == (1, "", f"error: {exc}\n"), argv
+            else:
+                code, out, err = run_cli(argv)
+                assert (code, err) == (0, "") and out.endswith(f"\n\ncount={size}\n"), argv
+        assert refused > 200
 
     def test_extremes_flag_required(self, run_cli, capsys):
         code, out, err = run_cli(["enumerate", "--m", "1", "--n", "2"])

@@ -93,6 +93,8 @@ UNUSED_IMPORTS_ALLOWED = {
     ("decompose", "is_extreme_centro"),
     ("extremes", "is_stochastic"),
     ("bases", "rank_of_family"),
+    ("cli", "enumerate_extreme_stochastic"),
+    ("cli", "enumerate_extreme_centro"),
 }
 
 
@@ -236,9 +238,9 @@ def counted(monkeypatch, owner, attr, calls, lazy=False):
 class TestBenchmarkTraceRoute:
     """The census commands reach the library through the names the
     benchmark's tracer counts at: a route that bypassed them would read
-    `faces.candidates` or `extremes.enumerated` as 0, and `core.rank.cells`
-    reads the size and shape of the list of matrices `rank_of_family` is
-    given."""
+    `faces.candidates` as 0, and `core.rank.cells` reads the size and shape
+    of the list of matrices `rank_of_family` is given. `enumerate` alone
+    lists its points with no enumerator and no point built."""
 
     PATTERN = "3 3\n1 1 0\n1 1 1\n0 1 1\n"
 
@@ -255,16 +257,23 @@ class TestBenchmarkTraceRoute:
         assert len(calls) == 1 + count
 
     @pytest.mark.parametrize("centro", [False, True], ids=["plain", "centro"])
-    def test_enumerate_calls_the_cli_enumerator(self, run_cli, monkeypatch, centro):
-        calls = []
-        name = "enumerate_extreme_centro" if centro else "enumerate_extreme_stochastic"
-        counted(monkeypatch, cli, name, calls, lazy=True)
+    def test_enumerate_calls_neither_public_enumerator(self, run_cli, monkeypatch, centro):
+        # `enumerate` renders its listing from the product of row texts: the
+        # public enumerators, under any name, and every point constructor
+        # would fail the command if it called them
+        def refuse(*args, **kwargs):
+            raise AssertionError("called")
+
+        for owner in (cli, extremes, faces):
+            for name in ("enumerate_extreme_stochastic", "enumerate_extreme_centro"):
+                monkeypatch.setattr(owner, name, refuse)
+        for name in ("_new_vertex", "_new_rect_perm", "_keyed", "_mirrored_keys"):
+            monkeypatch.setattr(extremes, name, refuse)
         argv = ["enumerate", "--extremes", "--m", "3", "--n", "3", "--json"]
         code, out, err = run_cli(argv + (["--centro"] if centro else []), "")
         assert (code, err) == (0, "")
-        count = json.loads(out)["count"]
-        assert count == (6 if centro else 27)
-        assert len(calls) == 1 + count
+        doc = json.loads(out)
+        assert doc["count"] == len(doc["matrices"]) == (6 if centro else 27)
 
     @pytest.mark.parametrize(
         "family, argv, size",
